@@ -60,6 +60,16 @@ impl Coord {
         }
     }
 
+    /// Component `i`, borrowed: a point is its own single component, a
+    /// tuple has one per flattened rank. Agrees with
+    /// [`Coord::components`] without allocating.
+    pub fn component(&self, i: usize) -> Option<&Coord> {
+        match self {
+            Coord::Point(_) => (i == 0).then_some(self),
+            Coord::Tuple(cs) => cs.get(i),
+        }
+    }
+
     /// Number of components (`1` for points).
     pub fn arity(&self) -> usize {
         match self {

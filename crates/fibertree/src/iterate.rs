@@ -266,123 +266,194 @@ fn gallop(
 /// eager pairwise composition even though nothing is materialized. (A
 /// stage whose own fiber exhausts silently drains its upstream to keep
 /// that equivalence.)
-#[derive(Debug)]
+///
+/// The stream fills one positions buffer in place: [`IntersectStream::advance`]
+/// returns the matching coordinate and [`IntersectStream::positions`] holds
+/// its position in every fiber. [`IntersectStream::restart`] re-arms the
+/// same stream over new fibers, so a caller that keeps one stream per loop
+/// level allocates only on first use. The [`Iterator`] impl materializes
+/// each match for callers that want owned rows.
+#[derive(Clone, Debug, Default)]
 pub struct IntersectStream<'a> {
-    top: ManyNode<'a>,
+    /// Fiber 0 is the source; fiber `k` is merged by stage `k`.
+    fibers: Vec<FiberView<'a>>,
+    /// `stages[k - 1]` is the two-input unit merging fiber `k`.
+    stages: Vec<ManyStage<'a>>,
+    /// Positions of the current match, one per fiber. While stage `k`
+    /// holds an upstream match, `positions[..k]` are that match's.
+    positions: Vec<usize>,
+    /// The source's next position.
+    source_pos: usize,
+    /// Emission from the source stops (uncharged) at the first coordinate
+    /// `>= Point(limit)` — the shard boundary of a bounded stream.
+    limit: Option<u64>,
+    /// Leader-follower mode: stages probe instead of merging.
+    probe: bool,
     matches: u64,
 }
 
-#[derive(Debug)]
-enum ManyNode<'a> {
-    /// Fiber 0: emits every element with its position, charging nothing.
-    /// With a `limit`, emission stops (uncharged) at the first coordinate
-    /// `>= Point(limit)` — the shard boundary of a bounded stream.
-    Source {
-        fiber: FiberView<'a>,
-        pos: usize,
-        limit: Option<u64>,
-    },
-    /// One two-input unit merging the upstream match stream with a fiber.
-    Stage(Box<ManyStage<'a>>),
-}
-
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct ManyStage<'a> {
-    upstream: ManyNode<'a>,
-    fiber: FiberView<'a>,
     j: usize,
-    /// Leader-follower mode: probe instead of merge.
-    probe: bool,
     comparisons: u64,
-    left: Option<(Coord, Vec<usize>)>,
+    /// The upstream match this stage is comparing against.
+    left: Option<CoordKey<'a>>,
+    /// Whether `left` was emitted, so the upstream must advance before
+    /// the next comparison. Advancing lazily keeps the upstream from
+    /// overwriting the emitted match's positions while the caller reads
+    /// them.
+    emitted: bool,
     primed: bool,
     done: bool,
 }
 
-impl<'a> ManyNode<'a> {
-    fn next(&mut self) -> Option<(Coord, Vec<usize>)> {
-        match self {
-            ManyNode::Source { fiber, pos, limit } => {
-                if *pos >= fiber.occupancy() {
+impl<'a> IntersectStream<'a> {
+    /// Re-arms the stream over `fibers` under `policy`, reusing its
+    /// buffers. With `bounds = Some((lo, hi))` the stream emits only
+    /// matches whose coordinate lies in `[lo, hi)`, with the shard-exact
+    /// charging of [`intersect_stream_bounded`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fibers` is empty, or when bounded with more than two
+    /// fibers (see [`intersect_stream_bounded`]).
+    pub fn restart(
+        &mut self,
+        fibers: &[FiberView<'a>],
+        policy: IntersectPolicy,
+        bounds: Option<(u64, u64)>,
+    ) {
+        assert!(
+            !fibers.is_empty(),
+            "intersect_stream needs at least one fiber"
+        );
+        self.fibers.clear();
+        self.fibers.extend_from_slice(fibers);
+        self.positions.clear();
+        self.positions.resize(fibers.len(), 0);
+        self.stages.clear();
+        self.stages.resize(fibers.len() - 1, ManyStage::default());
+        self.probe = matches!(policy, IntersectPolicy::LeaderFollower { .. });
+        self.matches = 0;
+        self.source_pos = 0;
+        self.limit = None;
+        if let Some((lo, hi)) = bounds {
+            assert!(
+                fibers.len() <= 2,
+                "bounded intersection is shard-exact for one or two fibers only"
+            );
+            let start = lower_bound_point(&fibers[0], lo);
+            self.source_pos = start;
+            self.limit = Some(hi);
+            if let Some(f) = fibers.get(1) {
+                // Where the sequential two-finger merge leaves the
+                // follower after consuming every leader element below
+                // `lo`: one past the last follower coordinate `<=` the
+                // previous leader coordinate.
+                if start > 0 {
+                    let prev = fibers[0]
+                        .coord_key_at(start - 1)
+                        .as_point()
+                        .expect("bounded intersection requires point coordinates");
+                    self.stages[0].j = lower_bound_point(f, prev.saturating_add(1));
+                }
+            }
+        }
+    }
+
+    /// Advances to the next match and returns its coordinate; its
+    /// per-fiber positions are then in [`IntersectStream::positions`].
+    pub fn advance(&mut self) -> Option<CoordKey<'a>> {
+        let top = self.fibers.len().checked_sub(1)?;
+        let key = self.pull(top)?;
+        self.matches += 1;
+        Some(key)
+    }
+
+    /// Per-fiber positions of the match [`IntersectStream::advance`] last
+    /// returned.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// The statistics accrued so far (complete after draining).
+    pub fn stats(&self) -> CoIterStats {
+        CoIterStats {
+            comparisons: self.stages.iter().map(|s| s.comparisons).sum(),
+            matches: self.matches,
+        }
+    }
+
+    /// The next output of cascade node `k`: the source for `k = 0`, stage
+    /// `k` otherwise. Writes `positions[..=k]`.
+    fn pull(&mut self, k: usize) -> Option<CoordKey<'a>> {
+        if k == 0 {
+            let fiber = self.fibers[0];
+            if self.source_pos >= fiber.occupancy() {
+                return None;
+            }
+            let key = fiber.coord_key_at(self.source_pos);
+            if let Some(h) = self.limit {
+                if !key.cmp_key(&CoordKey::Point(h)).is_lt() {
                     return None;
                 }
-                let key = fiber.coord_key_at(*pos);
-                if let Some(h) = limit {
-                    if !key.cmp_key(&CoordKey::Point(*h)).is_lt() {
-                        return None;
-                    }
-                }
-                let item = (key.to_coord(), vec![*pos]);
-                *pos += 1;
-                Some(item)
             }
-            ManyNode::Stage(s) => s.next(),
+            self.positions[0] = self.source_pos;
+            self.source_pos += 1;
+            return Some(key);
         }
-    }
-
-    fn comparisons(&self) -> u64 {
-        match self {
-            ManyNode::Source { .. } => 0,
-            ManyNode::Stage(s) => s.comparisons + s.upstream.comparisons(),
-        }
-    }
-}
-
-impl ManyStage<'_> {
-    fn next(&mut self) -> Option<(Coord, Vec<usize>)> {
-        if self.done {
+        let s = k - 1;
+        if self.stages[s].done {
             return None;
         }
-        if !self.primed {
-            self.left = self.upstream.next();
-            self.primed = true;
+        if !self.stages[s].primed || self.stages[s].emitted {
+            self.stages[s].left = self.pull(k - 1);
+            self.stages[s].primed = true;
+            self.stages[s].emitted = false;
         }
+        let fiber = self.fibers[k];
         if self.probe {
             // Leader-follower: every upstream match costs one probe of
             // this fiber, whether or not it hits.
-            while let Some((c, mut ps)) = self.left.take() {
-                self.comparisons += 1;
-                let hit = self.fiber.position(&c);
-                self.left = self.upstream.next();
-                if let Some(pf) = hit {
-                    ps.push(pf);
-                    return Some((c, ps));
+            while let Some(c) = self.stages[s].left {
+                self.stages[s].comparisons += 1;
+                if let Some(pf) = fiber.position_of_key(&c) {
+                    self.positions[k] = pf;
+                    self.stages[s].emitted = true;
+                    return Some(c);
                 }
+                self.stages[s].left = self.pull(k - 1);
             }
-            self.done = true;
+            self.stages[s].done = true;
             return None;
         }
         // Two-finger merge of the upstream stream against this fiber.
         loop {
-            if self.left.is_none() {
+            let Some(c) = self.stages[s].left else {
                 // Upstream exhausted (and, by induction, fully drained).
-                self.done = true;
+                self.stages[s].done = true;
                 return None;
-            }
-            if self.j >= self.fiber.occupancy() {
+            };
+            let j = self.stages[s].j;
+            if j >= fiber.occupancy() {
                 // This fiber exhausted: the eager pairwise composition
                 // still materializes the full upstream match list, so
                 // drain it (charging its comparisons) without emitting.
-                while self.upstream.next().is_some() {}
-                self.left = None;
-                self.done = true;
+                while self.pull(k - 1).is_some() {}
+                self.stages[s].left = None;
+                self.stages[s].done = true;
                 return None;
             }
-            self.comparisons += 1;
-            let cmp = {
-                let (c, _) = self.left.as_ref().expect("checked above");
-                self.fiber.coord_key_at(self.j).cmp_coord(c).reverse()
-            };
-            match cmp {
+            self.stages[s].comparisons += 1;
+            match c.cmp_key(&fiber.coord_key_at(j)) {
                 std::cmp::Ordering::Equal => {
-                    let (c, mut ps) = self.left.take().expect("checked above");
-                    ps.push(self.j);
-                    self.j += 1;
-                    self.left = self.upstream.next();
-                    return Some((c, ps));
+                    self.positions[k] = j;
+                    self.stages[s].j = j + 1;
+                    self.stages[s].emitted = true;
+                    return Some(c);
                 }
-                std::cmp::Ordering::Less => self.left = self.upstream.next(),
-                std::cmp::Ordering::Greater => self.j += 1,
+                std::cmp::Ordering::Less => self.stages[s].left = self.pull(k - 1),
+                std::cmp::Ordering::Greater => self.stages[s].j = j + 1,
             }
         }
     }
@@ -397,28 +468,9 @@ pub fn intersect_stream<'a>(
     fibers: &[FiberView<'a>],
     policy: IntersectPolicy,
 ) -> IntersectStream<'a> {
-    assert!(
-        !fibers.is_empty(),
-        "intersect_stream needs at least one fiber"
-    );
-    let mut top = ManyNode::Source {
-        fiber: fibers[0],
-        pos: 0,
-        limit: None,
-    };
-    for &f in &fibers[1..] {
-        top = ManyNode::Stage(Box::new(ManyStage {
-            upstream: top,
-            fiber: f,
-            j: 0,
-            probe: matches!(policy, IntersectPolicy::LeaderFollower { .. }),
-            comparisons: 0,
-            left: None,
-            primed: false,
-            done: false,
-        }));
-    }
-    IntersectStream { top, matches: 0 }
+    let mut s = IntersectStream::default();
+    s.restart(fibers, policy, None);
+    s
 }
 
 /// Binary search for the first position in `fiber` whose coordinate is
@@ -463,63 +515,17 @@ pub fn intersect_stream_bounded<'a>(
     lo: u64,
     hi: u64,
 ) -> IntersectStream<'a> {
-    assert!(
-        (1..=2).contains(&fibers.len()),
-        "bounded intersection is shard-exact for one or two fibers only"
-    );
-    let start = lower_bound_point(&fibers[0], lo);
-    let mut top = ManyNode::Source {
-        fiber: fibers[0],
-        pos: start,
-        limit: Some(hi),
-    };
-    if let Some(&f) = fibers.get(1) {
-        // Where the sequential two-finger merge leaves the follower after
-        // consuming every leader element below `lo`: one past the last
-        // follower coordinate `<=` the previous leader coordinate.
-        let j = if start > 0 {
-            let prev = fibers[0]
-                .coord_key_at(start - 1)
-                .to_coord()
-                .as_point()
-                .expect("bounded intersection requires point coordinates");
-            lower_bound_point(&f, prev.saturating_add(1))
-        } else {
-            0
-        };
-        top = ManyNode::Stage(Box::new(ManyStage {
-            upstream: top,
-            fiber: f,
-            j,
-            probe: matches!(policy, IntersectPolicy::LeaderFollower { .. }),
-            comparisons: 0,
-            left: None,
-            primed: false,
-            done: false,
-        }));
-    }
-    IntersectStream { top, matches: 0 }
-}
-
-impl IntersectStream<'_> {
-    /// The statistics accrued so far (complete after draining).
-    pub fn stats(&self) -> CoIterStats {
-        CoIterStats {
-            comparisons: self.top.comparisons(),
-            matches: self.matches,
-        }
-    }
+    let mut s = IntersectStream::default();
+    s.restart(fibers, policy, Some((lo, hi)));
+    s
 }
 
 impl Iterator for IntersectStream<'_> {
     type Item = (Coord, Vec<usize>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.top.next();
-        if item.is_some() {
-            self.matches += 1;
-        }
-        item
+        let key = self.advance()?;
+        Some((key.to_coord(), self.positions.clone()))
     }
 }
 
@@ -552,22 +558,24 @@ pub type UnionMatch = (Coord, Vec<Option<usize>>);
 /// present in at least one fiber, with the per-fiber position when
 /// present. One comparison is charged per live fiber per emitted
 /// coordinate (the min-finding work of the merging sequencer).
-#[derive(Clone, Debug)]
+///
+/// Like [`IntersectStream`], it fills one positions buffer in place
+/// ([`UnionStream::advance`], [`UnionStream::positions`]) and can be
+/// re-armed with [`UnionStream::restart`] without allocating.
+#[derive(Clone, Debug, Default)]
 pub struct UnionStream<'a> {
     fibers: Vec<FiberView<'a>>,
     cursors: Vec<usize>,
+    positions: Vec<Option<usize>>,
     stats: CoIterStats,
     limit: Option<u64>,
 }
 
 /// Starts a lazy union of `fibers`.
 pub fn union_stream<'a>(fibers: &[FiberView<'a>]) -> UnionStream<'a> {
-    UnionStream {
-        cursors: vec![0; fibers.len()],
-        fibers: fibers.to_vec(),
-        stats: CoIterStats::default(),
-        limit: None,
-    }
+    let mut s = UnionStream::default();
+    s.restart(fibers, None);
+    s
 }
 
 /// Starts a *bounded* lazy union emitting only coordinates in `[lo, hi)`
@@ -578,32 +586,40 @@ pub fn union_stream<'a>(fibers: &[FiberView<'a>]) -> UnionStream<'a> {
 /// next shard performs — and pays for — that scan itself). Fibers must
 /// hold point coordinates.
 pub fn union_stream_bounded<'a>(fibers: &[FiberView<'a>], lo: u64, hi: u64) -> UnionStream<'a> {
-    UnionStream {
-        cursors: fibers.iter().map(|f| lower_bound_point(f, lo)).collect(),
-        fibers: fibers.to_vec(),
-        stats: CoIterStats::default(),
-        limit: Some(hi),
-    }
+    let mut s = UnionStream::default();
+    s.restart(fibers, Some((lo, hi)));
+    s
 }
 
-impl UnionStream<'_> {
-    /// The statistics accrued so far (complete after draining).
-    pub fn stats(&self) -> CoIterStats {
-        self.stats.clone()
+impl<'a> UnionStream<'a> {
+    /// Re-arms the stream over `fibers`, reusing its buffers; `bounds`
+    /// as in [`union_stream_bounded`].
+    pub fn restart(&mut self, fibers: &[FiberView<'a>], bounds: Option<(u64, u64)>) {
+        self.fibers.clear();
+        self.fibers.extend_from_slice(fibers);
+        self.cursors.clear();
+        match bounds {
+            Some((lo, _)) => self
+                .cursors
+                .extend(fibers.iter().map(|f| lower_bound_point(f, lo))),
+            None => self.cursors.resize(fibers.len(), 0),
+        }
+        self.positions.clear();
+        self.positions.resize(fibers.len(), None);
+        self.stats = CoIterStats::default();
+        self.limit = bounds.map(|(_, hi)| hi);
     }
-}
 
-impl Iterator for UnionStream<'_> {
-    type Item = UnionMatch;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Advances to the next coordinate and returns it; the per-fiber
+    /// positions are then in [`UnionStream::positions`].
+    pub fn advance(&mut self) -> Option<CoordKey<'a>> {
         // Find the minimum current coordinate across all fibers. Scan
         // charges are tallied locally and only committed on emission:
         // a bounded stream's final scan — the one that discovers the
         // boundary coordinate — is performed again (and paid for) by
         // the shard that owns that coordinate, so per-shard stats sum
         // exactly to the sequential stream's.
-        let mut min: Option<CoordKey<'_>> = None;
+        let mut min: Option<CoordKey<'a>> = None;
         let mut scanned = 0u64;
         for (f, &cur) in self.fibers.iter().zip(&self.cursors) {
             if cur < f.occupancy() {
@@ -623,19 +639,41 @@ impl Iterator for UnionStream<'_> {
             }
         }
         self.stats.comparisons += scanned;
-        let m = min.to_coord();
-        let mut row: Vec<Option<usize>> = Vec::with_capacity(self.fibers.len());
-        for (idx, f) in self.fibers.iter().enumerate() {
-            let cur = self.cursors[idx];
-            if cur < f.occupancy() && f.coord_key_at(cur).cmp_coord(&m).is_eq() {
-                row.push(Some(cur));
-                self.cursors[idx] += 1;
+        for ((f, cur), pos) in self
+            .fibers
+            .iter()
+            .zip(&mut self.cursors)
+            .zip(&mut self.positions)
+        {
+            if *cur < f.occupancy() && f.coord_key_at(*cur).cmp_key(&min).is_eq() {
+                *pos = Some(*cur);
+                *cur += 1;
             } else {
-                row.push(None);
+                *pos = None;
             }
         }
         self.stats.matches += 1;
-        Some((m, row))
+        Some(min)
+    }
+
+    /// Per-fiber positions of the coordinate [`UnionStream::advance`]
+    /// last returned (`None` where the fiber lacks it).
+    pub fn positions(&self) -> &[Option<usize>] {
+        &self.positions
+    }
+
+    /// The statistics accrued so far (complete after draining).
+    pub fn stats(&self) -> CoIterStats {
+        self.stats.clone()
+    }
+}
+
+impl Iterator for UnionStream<'_> {
+    type Item = UnionMatch;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.advance()?;
+        Some((key.to_coord(), self.positions.clone()))
     }
 }
 

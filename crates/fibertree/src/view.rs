@@ -80,7 +80,7 @@ fn pair_cmp_coord(a: u64, b: u64, other: &Coord) -> Ordering {
     }
 }
 
-impl CoordKey<'_> {
+impl<'a> CoordKey<'a> {
     /// Total order, agreeing with [`Coord`]'s `Ord` (points before
     /// tuples, tuples lexicographic).
     #[inline]
@@ -103,6 +103,32 @@ impl CoordKey<'_> {
             CoordKey::Borrowed(a) => (*a).cmp(other),
             CoordKey::Point(a) => Coord::Point(*a).cmp(other),
             CoordKey::Pair(a, b) => pair_cmp_coord(*a, *b, other),
+        }
+    }
+
+    /// The integer value if this is a point coordinate.
+    #[inline]
+    pub fn as_point(&self) -> Option<u64> {
+        match self {
+            CoordKey::Point(p) => Some(*p),
+            CoordKey::Borrowed(c) => c.as_point(),
+            CoordKey::Pair(..) => None,
+        }
+    }
+
+    /// Component `i` of the coordinate, without allocating: a point is its
+    /// own single component, a tuple has one per flattened rank (as
+    /// [`Coord::components`]).
+    #[inline]
+    pub fn component(&self, i: usize) -> Option<CoordKey<'a>> {
+        match *self {
+            CoordKey::Point(_) => (i == 0).then_some(*self),
+            CoordKey::Pair(a, b) => match i {
+                0 => Some(CoordKey::Point(a)),
+                1 => Some(CoordKey::Point(b)),
+                _ => None,
+            },
+            CoordKey::Borrowed(c) => c.component(i).map(CoordKey::Borrowed),
         }
     }
 

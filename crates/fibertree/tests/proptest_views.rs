@@ -8,8 +8,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{
     intersect2, intersect2_stream, intersect_many, intersect_stream, union_many, union_stream,
+    CoIterStats, IntersectStream, UnionStream,
 };
-use teaal_fibertree::{CompressedTensor, FiberView, IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, Tensor, TensorData};
 
 /// Up to 50 entries in an 8×8×8 3-tensor, as raw COO.
 fn arb_coo3() -> impl Strategy<Value = Vec<(Vec<u64>, f64)>> {
@@ -41,6 +42,40 @@ const POLICIES: [IntersectPolicy; 3] = [
     IntersectPolicy::LeaderFollower { leader: 0 },
     IntersectPolicy::SkipAhead,
 ];
+
+/// Drains an intersection through its buffer-filling API.
+fn drain_intersect(s: &mut IntersectStream<'_>) -> Vec<(Coord, Vec<usize>)> {
+    let mut rows = Vec::new();
+    while let Some(key) = s.advance() {
+        rows.push((key.to_coord(), s.positions().to_vec()));
+    }
+    rows
+}
+
+/// Drains a union through its buffer-filling API.
+fn drain_union(s: &mut UnionStream<'_>) -> Vec<(Coord, Vec<Option<usize>>)> {
+    let mut rows = Vec::new();
+    while let Some(key) = s.advance() {
+        rows.push((key.to_coord(), s.positions().to_vec()));
+    }
+    rows
+}
+
+/// Consecutive `[lo, hi)` windows covering the coordinate space `[0, 200)`
+/// of [`arb_vector_pair`], cut at `cuts`.
+fn windows(cuts: &std::collections::BTreeSet<u64>) -> Vec<(u64, u64)> {
+    let mut bounds = vec![0u64];
+    bounds.extend(cuts.iter().copied().filter(|&c| c > 0 && c < 200));
+    bounds.push(200);
+    bounds.windows(2).map(|w| (w[0], w[1])).collect()
+}
+
+fn sum_stats(a: &CoIterStats, b: &CoIterStats) -> CoIterStats {
+    CoIterStats {
+        comparisons: a.comparisons + b.comparisons,
+        matches: a.matches + b.matches,
+    }
+}
 
 proptest! {
     /// `from_entries → compress → iterate` returns the same entries as
@@ -145,6 +180,101 @@ proptest! {
         let uc: Vec<_> = s.by_ref().collect();
         prop_assert_eq!(uc, uo);
         prop_assert_eq!(s.stats(), so);
+    }
+
+    /// The buffer-filling intersection — one stream re-armed for every
+    /// case, as the engine reuses one per loop level — yields the eager
+    /// cascade's coordinates, positions and stats, unbounded over one to
+    /// three fibers and bounded (one to two fibers) over any split of the
+    /// coordinate space, whose per-shard stats sum to the unbounded
+    /// totals.
+    #[test]
+    fn reused_intersect_streams_match_the_eager_cascade(
+        (oa, ca) in arb_vector_pair(),
+        (ob, cb) in arb_vector_pair(),
+        (oc, cc) in arb_vector_pair(),
+        cuts in proptest::collection::btree_set(0u64..200, 0..4),
+    ) {
+        let datas = [
+            TensorData::Compressed(ca),
+            TensorData::Compressed(cb),
+            TensorData::Compressed(cc),
+        ];
+        let owned = [&oa, &ob, &oc].map(|t| t.root_fiber().expect("1-tensor"));
+        let compressed: Vec<FiberView<'_>> = datas
+            .iter()
+            .map(|d| d.root_fiber_view().expect("1-tensor"))
+            .collect();
+        let mixed = [FiberView::Owned(owned[0]), compressed[1], FiberView::Owned(owned[2])];
+        let mut s = IntersectStream::default();
+        for policy in [
+            IntersectPolicy::TwoFinger,
+            IntersectPolicy::LeaderFollower { leader: 0 },
+            IntersectPolicy::LeaderFollower { leader: 1 },
+            IntersectPolicy::SkipAhead,
+        ] {
+            for n in 1..=3 {
+                let (rows, stats) = intersect_many(&owned[..n], policy);
+                for views in [&compressed[..n], &mixed[..n]] {
+                    s.restart(views, policy, None);
+                    prop_assert_eq!(&drain_intersect(&mut s), &rows, "{:?} n={}", policy, n);
+                    prop_assert_eq!(s.stats(), stats.clone(), "{:?} n={}", policy, n);
+                    if n > 2 {
+                        continue;
+                    }
+                    let mut shard_rows = Vec::new();
+                    let mut shard_stats = CoIterStats::default();
+                    for (lo, hi) in windows(&cuts) {
+                        s.restart(views, policy, Some((lo, hi)));
+                        shard_rows.extend(drain_intersect(&mut s));
+                        shard_stats = sum_stats(&shard_stats, &s.stats());
+                    }
+                    prop_assert_eq!(&shard_rows, &rows, "{:?} n={} cuts={:?}", policy, n, cuts);
+                    prop_assert_eq!(&shard_stats, &stats, "{:?} n={} cuts={:?}", policy, n, cuts);
+                }
+            }
+        }
+    }
+
+    /// The buffer-filling union matches the eager union, unbounded and
+    /// bounded, for one to three fibers; per-shard stats sum to the
+    /// unbounded totals.
+    #[test]
+    fn reused_union_streams_match_the_eager_union(
+        (oa, ca) in arb_vector_pair(),
+        (ob, cb) in arb_vector_pair(),
+        (oc, cc) in arb_vector_pair(),
+        cuts in proptest::collection::btree_set(0u64..200, 0..4),
+    ) {
+        let datas = [
+            TensorData::Compressed(ca),
+            TensorData::Compressed(cb),
+            TensorData::Compressed(cc),
+        ];
+        let owned = [&oa, &ob, &oc].map(|t| t.root_fiber().expect("1-tensor"));
+        let compressed: Vec<FiberView<'_>> = datas
+            .iter()
+            .map(|d| d.root_fiber_view().expect("1-tensor"))
+            .collect();
+        let mixed = [compressed[0], FiberView::Owned(owned[1]), compressed[2]];
+        let mut s = UnionStream::default();
+        for n in 1..=3 {
+            let (rows, stats) = union_many(&owned[..n]);
+            for views in [&compressed[..n], &mixed[..n]] {
+                s.restart(views, None);
+                prop_assert_eq!(&drain_union(&mut s), &rows, "n={}", n);
+                prop_assert_eq!(s.stats(), stats.clone(), "n={}", n);
+                let mut shard_rows = Vec::new();
+                let mut shard_stats = CoIterStats::default();
+                for (lo, hi) in windows(&cuts) {
+                    s.restart(views, Some((lo, hi)));
+                    shard_rows.extend(drain_union(&mut s));
+                    shard_stats = sum_stats(&shard_stats, &s.stats());
+                }
+                prop_assert_eq!(&shard_rows, &rows, "n={} cuts={:?}", n, cuts);
+                prop_assert_eq!(&shard_stats, &stats, "n={} cuts={:?}", n, cuts);
+            }
+        }
     }
 
     /// Hierarchical cursors: walking a 3-tensor leaf-by-leaf through

@@ -7,21 +7,82 @@
 //! the per-component action counts of paper §4.3 fall out at the end.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use teaal_fibertree::{FiberView, PayloadView};
 
+/// A fixed hasher for the channels' maps keyed by payload addresses and
+/// cache line ids. Both are made by this program, never taken from
+/// outside input, and the maps are never iterated, so the hash function
+/// cannot reach a report. A multiply spreads the key into the high bits
+/// and a shift folds them back down, because addresses share their low
+/// (alignment) bits.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A hash map keyed by program-made integers under [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// End-of-list marker for [`Lru`]'s recency links.
+const NIL: usize = usize::MAX;
+
+/// One resident line of an [`Lru`], linked into its recency list.
+#[derive(Clone, Debug)]
+struct LruLine {
+    line: u64,
+    prev: usize,
+    next: usize,
+}
+
 /// LRU cache model with a fixed number of lines (fully associative; caches
 /// in the modelled accelerators are small scratchpad-like structures).
-#[derive(Clone, Debug, Default)]
+///
+/// Resident lines form a doubly linked list from most to least recently
+/// used, so a hit and an eviction are both `O(1)`: the victim is the
+/// list's tail, the line with the oldest last use.
+#[derive(Clone, Debug)]
 pub struct Lru {
     capacity_lines: usize,
-    // line id -> last-use stamp
-    lines: HashMap<u64, u64>,
-    clock: u64,
+    /// Line id → its slot in `slots`.
+    index: IntMap<u64, usize>,
+    slots: Vec<LruLine>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next victim.
+    tail: usize,
     /// Hits observed.
     pub hits: u64,
     /// Misses observed (each miss is a line fill).
     pub misses: u64,
+}
+
+impl Default for Lru {
+    fn default() -> Self {
+        Lru::new(1)
+    }
 }
 
 impl Lru {
@@ -29,26 +90,63 @@ impl Lru {
     pub fn new(capacity_lines: usize) -> Self {
         Lru {
             capacity_lines: capacity_lines.max(1),
-            ..Lru::default()
+            index: IntMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            hits: 0,
+            misses: 0,
         }
     }
 
     /// Accesses a line, recording a hit or a miss (with LRU eviction).
     pub fn access(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        if let Some(stamp) = self.lines.get_mut(&line) {
-            *stamp = self.clock;
+        if let Some(&slot) = self.index.get(&line) {
             self.hits += 1;
+            self.unlink(slot);
+            self.push_front(slot);
             return true;
         }
         self.misses += 1;
-        if self.lines.len() >= self.capacity_lines {
-            if let Some((&victim, _)) = self.lines.iter().min_by_key(|(_, &s)| s) {
-                self.lines.remove(&victim);
-            }
-        }
-        self.lines.insert(line, self.clock);
+        let slot = if self.slots.len() >= self.capacity_lines {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.index.remove(&self.slots[victim].line);
+            self.slots[victim].line = line;
+            victim
+        } else {
+            self.slots.push(LruLine {
+                line,
+                prev: NIL,
+                next: NIL,
+            });
+            self.slots.len() - 1
+        };
+        self.push_front(slot);
+        self.index.insert(line, slot);
         false
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let LruLine { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            h => self.slots[h].prev = slot,
+        }
+        self.head = slot;
     }
 }
 
@@ -95,6 +193,47 @@ impl ChannelCfg {
     fn rank_pos(&self, rank: &str) -> Option<usize> {
         self.rank_bits.iter().position(|(r, _)| r == rank)
     }
+
+    /// Resolves a working rank's touch behaviour once, so the touches
+    /// themselves do no string work. A rank missing from `rank_bits`
+    /// (such as a joined `"K/M"` level) gets the 96-bit default, and is
+    /// never below the eager rank.
+    pub(crate) fn slot(&self, rank: &str) -> RankSlot {
+        let eager = match self.eager_rank.as_deref() {
+            None => Eager::Plain,
+            Some(er) if er == rank => Eager::Root {
+                start: self.rank_pos(er).unwrap_or(0),
+            },
+            Some(er) => match (self.rank_pos(er), self.rank_pos(rank)) {
+                (Some(e), Some(r)) if r > e => Eager::Below,
+                _ => Eager::Plain,
+            },
+        };
+        RankSlot {
+            bits: self.bits_of(rank),
+            eager,
+        }
+    }
+}
+
+/// How a touch of one working rank interacts with an eager binding.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Eager {
+    /// No eager binding applies: the element itself is filled.
+    Plain,
+    /// The eager rank: a fill brings the whole subtree, whose deeper
+    /// ranks start at `rank_bits[start + 1]`.
+    Root { start: usize },
+    /// Below the eager rank: already on chip, never filled.
+    Below,
+}
+
+/// One working rank of a channel, resolved by [`ChannelCfg::slot`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct RankSlot {
+    /// Bits moved per element touch.
+    bits: u64,
+    eager: Eager,
 }
 
 /// Per-tensor traffic accounting.
@@ -109,10 +248,10 @@ pub struct TensorChannel {
     pub buffer_read_bits: u64,
     /// The cache model, when configured.
     pub cache: Option<Lru>,
-    seen: HashMap<usize, u64>,
+    seen: IntMap<usize, u64>,
     epoch: u64,
     next_line: u64,
-    line_of: HashMap<usize, u64>,
+    line_of: IntMap<usize, u64>,
     line_fill: u64,
     /// When this channel runs inside a shard whose fills must be
     /// deduplicated against other shards (fully-buffered tensors, whose
@@ -138,50 +277,39 @@ impl TensorChannel {
         &self.cfg
     }
 
-    /// Called by the engine when the loop advances on `rank`.
-    pub fn rank_advanced(&mut self, rank: &str) {
-        if self.cfg.evict_on.as_deref() == Some(rank) {
-            self.epoch += 1;
-        }
+    /// Starts a new buffet epoch: the loop advanced on this channel's
+    /// `evict_on` rank.
+    pub(crate) fn advance_epoch(&mut self) {
+        self.epoch += 1;
     }
 
-    /// Records an element touch at `rank`. `key` identifies the element
-    /// stably (the engine passes [`FiberView::payload_key`]); `payload`
-    /// lets eager bindings size the subtree fill and may come from either
-    /// tensor representation.
-    pub fn touch(&mut self, rank: &str, key: usize, payload: Option<PayloadView<'_>>) {
-        *self.reads_by_rank.entry(rank.to_string()).or_insert(0) += 1;
-        let bits = self.cfg.bits_of(rank);
+    /// Records an element touch at a resolved rank. `key` identifies the
+    /// element stably (the engine passes [`FiberView::payload_key`]);
+    /// `payload` lets eager bindings size the subtree fill and may come
+    /// from either tensor representation. The touch count itself is the
+    /// caller's: the engine keeps it in a dense per-walk array and folds
+    /// it into [`TensorChannel::reads_by_rank`].
+    pub(crate) fn touch(&mut self, slot: &RankSlot, key: usize, payload: PayloadView<'_>) {
+        let bits = slot.bits;
         self.buffer_read_bits += bits;
-
-        let eager = self.cfg.eager_rank.as_deref();
         // Under an eager binding, only the eager rank generates fills;
         // deeper touches are on-chip.
-        if let Some(er) = eager {
-            if rank != er {
-                let deeper = self.deeper_than(er, rank);
-                if deeper {
-                    return;
-                }
-            }
+        if slot.eager == Eager::Below {
+            return;
         }
 
         if let Some(cache) = &mut self.cache {
             let bits_per_line = self.cfg.line_bits.max(bits);
             let per_line = (bits_per_line / bits.max(1)).max(1);
-            let id = match self.line_of.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = self.next_line;
-                    self.next_line += 1;
-                    self.line_of.insert(key, id);
-                    id
-                }
-            };
-            let line = id / per_line;
-            if !cache.access(line) && self.cfg.dram_backed {
-                let fill = match (eager, payload) {
-                    (Some(er), Some(p)) if rank == er => self.subtree_bits(er, p),
+            let next_line = &mut self.next_line;
+            let id = *self.line_of.entry(key).or_insert_with(|| {
+                let id = *next_line;
+                *next_line += 1;
+                id
+            });
+            if !cache.access(id / per_line) && self.cfg.dram_backed {
+                let fill = match slot.eager {
+                    Eager::Root { start } => self.subtree_bits(bits, start, payload),
                     _ => bits_per_line,
                 };
                 self.fill_bits += fill;
@@ -190,10 +318,14 @@ impl TensorChannel {
         }
 
         // Buffet / default path: first touch per epoch fills from DRAM.
-        if self.cfg.dram_backed && self.seen.get(&key) != Some(&self.epoch) {
-            self.seen.insert(key, self.epoch);
-            let fill = match (eager, payload) {
-                (Some(er), Some(p)) if rank == er => self.subtree_bits(er, p),
+        if self.cfg.dram_backed {
+            let epoch = self.epoch;
+            match self.seen.insert(key, epoch) {
+                Some(e) if e == epoch => return,
+                _ => {}
+            }
+            let fill = match slot.eager {
+                Eager::Root { start } => self.subtree_bits(bits, start, payload),
                 _ => bits,
             };
             self.fill_bits += fill;
@@ -247,18 +379,10 @@ impl TensorChannel {
         }
     }
 
-    /// Whether `rank` sits strictly below `eager_rank` in the working
-    /// order.
-    fn deeper_than(&self, eager_rank: &str, rank: &str) -> bool {
-        match (self.cfg.rank_pos(eager_rank), self.cfg.rank_pos(rank)) {
-            (Some(e), Some(r)) => r > e,
-            _ => false,
-        }
-    }
-
-    fn subtree_bits(&self, rank: &str, payload: PayloadView<'_>) -> u64 {
-        // Sum element bits over the subtree, charging each deeper rank
-        // its configured element width (working-order depth).
+    /// Bits of an eager fill: the eager element (`bits`) plus every
+    /// element beneath it, each deeper rank charged its configured width
+    /// (working-order depth, starting below `rank_bits[start]`).
+    fn subtree_bits(&self, bits: u64, start: usize, payload: PayloadView<'_>) -> u64 {
         fn walk(f: FiberView<'_>, ranks: &[(String, u64)], depth: usize, acc: &mut u64) {
             if depth >= ranks.len() {
                 return;
@@ -271,15 +395,11 @@ impl TensorChannel {
                 }
             }
         }
-        let start = self.cfg.rank_pos(rank).unwrap_or(0);
-        match payload {
-            PayloadView::Val(_) => self.cfg.bits_of(rank),
-            PayloadView::Fiber(f) => {
-                let mut acc = self.cfg.bits_of(rank);
-                walk(f, &self.cfg.rank_bits[start..], 1, &mut acc);
-                acc
-            }
+        let mut acc = bits;
+        if let PayloadView::Fiber(f) = payload {
+            walk(f, &self.cfg.rank_bits[start..], 1, &mut acc);
         }
+        acc
     }
 
     /// DRAM fill events (element- or line-granular depending on config).
@@ -308,6 +428,8 @@ pub struct OutputChannel {
     /// Bits re-filled from DRAM for revisited partial outputs.
     pub refill_bits: u64,
     epoch: u64,
+    /// Keyed by a hash of output coordinates, which come from input
+    /// tensors: the default hasher keeps crafted collisions out.
     last_epoch: HashMap<u64, u64>,
 }
 
@@ -321,11 +443,9 @@ impl OutputChannel {
         }
     }
 
-    /// Called when the loop advances on `rank`.
-    pub fn rank_advanced(&mut self, rank: &str) {
-        if self.evict_on.as_deref() == Some(rank) {
-            self.epoch += 1;
-        }
+    /// Starts a new reduction epoch: the loop advanced on `evict_on`.
+    pub(crate) fn advance_epoch(&mut self) {
+        self.epoch += 1;
     }
 
     /// Records a write/update of the output point identified by `key`
@@ -337,17 +457,15 @@ impl OutputChannel {
             self.updates += 1;
         }
         if self.evict_on.is_some() {
-            match self.last_epoch.get(&key) {
-                Some(&e) if e == self.epoch => {}
-                Some(_) => {
+            match self.last_epoch.insert(key, self.epoch) {
+                Some(e) if e != self.epoch => {
                     // Revisited in a later epoch: the partial value was
                     // drained and must return.
                     self.drain_bits += self.elem_bits;
                     self.refill_bits += self.elem_bits;
                 }
-                None => {}
+                _ => {}
             }
-            self.last_epoch.insert(key, self.epoch);
         }
     }
 
@@ -445,14 +563,6 @@ impl Instruments {
     pub fn add_tensor(&mut self, tensor: &str, cfg: ChannelCfg) {
         self.tensors
             .insert(tensor.to_string(), TensorChannel::new(cfg));
-    }
-
-    /// Signals that the loop advanced on `rank` (epoch boundaries).
-    pub fn rank_advanced(&mut self, rank: &str) {
-        for ch in self.tensors.values_mut() {
-            ch.rank_advanced(rank);
-        }
-        self.output.rank_advanced(rank);
     }
 
     /// Starts a fresh per-shard instrument set mirroring this one's
@@ -630,6 +740,8 @@ impl EstimatedCounts {
 mod tests {
     use super::*;
 
+    const LEAF: PayloadView<'static> = PayloadView::Val(1.0);
+
     #[test]
     fn lru_hits_and_misses() {
         let mut c = Lru::new(2);
@@ -642,29 +754,105 @@ mod tests {
         assert_eq!(c.misses, 4);
     }
 
+    /// The naive model the linked-list cache replaced: every line keeps
+    /// its last-use stamp and a miss at capacity evicts the oldest one.
+    struct ScanLru {
+        capacity: usize,
+        lines: Vec<(u64, u64)>,
+        clock: u64,
+    }
+
+    impl ScanLru {
+        fn access(&mut self, line: u64) -> bool {
+            self.clock += 1;
+            if let Some(l) = self.lines.iter_mut().find(|(id, _)| *id == line) {
+                l.1 = self.clock;
+                return true;
+            }
+            if self.lines.len() >= self.capacity {
+                let victim = (0..self.lines.len())
+                    .min_by_key(|&i| self.lines[i].1)
+                    .expect("a full cache has lines");
+                self.lines.swap_remove(victim);
+            }
+            self.lines.push((line, self.clock));
+            false
+        }
+    }
+
+    #[test]
+    fn lru_evicts_like_the_scanning_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for capacity in [1usize, 2, 7, 256] {
+            for universe in [capacity as u64 + 1, 2 * capacity as u64 + 3, 1024] {
+                let mut lru = Lru::new(capacity);
+                let mut reference = ScanLru {
+                    capacity,
+                    lines: Vec::new(),
+                    clock: 0,
+                };
+                for step in 0..20_000 {
+                    let line = next() % universe;
+                    assert_eq!(
+                        lru.access(line),
+                        reference.access(line),
+                        "capacity {capacity}, universe {universe}, step {step}, line {line}"
+                    );
+                }
+                assert_eq!(lru.hits + lru.misses, 20_000);
+            }
+        }
+    }
+
     #[test]
     fn buffet_epoch_dedup() {
         let mut cfg = ChannelCfg::fully_buffered(vec![("K".to_string(), 64)]);
         cfg.evict_on = Some("M".into());
+        let k = cfg.slot("K");
         let mut ch = TensorChannel::new(cfg);
-        ch.touch("K", 1, None);
-        ch.touch("K", 1, None); // same epoch: no refill
+        ch.touch(&k, 1, LEAF);
+        ch.touch(&k, 1, LEAF); // same epoch: no refill
         assert_eq!(ch.fill_bits, 64);
-        ch.rank_advanced("M");
-        ch.touch("K", 1, None); // new epoch: refill
+        ch.advance_epoch();
+        ch.touch(&k, 1, LEAF); // new epoch: refill
         assert_eq!(ch.fill_bits, 128);
-        assert_eq!(ch.reads_by_rank["K"], 3);
         assert_eq!(ch.buffer_read_bits, 3 * 64);
+    }
+
+    #[test]
+    fn slots_resolve_defaults_and_eager_depth() {
+        let mut cfg =
+            ChannelCfg::fully_buffered(vec![("K".to_string(), 32), ("M".to_string(), 64)]);
+        // A joined level name is no working rank: default width, and
+        // never below the eager rank.
+        assert_eq!(
+            cfg.slot("K/M"),
+            RankSlot {
+                bits: 96,
+                eager: Eager::Plain
+            }
+        );
+        cfg.eager_rank = Some("K".into());
+        assert_eq!(cfg.slot("K").eager, Eager::Root { start: 0 });
+        assert_eq!(cfg.slot("M").eager, Eager::Below);
+        assert_eq!(cfg.slot("K/M").eager, Eager::Plain);
     }
 
     #[test]
     fn fully_buffered_fetches_once() {
         let cfg = ChannelCfg::fully_buffered(vec![("K".to_string(), 32)]);
+        let k = cfg.slot("K");
         let mut ch = TensorChannel::new(cfg);
         for _ in 0..10 {
-            ch.touch("K", 7, None);
+            ch.touch(&k, 7, LEAF);
         }
-        ch.touch("K", 8, None);
+        ch.touch(&k, 8, LEAF);
         assert_eq!(ch.fill_bits, 64); // two distinct elements
     }
 
@@ -673,11 +861,12 @@ mod tests {
         let mut cfg = ChannelCfg::fully_buffered(vec![("K".to_string(), 64)]);
         cfg.cache_lines = Some(1);
         cfg.line_bits = 128; // two elements per line
+        let k = cfg.slot("K");
         let mut ch = TensorChannel::new(cfg);
-        ch.touch("K", 1, None); // line 0 miss
-        ch.touch("K", 2, None); // line 0 hit
-        ch.touch("K", 3, None); // line 1 miss (evicts line 0)
-        ch.touch("K", 1, None); // line 0 miss again
+        ch.touch(&k, 1, LEAF); // line 0 miss
+        ch.touch(&k, 2, LEAF); // line 0 hit
+        ch.touch(&k, 3, LEAF); // line 1 miss (evicts line 0)
+        ch.touch(&k, 1, LEAF); // line 0 miss again
         assert_eq!(ch.fills(), 3);
         assert_eq!(ch.fill_bits, 3 * 128);
     }
@@ -686,7 +875,7 @@ mod tests {
     fn output_partial_drains_across_epochs() {
         let mut out = OutputChannel::new(96, Some("K2".into()));
         out.record(42, true);
-        out.rank_advanced("K2");
+        out.advance_epoch();
         out.record(42, false); // revisited → drain + refill
         out.record(42, false); // same epoch → no extra traffic
         assert_eq!(out.writes, 1);

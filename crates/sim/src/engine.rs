@@ -10,8 +10,16 @@
 //! The nest is driven end-to-end by [`FiberView`] cursors over
 //! [`TensorData`] inputs: untransformed tensors (owned or compressed) are
 //! borrowed, never cloned, and each loop level consumes a lazy
-//! intersection/union stream instead of materializing a match list — the
-//! engine allocates per *level*, not per *step*.
+//! intersection/union stream instead of materializing a match list.
+//!
+//! Every name the walk uses — tensor channels, working ranks, loop
+//! variables, and the loop ranks that end buffet and output epochs — is
+//! resolved to a dense index once per [`Engine::execute_data`], in time
+//! proportional to the plan, never to the input. The walk then counts into
+//! walk-local dense arrays and reuses one set of stream and node buffers
+//! per loop level, so no step allocates: only a newly seen output key or
+//! space id does. The arrays fold into the public [`Instruments`] once at
+//! the end of the walk (and once per shard, before the shard merge).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -19,19 +27,18 @@ use std::sync::Arc;
 use teaal_core::canon::Fnv1a;
 use teaal_core::einsum::Rhs;
 use teaal_core::ir::{Descent, EinsumPlan, PlanStep, RankDef, TensorPlan};
-use teaal_fibertree::iterate::{
-    intersect_stream, intersect_stream_bounded, union_stream, union_stream_bounded,
-    IntersectStream, UnionStream,
-};
+use teaal_fibertree::iterate::{IntersectStream, UnionStream};
 use teaal_fibertree::partition::SplitKind;
 use teaal_fibertree::swizzle::from_coord_entries;
 use teaal_fibertree::{
-    telemetry, BoundaryRecord, CompressedBuilder, CompressedTensor, Coord, FiberView,
+    telemetry, BoundaryRecord, CompressedBuilder, CompressedTensor, Coord, CoordKey, FiberView,
     IntersectPolicy, MergeRecord, PayloadView, Shape, Tensor, TensorData, TransformCache,
     TransformedView,
 };
 
-use crate::counters::{Instruments, MergeGroup};
+use crate::counters::{
+    ComputeCounter, Instruments, MergeGroup, OutputChannel, RankSlot, TensorChannel,
+};
 use crate::error::{panic_message, SimError};
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
@@ -80,11 +87,8 @@ struct Exec<'e, 'p> {
     engine: &'e Engine<'p>,
     union_mode: bool,
     take_which: Option<usize>,
-    /// Maps access index → tensor index in `tensors`.
-    access_tensor: Vec<usize>,
-    /// Working rank consumed by each access at each descent (parallel to
-    /// roles): resolved lazily from tensor plans.
-    access_rank_names: Vec<Vec<String>>,
+    /// The plan's names, resolved for this execution.
+    names: &'e WalkPlan,
     /// When executing one shard of a partitioned top rank, the top-level
     /// stream only emits coordinates in `[lo, hi)` (absolute positions,
     /// shard-exact charging).
@@ -108,14 +112,19 @@ enum OutAcc {
     },
 }
 
+/// Space id at each output key's first write (shard-overlap merges
+/// only; see [`Exec::record_first_space`]).
+type FirstSpace = BTreeMap<Vec<u64>, Vec<u64>>;
+
 struct State<'t> {
     nodes: Vec<Option<PayloadView<'t>>>,
-    binds: Vec<(String, u64)>,
+    /// Bound loop variables as `(root id, value)`, innermost last.
+    binds: Vec<(usize, u64)>,
     space: Vec<u64>,
+    /// The output key of the current leaf, rebuilt in place.
+    key: Vec<u64>,
     out: OutAcc,
-    /// Space id at each output key's first write (shard-overlap merges
-    /// only; see [`Exec::record_first_space`]).
-    first_space: BTreeMap<Vec<u64>, Vec<u64>>,
+    first_space: FirstSpace,
 }
 
 /// How a shard-parallel execution was planned: the top-rank coordinate
@@ -135,12 +144,288 @@ struct ShardPlan {
     stream_out: bool,
 }
 
-/// The per-level coordinate source: a dense counter for affine kernels, a
-/// lazy union or intersection stream otherwise.
-enum LevelStream<'v> {
-    Dense { next: u64, extent: u64 },
-    Union(UnionStream<'v>),
-    Intersect(IntersectStream<'v>),
+/// Every name the nest walk uses, resolved to a dense index once per
+/// execution: tensor channels by their position in
+/// [`Instruments::tensors`], working ranks by read slot, and loop
+/// variables by root id. Building it is proportional to the plan, never
+/// to the input.
+struct WalkPlan {
+    /// Access index → tensor index in the prepared inputs.
+    access_tensor: Vec<usize>,
+    levels: Vec<LevelPlan>,
+    /// `touches[ai][li]`: what a touch by access `ai` at level `li`
+    /// charges (`None` when the tensor has no channel).
+    touches: Vec<Vec<Option<Touch>>>,
+    /// Each read slot's `(channel, working rank)`, for the fold into
+    /// [`TensorChannel::reads_by_rank`].
+    reads: Vec<(usize, String)>,
+    /// The output's target ranks as root ids, in target order.
+    out_roots: Vec<usize>,
+}
+
+/// The plan-static part of one loop level.
+struct LevelPlan {
+    /// The loop rank's name (the `loop_visits` and `intersect_by_rank`
+    /// key).
+    name: String,
+    /// Accesses co-iterating here.
+    drivers: Vec<usize>,
+    /// `(root id, coordinate component)` variables bound here.
+    binds: Vec<(usize, usize)>,
+    /// Non-driver descents, in access order.
+    lookups: Vec<(usize, Lookup)>,
+    /// Channels whose buffet epoch ends when this level advances.
+    evict: Vec<usize>,
+    /// Whether the output's partial-reduction epoch ends here.
+    evict_output: bool,
+    /// Dense levels (no drivers) iterate this root's extent...
+    dense_root: String,
+    /// ...when it is known; a dense level with no extent errors on entry.
+    dense_extent: Option<u64>,
+    is_space: bool,
+}
+
+/// A non-driver descent.
+enum Lookup {
+    /// Probe with one component of the loop coordinate.
+    Project { component: usize },
+    /// Probe with an affine index over bound variables (root ids).
+    Affine { vars: Vec<usize>, offset: i64 },
+}
+
+/// A resolved touch target: the channel, its read slot, and the rank's
+/// touch behaviour.
+#[derive(Clone, Copy)]
+struct Touch {
+    chan: usize,
+    read: usize,
+    slot: RankSlot,
+}
+
+impl WalkPlan {
+    /// Resolves `engine`'s plan against the channels of `instruments`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MissingTensor`] for an access with no prepared tensor,
+    /// [`SimError::PhantomRank`] for a plan that descends deeper than a
+    /// tensor's working order.
+    fn resolve(engine: &Engine<'_>, instruments: &Instruments) -> Result<WalkPlan, SimError> {
+        let plan = engine.plan;
+        let chans: Vec<(&String, &TensorChannel)> = instruments.tensors.iter().collect();
+        let mut roots: BTreeMap<String, usize> = BTreeMap::new();
+        let mut root_id = |name: &str| -> usize {
+            let next = roots.len();
+            *roots.entry(name.to_string()).or_insert(next)
+        };
+        let mut reads: Vec<(usize, String)> = Vec::new();
+
+        let accesses = plan.equation.rhs.accesses();
+        let mut access_tensor = Vec::with_capacity(accesses.len());
+        let mut touches = Vec::with_capacity(accesses.len());
+        for (ai, a) in accesses.iter().enumerate() {
+            let ti = plan
+                .tensor_plans
+                .iter()
+                .position(|tp| tp.tensor == a.tensor)
+                .ok_or_else(|| SimError::MissingTensor {
+                    tensor: a.tensor.clone(),
+                })?;
+            access_tensor.push(ti);
+            let tp = &plan.tensor_plans[ti];
+            let chan = chans.iter().position(|(name, _)| **name == tp.tensor);
+            // The working rank consumed by the access's k-th descent is the
+            // k-th rank of the tensor's working order; a level consuming
+            // several joins their names ("K/M"). Descending past the
+            // working order means the plan is malformed: fail loudly
+            // instead of instrumenting phantom ranks.
+            let wo = &tp.working_order;
+            let mut per_level = Vec::with_capacity(plan.access_roles[ai].roles.len());
+            let mut k = 0usize;
+            for level in &plan.access_roles[ai].roles {
+                let mut names = Vec::with_capacity(level.len());
+                for _ in level {
+                    let name = wo.get(k).ok_or_else(|| SimError::PhantomRank {
+                        tensor: tp.tensor.clone(),
+                        depth: k,
+                        working_order: wo.clone(),
+                    })?;
+                    names.push(name.as_str());
+                    k += 1;
+                }
+                let touch = match chan {
+                    Some(ci) if !level.is_empty() => {
+                        let rank = names.join("/");
+                        let slot = chans[ci].1.cfg().slot(&rank);
+                        let read = match reads.iter().position(|(c, r)| *c == ci && *r == rank) {
+                            Some(read) => read,
+                            None => {
+                                reads.push((ci, rank));
+                                reads.len() - 1
+                            }
+                        };
+                        Some(Touch {
+                            chan: ci,
+                            read,
+                            slot,
+                        })
+                    }
+                    _ => None,
+                };
+                per_level.push(touch);
+            }
+            touches.push(per_level);
+        }
+
+        let mut levels = Vec::with_capacity(plan.loop_ranks.len());
+        for (li, lr) in plan.loop_ranks.iter().enumerate() {
+            let mut drivers = Vec::new();
+            let mut lookups = Vec::new();
+            for (ai, roles) in plan.access_roles.iter().enumerate() {
+                for d in &roles.roles[li] {
+                    match d {
+                        Descent::CoIterate => {}
+                        Descent::Project { component } => lookups.push((
+                            ai,
+                            Lookup::Project {
+                                component: *component,
+                            },
+                        )),
+                        Descent::Affine { index_pos } => {
+                            let ix = &accesses[ai].indices[*index_pos];
+                            let vars = ix.vars.iter().map(|v| root_id(&v.to_uppercase()));
+                            lookups.push((
+                                ai,
+                                Lookup::Affine {
+                                    vars: vars.collect(),
+                                    offset: ix.offset,
+                                },
+                            ));
+                        }
+                    }
+                }
+                if roles.roles[li].contains(&Descent::CoIterate) {
+                    drivers.push(ai);
+                }
+            }
+            let dense_root = lr
+                .binds
+                .first()
+                .map_or_else(|| lr.name.clone(), |(r, _)| r.clone());
+            levels.push(LevelPlan {
+                drivers,
+                binds: lr.binds.iter().map(|(r, c)| (root_id(r), *c)).collect(),
+                lookups,
+                evict: chans
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, ch))| ch.cfg().evict_on.as_deref() == Some(lr.name.as_str()))
+                    .map(|(ci, _)| ci)
+                    .collect(),
+                evict_output: instruments.output.evict_on.as_deref() == Some(lr.name.as_str()),
+                dense_extent: engine.rank_extents.get(&dense_root).copied(),
+                dense_root,
+                is_space: lr.is_space,
+                name: lr.name.clone(),
+            });
+        }
+        let out_roots = plan
+            .output
+            .target_order
+            .iter()
+            .map(|r| root_id(r))
+            .collect();
+        Ok(WalkPlan {
+            access_tensor,
+            levels,
+            touches,
+            reads,
+            out_roots,
+        })
+    }
+}
+
+/// The walk's view of one execution's [`Instruments`]: channels by dense
+/// index, plus the dense counters [`Walk::fold`] writes back.
+struct Walk<'i> {
+    chans: Vec<&'i mut TensorChannel>,
+    output: &'i mut OutputChannel,
+    compute: &'i mut ComputeCounter,
+    loop_visits: &'i mut BTreeMap<String, u64>,
+    intersect_by_rank: &'i mut BTreeMap<String, u64>,
+    /// Touches per read slot.
+    reads: Vec<u64>,
+    /// Visits per level. `None` until one of the level's loops finishes,
+    /// which is when its `loop_visits` entry comes into being — a level
+    /// visited zero times still has one.
+    visits: Vec<Option<u64>>,
+    /// Intersection-unit comparisons per level, `None` until charged.
+    comparisons: Vec<Option<u64>>,
+}
+
+impl<'i> Walk<'i> {
+    fn new(inst: &'i mut Instruments, names: &WalkPlan) -> Self {
+        let Instruments {
+            tensors,
+            output,
+            intersect_by_rank,
+            loop_visits,
+            compute,
+            ..
+        } = inst;
+        Walk {
+            chans: tensors.values_mut().collect(),
+            output,
+            compute,
+            loop_visits,
+            intersect_by_rank,
+            reads: vec![0; names.reads.len()],
+            visits: vec![None; names.levels.len()],
+            comparisons: vec![None; names.levels.len()],
+        }
+    }
+
+    /// Folds the dense counters into the public instruments.
+    fn fold(mut self, names: &WalkPlan) {
+        for (&n, (ci, rank)) in self.reads.iter().zip(&names.reads) {
+            if n > 0 {
+                *self.chans[*ci]
+                    .reads_by_rank
+                    .entry(rank.clone())
+                    .or_insert(0) += n;
+            }
+        }
+        for ((v, c), lp) in self.visits.iter().zip(&self.comparisons).zip(&names.levels) {
+            if let Some(v) = v {
+                *self.loop_visits.entry(lp.name.clone()).or_insert(0) += v;
+            }
+            if let Some(c) = c {
+                *self.intersect_by_rank.entry(lp.name.clone()).or_insert(0) += c;
+            }
+        }
+    }
+}
+
+/// Per-level buffers, reused by every entry into the level.
+#[derive(Default)]
+struct LevelScratch<'v> {
+    intersect: IntersectStream<'v>,
+    union: UnionStream<'v>,
+    /// Live driver fibers, in driver order.
+    live: Vec<FiberView<'v>>,
+    /// Driver index → its index in `live` (`None` for a dead driver).
+    live_of: Vec<Option<usize>>,
+    /// The nodes at level entry, restored after every visit.
+    saved: Vec<Option<PayloadView<'v>>>,
+}
+
+/// The per-level coordinate source: a dense counter for affine kernels,
+/// the level's union or intersection stream otherwise.
+#[derive(Clone, Copy)]
+enum Mode {
+    Dense { next: u64, end: u64 },
+    Union,
+    Intersect,
     Empty,
 }
 
@@ -249,7 +534,6 @@ impl<'p> Engine<'p> {
         // content-determined chains are served from the cache and their
         // recorded side effects replayed.
         let mut tensors: Vec<PreparedInput<'t>> = Vec::new();
-        let mut tensor_names: Vec<String> = Vec::new();
         for tp in &self.plan.tensor_plans {
             // Transform-step boundary: a budget that trips between input
             // chains returns before the next (possibly large) transform.
@@ -289,45 +573,11 @@ impl<'p> Engine<'p> {
             } else {
                 PreparedInput::Borrowed(input)
             };
-            tensor_names.push(tp.tensor.clone());
             tensors.push(t);
         }
 
-        // 2. Access → tensor resolution and per-descent rank names.
-        let accesses = self.plan.equation.rhs.accesses();
-        let mut access_tensor = Vec::with_capacity(accesses.len());
-        let mut access_rank_names = Vec::with_capacity(accesses.len());
-        for (ai, a) in accesses.iter().enumerate() {
-            let ti = tensor_names
-                .iter()
-                .position(|n| *n == a.tensor)
-                .ok_or_else(|| SimError::MissingTensor {
-                    tensor: a.tensor.clone(),
-                })?;
-            access_tensor.push(ti);
-            // The working rank consumed by the access's k-th descent is the
-            // k-th rank of the tensor's working order. Descending past the
-            // working order means the plan is malformed: fail loudly
-            // instead of instrumenting phantom ranks.
-            let wo = self.plan.tensor_plans[ti].working_order.clone();
-            let mut per_level = Vec::new();
-            let mut k = 0usize;
-            for level in &self.plan.access_roles[ai].roles {
-                let mut names = Vec::with_capacity(level.len());
-                for _ in level {
-                    let name = wo.get(k).cloned().ok_or_else(|| SimError::PhantomRank {
-                        tensor: self.plan.tensor_plans[ti].tensor.clone(),
-                        depth: k,
-                        working_order: wo.clone(),
-                    })?;
-                    names.push(name);
-                    k += 1;
-                }
-                per_level.push(names.join("/"));
-            }
-            access_rank_names.push(per_level);
-        }
-
+        // 2. Resolve every name the walk uses, once.
+        let names = WalkPlan::resolve(self, instruments)?;
         let (union_mode, take_which) = match &self.plan.equation.rhs {
             Rhs::SumOfProducts(terms) => (terms.len() > 1, None),
             Rhs::Take { which, .. } => (false, Some(*which)),
@@ -337,8 +587,7 @@ impl<'p> Engine<'p> {
             engine: self,
             union_mode,
             take_which,
-            access_tensor,
-            access_rank_names,
+            names: &names,
             top_bounds: None,
             record_first_space: false,
         };
@@ -364,28 +613,18 @@ impl<'p> Engine<'p> {
                 other => return other,
             }
         }
-        let mut state = State {
-            nodes: exec
-                .access_tensor
-                .iter()
-                .map(|&ti| Some(tensors[ti].data().root_view()))
-                .collect(),
-            binds: Vec::new(),
-            space: Vec::new(),
-            out: if compressed_output && concordant {
-                OutAcc::Stream {
-                    builder: self.output_builder()?,
-                    pending: None,
-                }
-            } else {
-                OutAcc::Map(BTreeMap::new())
-            },
-            first_space: BTreeMap::new(),
+        let out = if compressed_output && concordant {
+            OutAcc::Stream {
+                builder: self.output_builder()?,
+                pending: None,
+            }
+        } else {
+            OutAcc::Map(BTreeMap::new())
         };
-        exec.level(0, &mut state, instruments)?;
+        let (out, _) = exec.run(&tensors, instruments, out)?;
 
         // 4. Assemble the output tensor.
-        match state.out {
+        match out {
             OutAcc::Stream { builder, pending } => self
                 .finish_stream(builder, pending)
                 .map(TensorData::Compressed),
@@ -495,7 +734,7 @@ impl<'p> Engine<'p> {
         let live: Vec<FiberView<'_>> = driver_idx
             .iter()
             .filter_map(
-                |&ai| match tensors[exec.access_tensor[ai]].data().root_view() {
+                |&ai| match tensors[exec.names.access_tensor[ai]].data().root_view() {
                     PayloadView::Fiber(f) => Some(f),
                     _ => None,
                 },
@@ -641,7 +880,7 @@ impl<'p> Engine<'p> {
             })
             .collect();
 
-        type ShardOut = (OutAcc, BTreeMap<Vec<u64>, Vec<u64>>, Instruments);
+        type ShardOut = (OutAcc, FirstSpace, Instruments);
         let worker_out: Vec<Result<ShardOut, SimError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = shard_plan
                 .ranges
@@ -662,26 +901,16 @@ impl<'p> Engine<'p> {
                                     record_first_space,
                                     ..exec.clone()
                                 };
-                                let mut st = State {
-                                    nodes: shard_exec
-                                        .access_tensor
-                                        .iter()
-                                        .map(|&ti| Some(tensors[ti].data().root_view()))
-                                        .collect(),
-                                    binds: Vec::new(),
-                                    space: Vec::new(),
-                                    out: if stream_out {
-                                        OutAcc::Stream {
-                                            builder: self.output_builder()?,
-                                            pending: None,
-                                        }
-                                    } else {
-                                        OutAcc::Map(BTreeMap::new())
-                                    },
-                                    first_space: BTreeMap::new(),
+                                let out = if stream_out {
+                                    OutAcc::Stream {
+                                        builder: self.output_builder()?,
+                                        pending: None,
+                                    }
+                                } else {
+                                    OutAcc::Map(BTreeMap::new())
                                 };
-                                shard_exec.level(0, &mut st, &mut si)?;
-                                Ok((st.out, st.first_space, si))
+                                let (out, first_space) = shard_exec.run(tensors, &mut si, out)?;
+                                Ok((out, first_space, si))
                             },
                         ))
                         .unwrap_or_else(|payload| {
@@ -1358,120 +1587,135 @@ fn record_merge_groups_view(
 }
 
 impl<'e, 'p> Exec<'e, 'p> {
-    fn level(
+    /// Walks the whole nest into `out` and folds the walk's dense
+    /// counters into `inst` — on failure too, so a tripped budget leaves
+    /// the partial counts a step-by-step walk would have left. Returns the
+    /// accumulator and the first-write space ids (shard-overlap merges
+    /// only).
+    fn run<'v>(
+        &self,
+        tensors: &'v [PreparedInput<'_>],
+        inst: &mut Instruments,
+        out: OutAcc,
+    ) -> Result<(OutAcc, FirstSpace), SimError> {
+        let names = self.names;
+        let mut state = State {
+            nodes: names
+                .access_tensor
+                .iter()
+                .map(|&ti| Some(tensors[ti].data().root_view()))
+                .collect(),
+            binds: Vec::new(),
+            space: Vec::new(),
+            key: Vec::new(),
+            out,
+            first_space: BTreeMap::new(),
+        };
+        let mut scratch: Vec<LevelScratch<'v>> = names
+            .levels
+            .iter()
+            .map(|_| LevelScratch::default())
+            .collect();
+        let mut walk = Walk::new(inst, names);
+        let walked = self.level(0, &mut scratch, &mut state, &mut walk);
+        walk.fold(names);
+        walked?;
+        Ok((state.out, state.first_space))
+    }
+
+    /// Walks loop level `li`; `scratch` holds the buffers of levels
+    /// `li..`.
+    fn level<'v>(
         &self,
         li: usize,
-        state: &mut State<'_>,
-        inst: &mut Instruments,
+        scratch: &mut [LevelScratch<'v>],
+        state: &mut State<'v>,
+        walk: &mut Walk<'_>,
     ) -> Result<(), SimError> {
-        let plan = self.engine.plan;
-        if li == plan.loop_ranks.len() {
-            return self.leaf(state, inst);
-        }
-        let lr = &plan.loop_ranks[li];
+        let Some((sc, deeper)) = scratch.split_first_mut() else {
+            return self.leaf(state, walk);
+        };
+        let lp = &self.names.levels[li];
         // Shard bounds apply to the top level only: streams start at the
         // first in-range coordinate (absolute positions, so charge
         // accounting partitions the sequential run's) and stop, uncharged,
         // at the first coordinate past the range.
         let bound = if li == 0 { self.top_bounds } else { None };
 
-        // Identify drivers (accesses co-iterating here with live fibers).
-        let mut driver_idx: Vec<usize> = Vec::new();
-        for (ai, roles) in plan.access_roles.iter().enumerate() {
-            if roles.roles[li].contains(&Descent::CoIterate) {
-                driver_idx.push(ai);
+        // Drivers with live fibers open this level's stream.
+        sc.live.clear();
+        sc.live_of.clear();
+        for &ai in &lp.drivers {
+            match state.nodes[ai] {
+                Some(PayloadView::Fiber(f)) => {
+                    sc.live_of.push(Some(sc.live.len()));
+                    sc.live.push(f);
+                }
+                _ => sc.live_of.push(None),
             }
         }
-
-        // Open the iteration stream for this level.
-        let live: Vec<(usize, FiberView<'_>)> = driver_idx
-            .iter()
-            .filter_map(|&ai| match state.nodes[ai] {
-                Some(PayloadView::Fiber(f)) => Some((ai, f)),
-                _ => None,
-            })
-            .collect();
-        let mut stream = if driver_idx.is_empty() {
+        let mut mode = if lp.drivers.is_empty() {
             // Dense iteration over the rank's extent (affine kernels).
-            let root = lr
-                .binds
-                .first()
-                .map(|(r, _)| r.clone())
-                .unwrap_or_else(|| lr.name.clone());
-            let extent = self
-                .engine
-                .rank_extents
-                .get(&root)
-                .copied()
-                .ok_or(SimError::MissingExtent { rank: root })?;
+            let extent = lp.dense_extent.ok_or_else(|| SimError::MissingExtent {
+                rank: lp.dense_root.clone(),
+            })?;
             match bound {
-                Some((lo, hi)) => LevelStream::Dense {
+                Some((lo, hi)) => Mode::Dense {
                     next: lo.min(extent),
-                    extent: hi.min(extent),
+                    end: hi.min(extent),
                 },
-                None => LevelStream::Dense { next: 0, extent },
+                None => Mode::Dense {
+                    next: 0,
+                    end: extent,
+                },
             }
         } else if self.union_mode {
-            if live.is_empty() {
-                LevelStream::Empty
+            if sc.live.is_empty() {
+                Mode::Empty
             } else {
-                let fibers: Vec<FiberView<'_>> = live.iter().map(|(_, f)| *f).collect();
-                LevelStream::Union(match bound {
-                    Some((lo, hi)) => union_stream_bounded(&fibers, lo, hi),
-                    None => union_stream(&fibers),
-                })
+                sc.union.restart(&sc.live, bound);
+                Mode::Union
             }
         } else {
             // Intersection mode: a dead driver kills the whole subtree.
-            if live.len() != driver_idx.len() {
+            if sc.live.len() != lp.drivers.len() {
                 return Ok(());
             }
-            let fibers: Vec<FiberView<'_>> = live.iter().map(|(_, f)| *f).collect();
-            LevelStream::Intersect(match bound {
-                Some((lo, hi)) => intersect_stream_bounded(&fibers, self.engine.policy, lo, hi),
-                None => intersect_stream(&fibers, self.engine.policy),
-            })
+            sc.intersect.restart(&sc.live, self.engine.policy, bound);
+            Mode::Intersect
         };
 
+        sc.saved.clear();
+        sc.saved.extend_from_slice(&state.nodes);
         let binds_depth = state.binds.len();
         let mut visits = 0u64;
-        let mut pi = 0usize;
+        let mut pi = 0u64;
         loop {
-            // Pull the next coordinate, normalizing positions to one
-            // `Option<usize>` per driver (dead union drivers stay `None`).
-            let item = match &mut stream {
-                LevelStream::Dense { next, extent } => {
-                    if next < extent {
-                        let c = Coord::Point(*next);
-                        *next += 1;
-                        Some((c, Vec::new()))
-                    } else {
-                        None
+            let coord = match &mut mode {
+                Mode::Dense { next, end } => {
+                    if *next >= *end {
+                        break;
                     }
+                    *next += 1;
+                    CoordKey::Point(*next - 1)
                 }
-                LevelStream::Union(u) => u.next().map(|(c, pos)| {
-                    let mut full = Vec::with_capacity(driver_idx.len());
-                    let mut lp = 0usize;
-                    for &ai in &driver_idx {
-                        if live.iter().any(|(lai, _)| *lai == ai) {
-                            full.push(pos[lp]);
-                            lp += 1;
-                        } else {
-                            full.push(None);
-                        }
-                    }
-                    (c, full)
-                }),
-                LevelStream::Intersect(s) => s
-                    .next()
-                    .map(|(c, pos)| (c, pos.into_iter().map(Some).collect())),
-                LevelStream::Empty => None,
-            };
-            let Some((coord, positions)) = item else {
-                break;
+                Mode::Union => match sc.union.advance() {
+                    Some(c) => c,
+                    None => break,
+                },
+                Mode::Intersect => match sc.intersect.advance() {
+                    Some(c) => c,
+                    None => break,
+                },
+                Mode::Empty => break,
             };
             visits += 1;
-            inst.rank_advanced(&lr.name);
+            for &ci in &lp.evict {
+                walk.chans[ci].advance_epoch();
+            }
+            if lp.evict_output {
+                walk.output.advance_epoch();
+            }
             // One engine step per loop-rank visit; the token amortizes
             // its own deadline polling, so this is one relaxed
             // fetch_add + compare on the hot path.
@@ -1480,27 +1724,26 @@ impl<'e, 'p> Exec<'e, 'p> {
             }
 
             // Bind loop variables (needed by affine descents below).
-            for (root, comp) in &lr.binds {
-                let comps = coord.components();
-                let Some(v) = comps.get(*comp).and_then(Coord::as_point) else {
-                    continue;
-                };
-                state.binds.push((root.clone(), v));
+            for &(root, comp) in &lp.binds {
+                if let Some(v) = coord.component(comp).and_then(|c| c.as_point()) {
+                    state.binds.push((root, v));
+                }
             }
 
-            let saved_nodes = state.nodes.clone();
             let mut dead_product = false;
 
-            // Drivers descend.
-            for (di, &ai) in driver_idx.iter().enumerate() {
-                match positions.get(di).copied().flatten() {
-                    Some(p) => {
-                        let (_, fiber) = live
-                            .iter()
-                            .find(|(lai, _)| *lai == ai)
-                            .expect("driver with a position is live");
+            // Drivers descend (dead union drivers stay `None`).
+            for (di, &ai) in lp.drivers.iter().enumerate() {
+                let hit = match mode {
+                    Mode::Intersect => Some((sc.live[di], sc.intersect.positions()[di])),
+                    Mode::Union => sc.live_of[di]
+                        .and_then(|l| sc.union.positions()[l].map(|p| (sc.live[l], p))),
+                    Mode::Dense { .. } | Mode::Empty => None,
+                };
+                match hit {
+                    Some((fiber, p)) => {
                         let pv = fiber.payload_at(p);
-                        self.touch(ai, li, fiber.payload_key(p), pv, inst);
+                        self.touch(ai, li, fiber.payload_key(p), pv, walk);
                         state.nodes[ai] = Some(pv);
                     }
                     None => {
@@ -1514,70 +1757,33 @@ impl<'e, 'p> Exec<'e, 'p> {
 
             // Non-driver descents: projections and affine lookups.
             if !dead_product {
-                for (ai, roles) in plan.access_roles.iter().enumerate() {
-                    for d in &roles.roles[li] {
-                        match d {
-                            Descent::CoIterate => {}
-                            Descent::Project { component } => {
-                                let next = match state.nodes[ai] {
-                                    Some(PayloadView::Fiber(f)) => {
-                                        let comps = coord.components();
-                                        let key = comps
-                                            .get(*component)
-                                            .cloned()
-                                            .unwrap_or_else(|| coord.clone());
-                                        match f.position(&key) {
-                                            Some(p) => {
-                                                let pv = f.payload_at(p);
-                                                self.touch(ai, li, f.payload_key(p), pv, inst);
-                                                Some(pv)
-                                            }
-                                            None => None,
-                                        }
-                                    }
-                                    _ => None,
-                                };
-                                state.nodes[ai] = next;
-                                if next.is_none() && !self.union_mode {
-                                    dead_product = true;
+                for (ai, lookup) in &lp.lookups {
+                    let ai = *ai;
+                    let next = match state.nodes[ai] {
+                        Some(PayloadView::Fiber(f)) => {
+                            let pos = match lookup {
+                                Lookup::Project { component } => {
+                                    f.position_of_key(&coord.component(*component).unwrap_or(coord))
                                 }
-                            }
-                            Descent::Affine { index_pos } => {
-                                let access = &plan.equation.rhs.accesses()[ai].clone();
-                                let ix = &access.indices[*index_pos];
-                                let val = ix.eval(|v| {
-                                    let upper = v.to_uppercase();
-                                    state
-                                        .binds
-                                        .iter()
-                                        .rev()
-                                        .find(|(r, _)| *r == upper)
-                                        .map(|(_, x)| *x as i64)
-                                });
-                                let next = match (state.nodes[ai], val) {
-                                    (Some(PayloadView::Fiber(f)), Some(c)) => {
-                                        match f.position(&Coord::Point(c)) {
-                                            Some(p) => {
-                                                let pv = f.payload_at(p);
-                                                self.touch(ai, li, f.payload_key(p), pv, inst);
-                                                Some(pv)
-                                            }
-                                            None => None,
-                                        }
-                                    }
-                                    _ => None,
-                                };
-                                state.nodes[ai] = next;
-                                if next.is_none() && !self.union_mode {
-                                    dead_product = true;
+                                Lookup::Affine { vars, offset } => {
+                                    affine_index(vars, *offset, &state.binds)
+                                        .and_then(|c| f.position_of_key(&CoordKey::Point(c)))
                                 }
+                            };
+                            match pos {
+                                Some(p) => {
+                                    let pv = f.payload_at(p);
+                                    self.touch(ai, li, f.payload_key(p), pv, walk);
+                                    Some(pv)
+                                }
+                                None => None,
                             }
                         }
-                        if dead_product {
-                            break;
-                        }
-                    }
-                    if dead_product {
+                        _ => None,
+                    };
+                    state.nodes[ai] = next;
+                    if next.is_none() && !self.union_mode {
+                        dead_product = true;
                         break;
                     }
                 }
@@ -1585,34 +1791,33 @@ impl<'e, 'p> Exec<'e, 'p> {
 
             let all_dead = state.nodes.iter().all(Option::is_none);
             if !dead_product && !all_dead {
-                if lr.is_space {
-                    state.space.push(pi as u64);
+                if lp.is_space {
+                    state.space.push(pi);
                 }
-                self.level(li + 1, state, inst)?;
-                if lr.is_space {
+                self.level(li + 1, deeper, state, walk)?;
+                if lp.is_space {
                     state.space.pop();
                 }
             }
 
-            state.nodes = saved_nodes;
+            state.nodes.copy_from_slice(&sc.saved);
             state.binds.truncate(binds_depth);
             pi += 1;
         }
 
-        *inst.loop_visits.entry(lr.name.clone()).or_insert(0) += visits;
+        *walk.visits[li].get_or_insert(0) += visits;
         // Intersection-unit work, now that the stream is drained. A single
         // live operand co-iterates without an intersection unit.
-        match &stream {
-            LevelStream::Union(u) => {
-                *inst.intersect_by_rank.entry(lr.name.clone()).or_insert(0) += if live.len() > 1 {
-                    u.stats().comparisons
+        match mode {
+            Mode::Union => {
+                *walk.comparisons[li].get_or_insert(0) += if sc.live.len() > 1 {
+                    sc.union.stats().comparisons
                 } else {
                     0
                 };
             }
-            LevelStream::Intersect(s) if live.len() > 1 => {
-                *inst.intersect_by_rank.entry(lr.name.clone()).or_insert(0) +=
-                    s.stats().comparisons;
+            Mode::Intersect if sc.live.len() > 1 => {
+                *walk.comparisons[li].get_or_insert(0) += sc.intersect.stats().comparisons;
             }
             _ => {}
         }
@@ -1625,16 +1830,15 @@ impl<'e, 'p> Exec<'e, 'p> {
         li: usize,
         key: usize,
         payload: PayloadView<'_>,
-        inst: &mut Instruments,
+        walk: &mut Walk<'_>,
     ) {
-        let tensor = &self.engine.plan.tensor_plans[self.access_tensor[ai]].tensor;
-        let rank = &self.access_rank_names[ai][li];
-        if let Some(ch) = inst.tensors.get_mut(tensor) {
-            ch.touch(rank, key, Some(payload));
+        if let Some(t) = &self.names.touches[ai][li] {
+            walk.reads[t.read] += 1;
+            walk.chans[t.chan].touch(&t.slot, key, payload);
         }
     }
 
-    fn leaf(&self, state: &mut State<'_>, inst: &mut Instruments) -> Result<(), SimError> {
+    fn leaf(&self, state: &mut State<'_>, walk: &mut Walk<'_>) -> Result<(), SimError> {
         let plan = self.engine.plan;
         let ops = &self.engine.ops;
         let zero = ops.semiring.zero();
@@ -1697,72 +1901,106 @@ impl<'e, 'p> Exec<'e, 'p> {
         };
 
         // Output key in target rank order.
-        let mut key = Vec::with_capacity(plan.output.target_order.len());
-        for r in &plan.output.target_order {
-            match state.binds.iter().rev().find(|(b, _)| b == r) {
-                Some((_, v)) => key.push(*v),
+        let State {
+            binds,
+            space,
+            key,
+            out,
+            first_space,
+            ..
+        } = state;
+        key.clear();
+        for &r in &self.names.out_roots {
+            match binds.iter().rev().find(|(b, _)| *b == r) {
+                Some(&(_, v)) => key.push(v),
                 None => return Ok(()), // unbound output rank: outside iteration
             }
         }
 
-        let key_hash = fnv1a_hash(&key);
+        let key_hash = fnv1a_hash(key);
 
         let is_take = self.take_which.is_some();
         let mut adds = term_adds;
-        match &mut state.out {
-            OutAcc::Map(map) => match map.get_mut(&key) {
+        match out {
+            OutAcc::Map(map) => match map.get_mut(key.as_slice()) {
                 Some(existing) => {
                     if !is_take {
                         *existing = ops.semiring.add(*existing, value);
                         adds += 1;
                     }
-                    inst.output.record(key_hash, false);
+                    walk.output.record(key_hash, false);
                 }
                 None => {
                     if let Some(token) = &self.engine.cancel {
                         token.charge_outputs(1)?;
                     }
                     if self.record_first_space {
-                        state.first_space.insert(key.clone(), state.space.clone());
+                        first_space.insert(key.clone(), space.clone());
                     }
-                    map.insert(key, value);
-                    inst.output.record(key_hash, true);
+                    map.insert(key.clone(), value);
+                    walk.output.record(key_hash, true);
                 }
             },
             OutAcc::Stream { builder, pending } => match pending {
                 // Concordance makes equal keys adjacent: reduce in place
                 // while the key repeats, push the finished entry when it
                 // changes.
-                Some((pk, pv)) if *pk == key => {
+                Some((pk, pv)) if pk == key => {
                     if !is_take {
                         *pv = ops.semiring.add(*pv, value);
                         adds += 1;
                     }
-                    inst.output.record(key_hash, false);
+                    walk.output.record(key_hash, false);
                 }
                 _ => {
                     if let Some(token) = &self.engine.cancel {
                         token.charge_outputs(1)?;
                     }
-                    if let Some((pk, pv)) = pending.take() {
-                        if pv != zero {
-                            builder.push_point(&pk, pv)?;
+                    match pending {
+                        Some((pk, pv)) => {
+                            if *pv != zero {
+                                builder.push_point(pk, *pv)?;
+                            }
+                            pk.clone_from(key);
+                            *pv = value;
                         }
+                        None => *pending = Some((key.clone(), value)),
                     }
-                    *pending = Some((key, value));
-                    inst.output.record(key_hash, true);
+                    walk.output.record(key_hash, true);
                 }
             },
         }
 
-        let space_id = state.space.clone();
         if muls > 0 {
-            *inst.compute.muls.entry(space_id.clone()).or_insert(0) += muls;
+            bump(&mut walk.compute.muls, space, muls);
         }
         if adds > 0 {
-            *inst.compute.adds.entry(space_id).or_insert(0) += adds;
+            bump(&mut walk.compute.adds, space, adds);
         }
         Ok(())
+    }
+}
+
+/// Evaluates an affine index over the bound loop variables (innermost
+/// binding wins): `None` when a variable is unbound or the index is
+/// negative, as [`teaal_core::einsum::IndexExpr::eval`].
+fn affine_index(vars: &[usize], offset: i64, binds: &[(usize, u64)]) -> Option<u64> {
+    let mut acc = offset;
+    for v in vars {
+        let &(_, x) = binds.iter().rev().find(|(r, _)| r == v)?;
+        acc += x as i64;
+    }
+    u64::try_from(acc).ok()
+}
+
+/// Adds `n` to the counter of space id `space`, allocating a key only for
+/// a space id seen for the first time.
+fn bump(counts: &mut BTreeMap<Vec<u64>, u64>, space: &[u64], n: u64) {
+    match counts.get_mut(space) {
+        Some(c) => *c += n,
+        None => {
+            counts.insert(space.to_vec(), n);
+        }
     }
 }
 
