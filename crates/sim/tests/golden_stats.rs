@@ -547,3 +547,65 @@ fn proposal_graph_supersteps_match_pinned_statistics() {
         ],
     );
 }
+
+/// A cascade whose reduction flattens three ranks into one: `(K, M)` and
+/// then `(KM, N)`, so `T` is walked through a single rank of `(k, m, n)`
+/// triples.
+const DOUBLE_FLATTEN: &str = concat!(
+    "einsum:\n",
+    "  declaration:\n",
+    "    A: [K, M]\n",
+    "    B: [K, N]\n",
+    "    T: [K, M, N]\n",
+    "    Z: [M, N]\n",
+    "  expressions:\n",
+    "    - T[k, m, n] = A[k, m] * B[k, n]\n",
+    "    - Z[m, n] = T[k, m, n]\n",
+    "mapping:\n",
+    "  partitioning:\n",
+    "    Z:\n",
+    "      (K, M): [flatten()]\n",
+    "      (KM, N): [flatten()]\n",
+    "  loop-order:\n",
+    "    Z: [KMN]\n",
+);
+
+/// The double-flatten cascade with owned and with compressed inputs: the
+/// intermediate's transform chain fuses three ranks into one.
+#[test]
+fn double_flatten_matches_pinned_statistics() {
+    let a = genmat::uniform("A", &["K", "M"], 30, 24, 140, 11);
+    let b = genmat::uniform("B", &["K", "N"], 30, 20, 120, 12);
+    let (ca, cb) = (compressed(&a), compressed(&b));
+    let spec = TeaalSpec::parse(DOUBLE_FLATTEN).unwrap();
+    let mut cases = Vec::new();
+    let (pin, text) = pin_runs(Simulator::new(spec.clone()).unwrap(), |sim| {
+        vec![sim.run(&[a.clone(), b.clone()]).unwrap()]
+    });
+    cases.push(("double-flatten/owned".to_string(), pin, text));
+    let (pin, text) = pin_runs(Simulator::new(spec).unwrap(), |sim| {
+        vec![sim.run_data_compressed(&[&ca, &cb]).unwrap()]
+    });
+    cases.push(("double-flatten/compressed".to_string(), pin, text));
+    check(
+        cases,
+        &[
+            (
+                "double-flatten/owned",
+                Pin {
+                    digest: 0xd226e2bb9e1c30ab,
+                    steps: 1087,
+                    outputs: 770,
+                },
+            ),
+            (
+                "double-flatten/compressed",
+                Pin {
+                    digest: 0xd226e2bb9e1c30ab,
+                    steps: 1087,
+                    outputs: 770,
+                },
+            ),
+        ],
+    );
+}
