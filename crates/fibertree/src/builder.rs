@@ -43,10 +43,13 @@ pub struct CompressedBuilder {
     rank_ids: Vec<String>,
     rank_shapes: Vec<Shape>,
     levels: Vec<Level>,
+    /// Rank `d`'s components occupy words `offsets[d]..offsets[d + 1]` of
+    /// a flat key (one word per tuple component, one for a point).
+    offsets: Vec<usize>,
     values: Vec<f64>,
-    /// Raw `(upper, lower)` key of the last pushed leaf, for divergence
-    /// computation and order checking.
-    last: Vec<(u64, u64)>,
+    /// Flat key of the last pushed leaf, for divergence computation and
+    /// order checking.
+    last: Vec<u64>,
     has_last: bool,
 }
 
@@ -56,7 +59,8 @@ impl CompressedBuilder {
     /// # Errors
     ///
     /// Returns [`FibertreeError::NotCompressible`] when a shape is not
-    /// representable in a compressed level (tuple arity > 2).
+    /// representable in a compressed level (a tuple with nested tuple
+    /// components).
     pub fn new(
         name: impl Into<String>,
         rank_ids: Vec<String>,
@@ -67,11 +71,16 @@ impl CompressedBuilder {
             .iter()
             .map(Level::for_shape)
             .collect::<Result<Vec<_>, _>>()?;
+        let mut offsets = vec![0];
+        for l in &levels {
+            offsets.push(offsets[offsets.len() - 1] + l.arity());
+        }
         Ok(CompressedBuilder {
             name: name.into(),
             rank_ids,
             rank_shapes,
             levels,
+            offsets,
             values: Vec::new(),
             last: Vec::new(),
             has_last: false,
@@ -89,7 +98,7 @@ impl CompressedBuilder {
     }
 
     /// Appends one leaf at a coordinate path (one coordinate per rank;
-    /// pairs on flattened ranks).
+    /// tuples on flattened ranks).
     ///
     /// # Errors
     ///
@@ -104,6 +113,7 @@ impl CompressedBuilder {
                 got: point.len(),
             });
         }
+        let mut key = Vec::with_capacity(self.offsets[self.levels.len()]);
         for (c, s) in point.iter().zip(&self.rank_shapes) {
             if !s.contains(c) {
                 return Err(FibertreeError::OutOfShape {
@@ -111,19 +121,11 @@ impl CompressedBuilder {
                     shape: s.clone(),
                 });
             }
+            // A contained coordinate has one point per level component.
+            for i in 0..c.arity() {
+                key.extend(c.component(i).and_then(Coord::as_point));
+            }
         }
-        let key: Vec<(u64, u64)> = point
-            .iter()
-            .map(|c| match c {
-                Coord::Point(p) => Ok((*p, 0)),
-                Coord::Tuple(cs) => match cs.as_slice() {
-                    [Coord::Point(a), Coord::Point(b)] => Ok((*a, *b)),
-                    _ => Err(FibertreeError::NotCompressible {
-                        reason: format!("coordinate {c} is neither a point nor a pair"),
-                    }),
-                },
-            })
-            .collect::<Result<_, _>>()?;
         self.push_raw(&key, value)
     }
 
@@ -147,18 +149,12 @@ impl CompressedBuilder {
                 });
             }
         }
-        let key: Vec<(u64, u64)> = point.iter().map(|&p| (p, 0)).collect();
-        self.push_raw(&key, value)
+        self.push_raw(point, value)
     }
 
-    /// Core append: `key` is the raw `(upper, lower)` pair per rank
-    /// (`(coord, 0)` on point ranks), already validated against the
-    /// shapes.
-    pub(crate) fn push_raw(
-        &mut self,
-        key: &[(u64, u64)],
-        value: f64,
-    ) -> Result<(), FibertreeError> {
+    /// Core append: `key` is the flat key (every rank's components, in
+    /// rank order), already validated against the shapes.
+    pub(crate) fn push_raw(&mut self, key: &[u64], value: f64) -> Result<(), FibertreeError> {
         let n = self.levels.len();
         if n == 0 {
             // 0-tensor: accumulate into the single scalar slot.
@@ -168,43 +164,41 @@ impl CompressedBuilder {
             }
             return Ok(());
         }
+        debug_assert_eq!(key.len(), self.offsets[n], "one word per component");
         // First rank where this leaf diverges from the previous one:
         // every rank from there down gains an element, and every rank
-        // strictly below gains a fresh fiber.
+        // strictly below gains a fresh fiber. Ranks have fixed widths, so
+        // comparing flat keys compares rank coordinates lexicographically.
         let diff = if self.has_last {
-            match self.last.as_slice().cmp(key) {
-                std::cmp::Ordering::Less => self
-                    .last
-                    .iter()
-                    .zip(key)
-                    .position(|(a, b)| a != b)
-                    .expect("strictly less implies a diverging rank"),
-                std::cmp::Ordering::Equal => {
-                    *self.values.last_mut().expect("a leaf was pushed") += value;
-                    return Ok(());
-                }
-                std::cmp::Ordering::Greater => {
-                    let d = self
-                        .last
-                        .iter()
-                        .zip(key)
-                        .position(|(a, b)| a != b)
-                        .expect("strictly greater implies a diverging rank");
-                    return Err(FibertreeError::Unsorted {
-                        prev: raw_coord(self.last[d], self.levels[d].arity()),
-                        next: raw_coord(key[d], self.levels[d].arity()),
-                    });
-                }
+            let order = self.last.as_slice().cmp(key);
+            if order.is_eq() {
+                *self.values.last_mut().expect("a leaf was pushed") += value;
+                return Ok(());
             }
+            let word = self
+                .last
+                .iter()
+                .zip(key)
+                .position(|(a, b)| a != b)
+                .expect("unequal keys diverge");
+            let d = self.offsets.partition_point(|&o| o <= word) - 1;
+            if order.is_gt() {
+                let words = self.offsets[d]..self.offsets[d + 1];
+                return Err(FibertreeError::Unsorted {
+                    prev: raw_coord(&self.last[words.clone()]),
+                    next: raw_coord(&key[words]),
+                });
+            }
+            d
         } else {
             0
         };
-        for (d, &k) in key.iter().enumerate().skip(diff) {
+        for d in diff..n {
             if d > diff && self.levels[d].coords.len() > 0 {
                 let end = self.levels[d].coords.len();
                 self.levels[d].segs.push(end);
             }
-            self.levels[d].push_raw(k);
+            self.levels[d].push_raw(&key[self.offsets[d]..self.offsets[d + 1]]);
         }
         self.values.push(value);
         self.last.clear();
@@ -248,7 +242,7 @@ impl CompressedBuilder {
             }
             return Ok(());
         }
-        let mut key = vec![(0u64, 0u64); n];
+        let mut key = vec![0u64; self.offsets[n]];
         self.append_range(t, 0, 0, t.level_len(0), &mut key)
     }
 
@@ -260,14 +254,14 @@ impl CompressedBuilder {
         level: usize,
         start: usize,
         end: usize,
-        key: &mut [(u64, u64)],
+        key: &mut [u64],
     ) -> Result<(), FibertreeError> {
-        let leaf = level + 1 == key.len();
+        let leaf = level + 1 == self.levels.len();
+        let words = self.offsets[level]..self.offsets[level + 1];
         for p in start..end {
-            key[level] = t.raw_at(level, p);
+            t.raw_into(level, p, &mut key[words.clone()]);
             if leaf {
-                let k = key.to_vec();
-                self.push_raw(&k, t.value_at(p))?;
+                self.push_raw(key, t.value_at(p))?;
             } else {
                 let (cs, ce) = t.child_range(level, p);
                 self.append_range(t, level + 1, cs, ce, key)?;
@@ -315,12 +309,11 @@ impl CompressedBuilder {
     }
 }
 
-/// Materializes a raw key back into a coordinate (for error reporting).
-fn raw_coord(key: (u64, u64), arity: usize) -> Coord {
-    if arity == 2 {
-        Coord::pair(key.0, key.1)
-    } else {
-        Coord::Point(key.0)
+/// Materializes one rank's words of a flat key back into a coordinate.
+pub(crate) fn raw_coord(words: &[u64]) -> Coord {
+    match words {
+        [p] => Coord::Point(*p),
+        _ => Coord::Tuple(words.iter().map(|&w| Coord::Point(w)).collect()),
     }
 }
 
@@ -482,13 +475,28 @@ mod tests {
     }
 
     #[test]
-    fn deep_tuple_shapes_are_not_compressible() {
-        let deep = Shape::Tuple(vec![
+    fn deep_tuple_ranks_build_and_nested_shapes_are_rejected() {
+        let triple = Shape::Tuple(vec![
             Shape::Interval(2),
-            Shape::Interval(2),
+            Shape::Interval(3),
+            Shape::Interval(4),
+        ]);
+        let mut b = CompressedBuilder::new("T", vec!["ABC".into()], vec![triple]).unwrap();
+        let t = |a, b, c| Coord::Tuple(vec![Coord::Point(a), Coord::Point(b), Coord::Point(c)]);
+        b.push(&[t(0, 2, 3)], 1.0).unwrap();
+        b.push(&[t(1, 0, 0)], 2.0).unwrap();
+        assert!(matches!(
+            b.push(&[t(0, 2, 3)], 1.0),
+            Err(FibertreeError::Unsorted { .. })
+        ));
+        let c = b.finish();
+        assert_eq!(c.leaves()[1], (vec![t(1, 0, 0)], 2.0));
+
+        let nested = Shape::Tuple(vec![
+            Shape::Tuple(vec![Shape::Interval(2), Shape::Interval(2)]),
             Shape::Interval(2),
         ]);
-        let err = CompressedBuilder::new("T", vec!["ABC".into()], vec![deep]);
+        let err = CompressedBuilder::new("T", vec!["ABC".into()], vec![nested]);
         assert!(matches!(err, Err(FibertreeError::NotCompressible { .. })));
     }
 }

@@ -232,8 +232,8 @@ pub struct BoundaryRecord {
 /// plus the chain's replayable side effects in execution order.
 #[derive(Clone, Debug)]
 pub struct TransformedView {
-    /// The transformed tensor (owned or compressed, whatever the chain
-    /// produced).
+    /// The transformed tensor, always compressed (CSF): transform chains
+    /// run on CSF arrays whichever representation the input arrived in.
     pub tensor: TensorData,
     /// Merge groups recorded while the chain ran.
     pub merges: Vec<MergeRecord>,
@@ -242,12 +242,9 @@ pub struct TransformedView {
 }
 
 impl TransformedView {
-    /// Rough resident size: CSF-ish accounting of the tensor (one value
-    /// plus one coordinate word per rank per leaf) — good enough for the
-    /// telemetry byte counters, not allocator-exact.
+    /// Rough resident size: [`TensorData::approx_bytes`] of the tensor.
     pub fn approx_bytes(&self) -> u64 {
-        let t = &self.tensor;
-        (t.nnz() as u64) * (8 + 8 * t.order() as u64)
+        self.tensor.approx_bytes()
     }
 }
 

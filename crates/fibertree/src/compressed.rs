@@ -24,9 +24,8 @@
 //! Each level's coordinate array is *narrowed* per rank: when the rank's
 //! extent fits, coordinates are stored as `u32` instead of `u64`
 //! (`CoordStore`), halving the footprint of typical matrices. Ranks
-//! produced by flattening hold *pair* coordinates as two parallel stores
-//! (one per tuple component); deeper tuples are not representable and
-//! stay on the owned path.
+//! produced by flattening hold *tuple* coordinates as parallel stores,
+//! one per component, however many ranks were flattened together.
 //!
 //! Compressed tensors are read-only, but the content-preserving
 //! transforms (swizzle / partition / flatten) have compressed-native
@@ -50,7 +49,7 @@ use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
 use crate::tensor::Tensor;
-use crate::view::CoordKey;
+use crate::view::{CoordKey, TupleKey};
 
 /// One level's flat coordinate array, narrowed to `u32` when the rank
 /// extent allows.
@@ -137,147 +136,136 @@ pub(crate) struct Level {
     /// Fiber `f` spans `coords[segs[f]..segs[f+1]]`; there is always one
     /// trailing entry equal to `coords.len()`.
     pub(crate) segs: Vec<usize>,
-    /// Upper tuple components, present only on flattened (pair) ranks:
-    /// element `i`'s coordinate is `(upper[i], coords[i])`.
-    pub(crate) upper: Option<CoordStore>,
-    /// Coordinates of every element at this rank, fiber-concatenated,
-    /// strictly increasing within each fiber (lexicographically, for pair
-    /// ranks).
+    /// Leading tuple components, one store each, empty on point ranks: on
+    /// a rank flattened from `a` point ranks, element `i`'s coordinate is
+    /// `(upper[0][i], .., upper[a-2][i], coords[i])`.
+    pub(crate) upper: Vec<CoordStore>,
+    /// Coordinates (last tuple components) of every element at this rank,
+    /// fiber-concatenated, strictly increasing within each fiber
+    /// (lexicographically, for tuple ranks).
     pub(crate) coords: CoordStore,
 }
 
 impl Level {
     /// An empty level sized for `shape`: point coordinates for intervals,
-    /// pair coordinates for two-component tuple shapes.
+    /// one store per component for tuple shapes.
     ///
     /// # Errors
     ///
-    /// Returns [`FibertreeError::NotCompressible`] for tuple shapes of
-    /// arity ≠ 2 or with non-interval components (flattening three or more
-    /// ranks stays on the owned path).
+    /// Returns [`FibertreeError::NotCompressible`] for tuple shapes with
+    /// fewer than two components or with non-interval components.
     pub(crate) fn for_shape(shape: &Shape) -> Result<Self, FibertreeError> {
-        match shape {
-            Shape::Interval(n) => Ok(Level {
-                segs: vec![0],
-                upper: None,
-                coords: CoordStore::for_extent(*n),
-            }),
+        let extents: Vec<u64> = match shape {
+            Shape::Interval(n) => vec![*n],
+            Shape::Tuple(cs) if cs.len() >= 2 => cs
+                .iter()
+                .map(Shape::as_interval)
+                .collect::<Option<_>>()
+                .ok_or_else(|| FibertreeError::NotCompressible {
+                    reason: format!("tuple shape {shape} has non-interval components"),
+                })?,
             Shape::Tuple(cs) => {
-                let [a, b] = cs.as_slice() else {
-                    return Err(FibertreeError::NotCompressible {
-                        reason: format!(
-                            "tuple shape {shape} has arity {}; compressed levels hold \
-                             points or pairs only",
-                            cs.len()
-                        ),
-                    });
-                };
-                let (Some(ea), Some(eb)) = (a.as_interval(), b.as_interval()) else {
-                    return Err(FibertreeError::NotCompressible {
-                        reason: format!("tuple shape {shape} has non-interval components"),
-                    });
-                };
-                Ok(Level {
-                    segs: vec![0],
-                    upper: Some(CoordStore::for_extent(ea)),
-                    coords: CoordStore::for_extent(eb),
+                return Err(FibertreeError::NotCompressible {
+                    reason: format!("tuple shape {shape} has {} components", cs.len()),
                 })
             }
-        }
+        };
+        let (&last, upper) = extents.split_last().expect("at least one component");
+        Ok(Level {
+            segs: vec![0],
+            upper: upper.iter().map(|&e| CoordStore::for_extent(e)).collect(),
+            coords: CoordStore::for_extent(last),
+        })
     }
 
     /// An empty level with the same coordinate widths as `self`.
     pub(crate) fn new_like(&self) -> Self {
         Level {
             segs: vec![0],
-            upper: self.upper.as_ref().map(CoordStore::new_like),
+            upper: self.upper.iter().map(CoordStore::new_like).collect(),
             coords: self.coords.new_like(),
         }
     }
 
-    /// 1 for point levels, 2 for pair (flattened) levels.
+    /// Number of coordinate components: 1 on point levels, one per
+    /// flattened rank on tuple levels.
     #[inline]
     pub(crate) fn arity(&self) -> usize {
-        if self.upper.is_some() {
-            2
-        } else {
-            1
-        }
+        self.upper.len() + 1
     }
 
-    /// The raw `(upper, lower)` key of element `i` (`(coord, 0)` on point
-    /// levels).
+    /// Component `c` of element `i`'s coordinate.
     #[inline]
-    pub(crate) fn raw(&self, i: usize) -> (u64, u64) {
-        match &self.upper {
-            Some(u) => (u.get(i), self.coords.get(i)),
-            None => (self.coords.get(i), 0),
+    pub(crate) fn component(&self, i: usize, c: usize) -> u64 {
+        match self.upper.get(c) {
+            Some(u) => u.get(i),
+            None => self.coords.get(i),
         }
     }
 
-    /// Appends a raw `(upper, lower)` key.
-    pub(crate) fn push_raw(&mut self, key: (u64, u64)) {
-        match &mut self.upper {
-            Some(u) => {
-                u.push(key.0);
-                self.coords.push(key.1);
-            }
-            None => self.coords.push(key.0),
+    /// Writes element `i`'s components into `out` (one word per
+    /// component).
+    #[inline]
+    pub(crate) fn raw_into(&self, i: usize, out: &mut [u64]) {
+        for (o, u) in out.iter_mut().zip(&self.upper) {
+            *o = u.get(i);
         }
+        out[self.upper.len()] = self.coords.get(i);
+    }
+
+    /// Appends one element given as its components.
+    pub(crate) fn push_raw(&mut self, key: &[u64]) {
+        for (u, &c) in self.upper.iter_mut().zip(key) {
+            u.push(c);
+        }
+        self.coords.push(key[self.upper.len()]);
     }
 
     /// The materialized coordinate of element `i`.
     #[inline]
     pub(crate) fn coord(&self, i: usize) -> Coord {
-        match &self.upper {
-            Some(u) => Coord::pair(u.get(i), self.coords.get(i)),
-            None => Coord::Point(self.coords.get(i)),
+        if self.upper.is_empty() {
+            Coord::Point(self.coords.get(i))
+        } else {
+            Coord::Tuple(
+                (0..self.arity())
+                    .map(|c| Coord::Point(self.component(i, c)))
+                    .collect(),
+            )
         }
     }
 
     /// The allocation-free comparison key of element `i`.
     #[inline]
-    pub(crate) fn key(&self, i: usize) -> CoordKey<'static> {
-        match &self.upper {
-            Some(u) => CoordKey::Pair(u.get(i), self.coords.get(i)),
-            None => CoordKey::Point(self.coords.get(i)),
+    pub(crate) fn key(&self, i: usize) -> CoordKey<'_> {
+        match self.upper.as_slice() {
+            [] => CoordKey::Point(self.coords.get(i)),
+            [u] => CoordKey::Pair(u.get(i), self.coords.get(i)),
+            _ => CoordKey::Tuple(TupleKey {
+                level: self,
+                pos: i,
+            }),
         }
     }
 
     /// Binary search within elements `[start, end)` for the coordinate
     /// `key` addresses, when it is representable at this level.
     pub(crate) fn search_key(&self, start: usize, end: usize, key: &CoordKey<'_>) -> Option<usize> {
-        match &self.upper {
-            None => {
-                let p = match key {
-                    CoordKey::Point(p) => *p,
-                    CoordKey::Pair(..) => return None,
-                    CoordKey::Borrowed(c) => c.as_point()?,
-                };
-                self.coords.search(start, end, p).ok().map(|i| start + i)
-            }
-            Some(u) => {
-                let (a, b) = match key {
-                    CoordKey::Pair(a, b) => (*a, *b),
-                    CoordKey::Point(_) => return None,
-                    CoordKey::Borrowed(c) => match c {
-                        Coord::Tuple(cs) if cs.len() == 2 => (cs[0].as_point()?, cs[1].as_point()?),
-                        _ => return None,
-                    },
-                };
-                let mut lo = start;
-                let mut hi = end;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match (u.get(mid), self.coords.get(mid)).cmp(&(a, b)) {
-                        Ordering::Less => lo = mid + 1,
-                        Ordering::Greater => hi = mid,
-                        Ordering::Equal => return Some(mid),
-                    }
-                }
-                None
+        if self.upper.is_empty() {
+            let p = key.as_point()?;
+            return self.coords.search(start, end, p).ok().map(|i| start + i);
+        }
+        let mut lo = start;
+        let mut hi = end;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp_key(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
             }
         }
+        None
     }
 }
 
@@ -367,13 +355,13 @@ impl CompressedTensor {
     }
 
     /// Compresses an owned tensor, preserving every stored leaf
-    /// (including explicit zeros).
+    /// (including explicit zeros). Flattened ranks of any depth keep one
+    /// coordinate store per tuple component.
     ///
     /// # Errors
     ///
-    /// Returns [`FibertreeError::NotCompressible`] if the tensor carries
-    /// tuple coordinates of arity greater than two: compressed levels
-    /// represent points and pairs (one flatten), nothing deeper.
+    /// Returns [`FibertreeError::NotCompressible`] if a rank shape is a
+    /// tuple with nested tuple components (flattening never builds one).
     pub fn from_tensor(t: &Tensor) -> Result<Self, FibertreeError> {
         let mut b =
             CompressedBuilder::new(t.name(), t.rank_ids().to_vec(), t.rank_shapes().to_vec())?;
@@ -601,15 +589,14 @@ impl CompressedTensor {
 
     /// The allocation-free comparison key of element `p` of `level`.
     #[inline]
-    pub(crate) fn coord_key(&self, level: usize, p: usize) -> CoordKey<'static> {
+    pub(crate) fn coord_key(&self, level: usize, p: usize) -> CoordKey<'_> {
         self.levels[level].key(p)
     }
 
-    /// The raw `(upper, lower)` key of element `p` of `level`
-    /// (`(coord, 0)` on point levels).
+    /// Writes the components of element `p` of `level` into `out`.
     #[inline]
-    pub(crate) fn raw_at(&self, level: usize, p: usize) -> (u64, u64) {
-        self.levels[level].raw(p)
+    pub(crate) fn raw_into(&self, level: usize, p: usize, out: &mut [u64]) {
+        self.levels[level].raw_into(p, out);
     }
 
     /// Number of elements at `level`.
@@ -770,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_tuple_coordinates_are_rejected() {
+    fn deep_tuple_coordinates_compress() {
         let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[2, 2, 2])
             .entry(&[0, 1, 0], 1.0)
             .entry(&[1, 0, 1], 2.0)
@@ -780,8 +767,10 @@ mod tests {
             .unwrap()
             .flatten_rank("AB", "ABC")
             .unwrap();
-        let err = CompressedTensor::from_tensor(&t);
-        assert!(matches!(err, Err(FibertreeError::NotCompressible { .. })));
+        let c = CompressedTensor::from_tensor(&t).unwrap();
+        assert_eq!(c.levels[0].arity(), 3);
+        assert_eq!(c.to_tensor(), t);
+        assert_eq!(c.leaves(), t.leaves());
     }
 
     #[test]

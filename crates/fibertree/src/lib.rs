@@ -129,4 +129,4 @@ pub use iterate::{CoIterStats, IntersectPolicy};
 pub use semiring::Semiring;
 pub use stats::{RankStats, StatsCache, TensorStats};
 pub use tensor::{Tensor, TensorBuilder};
-pub use view::{CoordKey, FiberView, PayloadView, TensorData};
+pub use view::{CoordKey, FiberView, PayloadView, TensorData, TupleKey};

@@ -259,7 +259,7 @@ impl CompressedTensor {
     /// # Errors
     ///
     /// Returns an error if the rank is unknown, the split size is zero,
-    /// shape-based splitting hits a pair-coordinate rank, or externally
+    /// shape-based splitting hits a tuple-coordinate rank, or externally
     /// supplied boundaries are not representable at the rank's arity.
     pub fn partition_rank(
         &self,
@@ -290,6 +290,10 @@ impl CompressedTensor {
         }
         let mut upper_level = old.new_like();
         let mut lower_segs: Vec<usize> = vec![0];
+        // The open partition's base and the candidate base of the current
+        // element, as component words (reused across fibers).
+        let mut current = vec![0u64; arity];
+        let mut base = vec![0u64; arity];
 
         self.walk_fibers(d, &mut |idx, path: &[Coord], s, e| {
             let by_path_bounds;
@@ -308,44 +312,43 @@ impl CompressedTensor {
                 }
                 _ => None,
             };
-            let mut current: Option<(u64, u64)> = None;
+            let mut open = false;
             let mut bi = 0usize;
             for p in s..e {
-                let base: (u64, u64) = match &kind {
+                match &kind {
                     SplitKind::UniformShape(chunk) => {
-                        let c = self.raw_at(d, p).0;
-                        ((c / chunk) * chunk, 0)
+                        base[0] = (old.coords.get(p) / chunk) * chunk;
                     }
                     SplitKind::UniformOccupancy(size) => {
+                        // A chunk's base is its first element's coordinate.
                         if (p - s) % size == 0 {
-                            self.raw_at(d, p)
-                        } else {
-                            current.expect("a chunk is open after its first element")
+                            old.raw_into(p, &mut base);
                         }
                     }
                     SplitKind::Boundaries(_) | SplitKind::BoundariesByPath(_) => {
                         let bounds = bounds.expect("boundary kinds carry bounds");
-                        let key = self.coord_key(d, p);
+                        let key = old.key(p);
                         while bi < bounds.len() && !key.cmp_coord(&bounds[bi]).is_lt() {
                             bi += 1;
                         }
                         if bi == 0 {
                             // Precedes every boundary: open leading group.
-                            self.raw_at(d, p)
+                            old.raw_into(p, &mut base);
                         } else {
-                            raw_of_coord(&bounds[bi - 1], arity)?
+                            raw_of_coord(&bounds[bi - 1], &mut base)?;
                         }
                     }
-                };
-                if current != Some(base) {
-                    if current.is_some() {
+                }
+                if !open || current != base {
+                    if open {
                         lower_segs.push(p);
                     }
-                    upper_level.push_raw(base);
-                    current = Some(base);
+                    upper_level.push_raw(&base);
+                    current.copy_from_slice(&base);
+                    open = true;
                 }
             }
-            if current.is_some() {
+            if open {
                 lower_segs.push(e);
             }
             let end = upper_level.coords.len();
@@ -447,20 +450,25 @@ impl CompressedTensor {
     }
 }
 
-/// Converts a boundary coordinate to a raw key at the given level arity.
-fn raw_of_coord(c: &Coord, arity: usize) -> Result<(u64, u64), FibertreeError> {
-    match (c, arity) {
-        (Coord::Point(p), 1) => Ok((*p, 0)),
-        (Coord::Tuple(cs), 2) => match cs.as_slice() {
-            [Coord::Point(a), Coord::Point(b)] => Ok((*a, *b)),
-            _ => Err(FibertreeError::NotCompressible {
-                reason: format!("boundary coordinate {c} is not a pair of points"),
-            }),
-        },
-        _ => Err(FibertreeError::NotCompressible {
-            reason: format!("boundary coordinate {c} does not match the rank's arity {arity}"),
-        }),
+/// Writes a boundary coordinate's components into `out`, whose length is
+/// the rank's arity.
+fn raw_of_coord(c: &Coord, out: &mut [u64]) -> Result<(), FibertreeError> {
+    if c.arity() != out.len() {
+        return Err(FibertreeError::NotCompressible {
+            reason: format!(
+                "boundary coordinate {c} does not match the rank's arity {}",
+                out.len()
+            ),
+        });
     }
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = c.component(i).and_then(Coord::as_point).ok_or_else(|| {
+            FibertreeError::NotCompressible {
+                reason: format!("boundary coordinate {c} is not a tuple of points"),
+            }
+        })?;
+    }
+    Ok(())
 }
 
 fn collect_boundaries_by_path(

@@ -126,75 +126,91 @@ impl CompressedTensor {
             .iter()
             .map(|&p| self.rank_shapes()[p].clone())
             .collect();
-        // Gather every nonzero leaf as its permuted raw key (mirroring
+        // Gather every nonzero leaf as its permuted flat key (mirroring
         // Tensor::swizzle, which rebuilds from `leaves()` and therefore
-        // drops explicit zeros). Keys live in one flat buffer, `order`
-        // slots per leaf, and an index sort avoids a per-leaf allocation.
-        let n = self.order();
-        let mut keys: Vec<(u64, u64)> = Vec::with_capacity(n * self.nnz());
+        // drops explicit zeros). Keys live in one flat buffer, one word per
+        // coordinate component, and an index sort avoids a per-leaf
+        // allocation. `words` lists, in new rank order, the old path words
+        // each key is made of.
+        let mut offsets = vec![0usize];
+        for l in &self.levels {
+            offsets.push(offsets[offsets.len() - 1] + l.arity());
+        }
+        let words: Vec<usize> = perm
+            .iter()
+            .flat_map(|&i| offsets[i]..offsets[i + 1])
+            .collect();
+        let w = words.len();
+        let mut keys: Vec<u64> = Vec::with_capacity(w * self.nnz());
         let mut vals: Vec<f64> = Vec::with_capacity(self.nnz());
-        let mut path = vec![(0u64, 0u64); n];
+        let mut path = vec![0u64; w];
         self.gather_raw(
             0,
             0,
             self.level_len(0),
-            &perm,
+            &offsets,
+            &words,
             &mut path,
             &mut keys,
             &mut vals,
         );
-        let idx = sort_permuted_keys(&keys, vals.len(), n, &perm, &shapes);
+        let idx = sort_permuted_keys(&keys, vals.len(), w, &perm, &shapes);
         let mut b = CompressedBuilder::new(
             self.name(),
             order.iter().map(|s| s.to_string()).collect(),
             shapes,
         )?;
         for &i in &idx {
-            b.push_raw(&keys[i * n..(i + 1) * n], vals[i])?;
+            b.push_raw(&keys[i * w..(i + 1) * w], vals[i])?;
         }
         Ok(b.finish())
     }
 
+    /// Appends, for every nonzero leaf below the element range
+    /// `[start, end)` of `level`, its permuted flat key to `keys` and its
+    /// value to `vals`. Old rank `d` fills words `offsets[d]..offsets[d +
+    /// 1]` of `path`; a key lists `path` in `words` order.
     #[allow(clippy::too_many_arguments)] // internal recursion carrying cursors
     fn gather_raw(
         &self,
         level: usize,
         start: usize,
         end: usize,
-        perm: &[usize],
-        path: &mut [(u64, u64)],
-        keys: &mut Vec<(u64, u64)>,
+        offsets: &[usize],
+        words: &[usize],
+        path: &mut [u64],
+        keys: &mut Vec<u64>,
         vals: &mut Vec<f64>,
     ) {
         let leaf = level + 1 == self.order();
         for p in start..end {
-            path[level] = self.raw_at(level, p);
+            self.raw_into(level, p, &mut path[offsets[level]..offsets[level + 1]]);
             if leaf {
                 let v = self.value_at(p);
                 if v != 0.0 {
-                    keys.extend(perm.iter().map(|&i| path[i]));
+                    keys.extend(words.iter().map(|&i| path[i]));
                     vals.push(v);
                 }
             } else {
                 let (cs, ce) = self.child_range(level, p);
-                self.gather_raw(level + 1, cs, ce, perm, path, keys, vals);
+                self.gather_raw(level + 1, cs, ce, offsets, words, path, keys, vals);
             }
         }
     }
 }
 
-/// Orders the gathered (already permuted) raw keys: returns the index
+/// Orders the gathered (already permuted) flat keys: returns the index
 /// permutation that sorts `keys` lexicographically.
 ///
-/// `keys` holds `nnz` keys of `n` slots each, gathered in the *old*
+/// `keys` holds `nnz` keys of `w` words each, gathered in the *old*
 /// lexicographic order. When the permutation pulls one point rank to the
 /// front and keeps the rest in order, a stable counting bucket-sort on
 /// the new leading coordinate is a full sort in `O(nnz + max_coord)`;
 /// otherwise a comparison sort on the whole key runs.
 fn sort_permuted_keys(
-    keys: &[(u64, u64)],
+    keys: &[u64],
     nnz: usize,
-    n: usize,
+    w: usize,
     perm: &[usize],
     shapes: &[Shape],
 ) -> Vec<usize> {
@@ -202,26 +218,26 @@ fn sort_permuted_keys(
         && perm[1..]
             .iter()
             .copied()
-            .eq((0..n).filter(|&i| i != perm[0]));
+            .eq((0..perm.len()).filter(|&i| i != perm[0]));
     let leading_is_point = shapes
         .first()
         .is_some_and(|s| !matches!(s, Shape::Tuple(_)));
     if pull_to_front && leading_is_point && nnz > 0 {
-        let max_lead = (0..nnz).map(|i| keys[i * n].0).max().unwrap_or(0);
+        let max_lead = (0..nnz).map(|i| keys[i * w]).max().unwrap_or(0);
         if let Ok(buckets) = usize::try_from(max_lead) {
             if buckets < 4 * nnz + 4096 {
                 // Counting sort: histogram, exclusive prefix sum, then a
                 // stable scatter of the old-order indices.
                 let mut count = vec![0usize; buckets + 2];
                 for i in 0..nnz {
-                    count[keys[i * n].0 as usize + 1] += 1;
+                    count[keys[i * w] as usize + 1] += 1;
                 }
                 for b in 1..count.len() {
                     count[b] += count[b - 1];
                 }
                 let mut idx = vec![0usize; nnz];
                 for i in 0..nnz {
-                    let b = keys[i * n].0 as usize;
+                    let b = keys[i * w] as usize;
                     idx[count[b]] = i;
                     count[b] += 1;
                 }
@@ -230,7 +246,7 @@ fn sort_permuted_keys(
         }
     }
     let mut idx: Vec<usize> = (0..nnz).collect();
-    idx.sort_unstable_by(|&a, &b| keys[a * n..(a + 1) * n].cmp(&keys[b * n..(b + 1) * n]));
+    idx.sort_unstable_by(|&a, &b| keys[a * w..(a + 1) * w].cmp(&keys[b * w..(b + 1) * w]));
     idx
 }
 

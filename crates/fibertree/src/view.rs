@@ -10,7 +10,7 @@
 
 use std::cmp::Ordering;
 
-use crate::compressed::CompressedTensor;
+use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
 use crate::fiber::{Fiber, Payload};
 use crate::tensor::Tensor;
@@ -50,7 +50,8 @@ pub enum PayloadView<'a> {
 
 /// A borrowed-or-inline coordinate, for comparisons that must not
 /// allocate: owned fibers lend `&Coord` (possibly a tuple), compressed
-/// fibers produce inline points or pairs (flattened ranks).
+/// fibers produce inline points and pairs, and read deeper tuples in place
+/// from the level's component stores.
 #[derive(Clone, Copy, Debug)]
 pub enum CoordKey<'a> {
     /// A coordinate borrowed from an owned fiber.
@@ -59,50 +60,109 @@ pub enum CoordKey<'a> {
     Point(u64),
     /// An inline pair coordinate from a compressed flattened rank.
     Pair(u64, u64),
+    /// A tuple of three or more components on a compressed flattened
+    /// rank, read in place.
+    Tuple(TupleKey<'a>),
 }
 
-/// Compares an inline `(a, b)` pair against a materialized coordinate,
-/// agreeing with [`Coord`]'s derived `Ord` (points before tuples, tuples
-/// lexicographic with length tiebreak) without allocating.
-#[inline]
-fn pair_cmp_coord(a: u64, b: u64, other: &Coord) -> Ordering {
-    match other {
-        Coord::Point(_) => Ordering::Greater,
-        Coord::Tuple(cs) => {
-            for (mine, theirs) in [Coord::Point(a), Coord::Point(b)].iter().zip(cs) {
-                match mine.cmp(theirs) {
-                    Ordering::Equal => {}
-                    o => return o,
-                }
-            }
-            2usize.cmp(&cs.len())
-        }
+/// A tuple coordinate of a compressed flattened rank, read in place: one
+/// word per component, no allocation.
+#[derive(Clone, Copy)]
+pub struct TupleKey<'a> {
+    pub(crate) level: &'a Level,
+    pub(crate) pos: usize,
+}
+
+impl TupleKey<'_> {
+    /// Number of components.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.level.arity()
+    }
+
+    /// Component `c` (`c < arity`).
+    #[inline]
+    pub fn get(&self, c: usize) -> u64 {
+        self.level.component(self.pos, c)
+    }
+}
+
+impl std::fmt::Debug for TupleKey<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries((0..self.arity()).map(|c| self.get(c)))
+            .finish()
     }
 }
 
 impl<'a> CoordKey<'a> {
+    /// Number of components of an inline key (1 for points, 0 for
+    /// borrowed coordinates, which have no inline words).
+    #[inline]
+    fn inline_arity(&self) -> usize {
+        match self {
+            CoordKey::Borrowed(_) => 0,
+            CoordKey::Point(_) => 1,
+            CoordKey::Pair(..) => 2,
+            CoordKey::Tuple(t) => t.arity(),
+        }
+    }
+
+    /// Component `i` of an inline key.
+    #[inline]
+    fn inline_word(&self, i: usize) -> u64 {
+        match *self {
+            CoordKey::Point(p) => p,
+            CoordKey::Pair(a, b) => [a, b][i],
+            CoordKey::Tuple(t) => t.get(i),
+            CoordKey::Borrowed(_) => unreachable!("borrowed keys have no inline words"),
+        }
+    }
+
     /// Total order, agreeing with [`Coord`]'s `Ord` (points before
-    /// tuples, tuples lexicographic).
+    /// tuples, tuples lexicographic with length tiebreak).
     #[inline]
     pub fn cmp_key(&self, other: &CoordKey<'_>) -> Ordering {
         match (self, other) {
             (CoordKey::Point(a), CoordKey::Point(b)) => a.cmp(b),
             (CoordKey::Pair(a, b), CoordKey::Pair(c, d)) => (a, b).cmp(&(c, d)),
-            (CoordKey::Point(_), CoordKey::Pair(..)) => Ordering::Less,
-            (CoordKey::Pair(..), CoordKey::Point(_)) => Ordering::Greater,
             (CoordKey::Borrowed(a), CoordKey::Borrowed(b)) => a.cmp(b),
             (CoordKey::Borrowed(a), _) => other.cmp_coord(a).reverse(),
             (_, CoordKey::Borrowed(b)) => self.cmp_coord(b),
+            (CoordKey::Point(_), _) => Ordering::Less,
+            (_, CoordKey::Point(_)) => Ordering::Greater,
+            _ => {
+                let (n, m) = (self.inline_arity(), other.inline_arity());
+                for i in 0..n.min(m) {
+                    match self.inline_word(i).cmp(&other.inline_word(i)) {
+                        Ordering::Equal => {}
+                        o => return o,
+                    }
+                }
+                n.cmp(&m)
+            }
         }
     }
 
     /// Comparison against a materialized coordinate.
     #[inline]
     pub fn cmp_coord(&self, other: &Coord) -> Ordering {
-        match self {
-            CoordKey::Borrowed(a) => (*a).cmp(other),
-            CoordKey::Point(a) => Coord::Point(*a).cmp(other),
-            CoordKey::Pair(a, b) => pair_cmp_coord(*a, *b, other),
+        let n = match self {
+            CoordKey::Borrowed(a) => return (*a).cmp(other),
+            CoordKey::Point(a) => return Coord::Point(*a).cmp(other),
+            _ => self.inline_arity(),
+        };
+        match other {
+            Coord::Point(_) => Ordering::Greater,
+            Coord::Tuple(cs) => {
+                for (i, theirs) in cs.iter().enumerate().take(n) {
+                    match Coord::Point(self.inline_word(i)).cmp(theirs) {
+                        Ordering::Equal => {}
+                        o => return o,
+                    }
+                }
+                n.cmp(&cs.len())
+            }
         }
     }
 
@@ -112,7 +172,7 @@ impl<'a> CoordKey<'a> {
         match self {
             CoordKey::Point(p) => Some(*p),
             CoordKey::Borrowed(c) => c.as_point(),
-            CoordKey::Pair(..) => None,
+            CoordKey::Pair(..) | CoordKey::Tuple(_) => None,
         }
     }
 
@@ -128,6 +188,7 @@ impl<'a> CoordKey<'a> {
                 1 => Some(CoordKey::Point(b)),
                 _ => None,
             },
+            CoordKey::Tuple(t) => (i < t.arity()).then(|| CoordKey::Point(t.get(i))),
             CoordKey::Borrowed(c) => c.component(i).map(CoordKey::Borrowed),
         }
     }
@@ -139,6 +200,9 @@ impl<'a> CoordKey<'a> {
             CoordKey::Borrowed(c) => (*c).clone(),
             CoordKey::Point(p) => Coord::Point(*p),
             CoordKey::Pair(a, b) => Coord::pair(*a, *b),
+            CoordKey::Tuple(t) => {
+                Coord::Tuple((0..t.arity()).map(|c| Coord::Point(t.get(c))).collect())
+            }
         }
     }
 }
@@ -396,6 +460,13 @@ impl TensorData {
         }
     }
 
+    /// Rough resident size for cache accounting: one value plus one
+    /// coordinate word per rank per leaf, as CSF stores it — good enough
+    /// for byte-bounded caches and telemetry, not allocator-exact.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.nnz() as u64) * (8 + 8 * self.order() as u64)
+    }
+
     /// Per-rank `(fiber count, total occupancy)` statistics.
     pub fn rank_stats(&self) -> Vec<(usize, usize)> {
         match self {
@@ -426,23 +497,6 @@ impl TensorData {
     /// The root fiber view, if this is not a scalar.
     pub fn root_fiber_view(&self) -> Option<FiberView<'_>> {
         self.root_view().as_fiber()
-    }
-
-    /// Materializes an owned tensor (clones owned storage, decompresses
-    /// compressed storage). The transform pipeline operates on the result.
-    pub fn to_tensor(&self) -> Tensor {
-        match self {
-            TensorData::Owned(t) => t.clone(),
-            TensorData::Compressed(c) => c.to_tensor(),
-        }
-    }
-
-    /// Consumes `self`, yielding an owned tensor.
-    pub fn into_tensor(self) -> Tensor {
-        match self {
-            TensorData::Owned(t) => t,
-            TensorData::Compressed(c) => c.to_tensor(),
-        }
     }
 
     /// Borrows the owned tensor, if this is the owned representation.
@@ -671,6 +725,53 @@ mod tests {
             std::cmp::Ordering::Less
         );
         assert_eq!(CoordKey::Point(3).to_coord(), Coord::Point(3));
+    }
+
+    #[test]
+    fn tuple_keys_order_and_search_like_coords() {
+        let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[3, 3, 3])
+            .entry(&[0, 2, 1], 1.0)
+            .entry(&[1, 0, 2], 2.0)
+            .entry(&[1, 1, 0], 3.0)
+            .build()
+            .unwrap()
+            .flatten_rank("A", "AB")
+            .unwrap()
+            .flatten_rank("AB", "ABC")
+            .unwrap();
+        let c = TensorData::Compressed(CompressedTensor::from_tensor(&t).unwrap());
+        let root = c.root_fiber_view().unwrap();
+        let coords: Vec<Coord> = t
+            .root_fiber()
+            .unwrap()
+            .iter()
+            .map(|e| e.coord.clone())
+            .collect();
+        for (i, ci) in coords.iter().enumerate() {
+            let key = root.coord_key_at(i);
+            assert!(matches!(key, CoordKey::Tuple(_)));
+            assert_eq!(key.to_coord(), *ci);
+            assert_eq!(
+                key.component(2).and_then(|k| k.as_point()),
+                ci.component(2).and_then(Coord::as_point)
+            );
+            assert!(key.component(3).is_none());
+            assert_eq!(root.position(ci), Some(i));
+            assert_eq!(root.position_of_key(&key), Some(i));
+            for (j, cj) in coords.iter().enumerate() {
+                assert_eq!(key.cmp_key(&root.coord_key_at(j)), ci.cmp(cj));
+                assert_eq!(key.cmp_coord(cj), ci.cmp(cj));
+            }
+            assert_eq!(
+                key.cmp_key(&CoordKey::Pair(9, 9)),
+                ci.cmp(&Coord::pair(9, 9))
+            );
+            assert_eq!(
+                key.cmp_key(&CoordKey::Point(0)),
+                std::cmp::Ordering::Greater
+            );
+        }
+        assert_eq!(root.position(&Coord::pair(0, 2)), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: the compressed-native transform primitives (swizzle /
-//! partition / flatten) must be *bit-identical* to the owned-path oracle —
+//! partition / flatten, on point, pair and deeper tuple ranks) must be
+//! *bit-identical* to the owned-path oracle —
 //! transforming compressed storage directly lands on exactly the tensor
 //! that compressing the owned transform's result produces (same narrowed
 //! stores, same segments, same value arena), and the errors match too.
@@ -27,6 +28,40 @@ fn arb_3tensor() -> impl Strategy<Value = Tensor> {
                 .expect("entries in shape")
         },
     )
+}
+
+fn arb_4tensor() -> impl Strategy<Value = Tensor> {
+    proptest::collection::btree_map((0u64..4, 0u64..5, 0u64..4, 0u64..6), 1.0f64..100.0, 0..60)
+        .prop_map(|m| {
+            let entries: Vec<(Vec<u64>, f64)> = m
+                .into_iter()
+                .map(|((a, b, c, d), v)| (vec![a, b, c, d], v))
+                .collect();
+            Tensor::from_entries("Q", &["A", "B", "C", "D"], &[4, 5, 4, 6], entries)
+                .expect("entries in shape")
+        })
+}
+
+/// `[A, B, C, D]` with `A`, `B` and `C` flattened into one rank of
+/// triples, in either association: `(A, B)` first or `(B, C)` first.
+fn triple_flatten<T>(
+    t: &T,
+    left_first: bool,
+    flatten: impl Fn(&T, &str, &str) -> Result<T, FibertreeError>,
+) -> Result<T, FibertreeError> {
+    if left_first {
+        flatten(&flatten(t, "A", "AB")?, "AB", "ABC")
+    } else {
+        flatten(&flatten(t, "B", "BC")?, "A", "ABC")
+    }
+}
+
+fn owned_triple(t: &Tensor, left_first: bool) -> Result<Tensor, FibertreeError> {
+    triple_flatten(t, left_first, |t, r, n| t.flatten_rank(r, n))
+}
+
+fn csf_triple(c: &CompressedTensor, left_first: bool) -> Result<CompressedTensor, FibertreeError> {
+    triple_flatten(c, left_first, |c, r, n| c.flatten_rank(r, n))
 }
 
 /// The contract under test: applying `owned` to the tree and `comp` to
@@ -176,6 +211,88 @@ proptest! {
     }
 }
 
+// Arity-3 ranks: flattening twice, then swizzling, partitioning and
+// publishing boundaries on the triple rank, against the owned oracle.
+proptest! {
+    #[test]
+    fn triple_flatten_matches_owned_oracle(t in arb_4tensor()) {
+        for left_first in [true, false] {
+            assert_oracle(
+                &t,
+                |t| owned_triple(t, left_first),
+                |c| csf_triple(c, left_first),
+            )?;
+        }
+        // A pair fused with a pair: four components.
+        assert_oracle(
+            &t,
+            |t| t.flatten_rank("A", "AB")?.flatten_rank("C", "CD")?.flatten_rank("AB", "ABCD"),
+            |c| c.flatten_rank("A", "AB")?.flatten_rank("C", "CD")?.flatten_rank("AB", "ABCD"),
+        )?;
+    }
+
+    #[test]
+    fn triple_rank_swizzle_matches_owned_oracle(t in arb_4tensor()) {
+        assert_oracle(
+            &t,
+            |t| owned_triple(t, true)?.swizzle(&["D", "ABC"]),
+            |c| csf_triple(c, true)?.swizzle(&["D", "ABC"]),
+        )?;
+    }
+
+    #[test]
+    fn triple_rank_occupancy_partition_matches_owned_oracle(
+        t in arb_4tensor(),
+        size in 1usize..8,
+    ) {
+        let split = SplitKind::UniformOccupancy(size);
+        assert_oracle(
+            &t,
+            |t| owned_triple(t, false)?.partition_rank("ABC", split.clone(), "U", "L"),
+            |c| csf_triple(c, false)?.partition_rank("ABC", split.clone(), "U", "L"),
+        )?;
+    }
+
+    #[test]
+    fn triple_rank_boundaries_match_owned_oracle(
+        leader in arb_4tensor(),
+        follower in arb_4tensor(),
+        size in 1usize..6,
+    ) {
+        // Boundaries *on* the triple rank (tuple bounds) and *below* it
+        // (keyed by triple paths); followers of either representation
+        // split identically under them.
+        let (ol, cl) = (owned_triple(&leader, true).expect("flattens"), csf_triple(
+            &CompressedTensor::from_tensor(&leader).expect("compresses"),
+            true,
+        ).expect("flattens"));
+        for rank in ["ABC", "D"] {
+            let owned_bounds = ol.occupancy_boundaries_by_path(rank, size).expect("bounds");
+            let comp_bounds = cl.occupancy_boundaries_by_path(rank, size).expect("bounds");
+            prop_assert_eq!(&owned_bounds, &comp_bounds);
+            assert_oracle(
+                &follower,
+                |t| {
+                    owned_triple(t, true)?.partition_rank(
+                        rank,
+                        SplitKind::BoundariesByPath(owned_bounds.clone()),
+                        "U",
+                        "L",
+                    )
+                },
+                |c| {
+                    csf_triple(c, true)?.partition_rank(
+                        rank,
+                        SplitKind::BoundariesByPath(comp_bounds.clone()),
+                        "U",
+                        "L",
+                    )
+                },
+            )?;
+        }
+    }
+}
+
 #[test]
 fn error_paths_match_the_owned_transforms() {
     let t = Tensor::from_entries("A", &["M", "K"], &[8, 8], vec![(vec![1, 2], 1.0)]).unwrap();
@@ -222,7 +339,7 @@ fn error_paths_match_the_owned_transforms() {
         flat.partition_rank("MK", SplitKind::UniformShape(2), "U", "L"),
         Err(FibertreeError::NotAnInterval { .. })
     ));
-    // A second flatten needs the owned path.
+    // A second flatten stays compressed and matches the owned one.
     let t3 = Tensor::from_entries(
         "T",
         &["A", "B", "C"],
@@ -231,10 +348,21 @@ fn error_paths_match_the_owned_transforms() {
     )
     .unwrap();
     let c3 = CompressedTensor::from_tensor(&t3).unwrap();
-    let once = c3.flatten_rank("A", "AB").unwrap();
+    let twice = c3
+        .flatten_rank("A", "AB")
+        .unwrap()
+        .flatten_rank("AB", "ABC")
+        .unwrap();
+    let owned = t3
+        .flatten_rank("A", "AB")
+        .unwrap()
+        .flatten_rank("AB", "ABC")
+        .unwrap();
+    assert_eq!(CompressedTensor::from_tensor(&owned).unwrap(), twice);
+    // Shape-splitting a triple rank fails like the owned NotAnInterval.
     assert!(matches!(
-        once.flatten_rank("AB", "ABC"),
-        Err(FibertreeError::NotCompressible { .. })
+        twice.partition_rank("ABC", SplitKind::UniformShape(2), "U", "L"),
+        Err(FibertreeError::NotAnInterval { .. })
     ));
 }
 

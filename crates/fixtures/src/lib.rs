@@ -26,6 +26,11 @@ pub const GAMMA_EM: &str = include_str!("../specs/gamma_em.yaml");
 /// reduction network, Fig. 8c.
 pub const SIGMA_EM: &str = include_str!("../specs/sigma_em.yaml");
 
+/// A reduction that flattens three ranks into one, `(K, M)` and then
+/// `(KM, N)`, so `T` is walked through a single rank of `(k, m, n)`
+/// triples.
+pub const DOUBLE_FLATTEN: &str = include_str!("../specs/double_flatten.yaml");
+
 /// All four specs with display labels, in the paper's presentation order.
 pub fn spmspm_specs() -> [(&'static str, &'static str); 4] {
     [

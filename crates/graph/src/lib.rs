@@ -195,8 +195,7 @@ pub fn run_with_limits(
     // storage order (so the engine's offline swizzle is the identity) and
     // *borrowed* by every superstep — the engine iterates it through
     // cursors, so a multi-million-edge graph is never cloned or rebuilt.
-    // Supersteps run through `run_data_compressed`, so per-iteration
-    // outputs stream into CSF arrays instead of rebuilding owned trees.
+    // Per-superstep outputs stream into CSF arrays, never owned trees.
     let g = TensorData::Compressed(graph.compressed_source_major("G", ["S", "V"], weighted));
 
     let mut properties = vec![UNDISCOVERED; v as usize];
@@ -220,7 +219,7 @@ pub fn run_with_limits(
             v,
             properties.iter().enumerate().map(|(i, &p)| (i as u64, p)),
         );
-        let report = sim.run_data_compressed(&[&g, &a0, &p0])?;
+        let report = sim.run_data(&[&g, &a0, &p0])?;
 
         let r = report.outputs.get("R").map_or(0, TensorData::nnz);
         let modified = report.outputs.get("M").map_or(0, TensorData::nnz);
@@ -394,9 +393,9 @@ mod tests {
     #[test]
     fn supersteps_never_decompress_the_adjacency() {
         // The driver borrows one compressed adjacency across every
-        // superstep and assembles outputs through run_data_compressed;
-        // nothing on that path may round-trip through an owned tree. The
-        // counter is process-wide and monotonic, so this holds even with
+        // superstep and assembles outputs as CSF; nothing on that path
+        // may round-trip through an owned tree. The counter is
+        // process-wide and monotonic, so this holds even with
         // the other tests running concurrently — none of them may
         // decompress either.
         let g = small_graph(false);

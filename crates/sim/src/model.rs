@@ -260,13 +260,15 @@ impl Simulator {
         self.run_data(&refs)
     }
 
-    /// Runs the cascade on borrowed inputs in either representation,
-    /// assembling owned output tensors.
+    /// Runs the cascade on borrowed inputs in either representation.
     ///
     /// Inputs are *borrowed*, not cloned: a large compressed tensor (a
     /// graph adjacency, a SuiteSparse-scale matrix) can be reused across
     /// many runs — the graph driver re-executes its cascade every
-    /// superstep against the same [`TensorData`]. Results are
+    /// superstep against the same [`TensorData`]. Outputs (and therefore
+    /// intermediates) are always CSF, assembled through a streaming
+    /// [`CompressedBuilder`](teaal_fibertree::CompressedBuilder), and every
+    /// input transform chain runs on CSF arrays. Results are
     /// representation-independent: the same content yields bit-identical
     /// instrument counters and outputs whether inputs arrive owned or
     /// compressed.
@@ -275,7 +277,7 @@ impl Simulator {
     ///
     /// Returns [`SimError`] when inputs are missing or execution fails.
     pub fn run_data(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
-        self.run_impl(inputs, false)
+        self.run_impl(inputs)
     }
 
     /// [`Simulator::run_data`] behind the report cache: with a context
@@ -305,25 +307,14 @@ impl Simulator {
         Ok(ctx.store_report(key, Arc::new(report)))
     }
 
-    /// Runs the cascade end-to-end in compressed storage: outputs (and
-    /// therefore intermediates) are assembled through a streaming
-    /// [`CompressedBuilder`](teaal_fibertree::CompressedBuilder) instead
-    /// of owned trees, and compressed inputs run their transform
-    /// pipelines compressed-natively. The hot loop allocates
-    /// `O(output nnz)` flat arrays per Einsum — no intermediate trees —
-    /// which is what lets the graph driver re-run a cascade every
-    /// superstep without rebuilding owned storage.
-    ///
-    /// Reports are bit-identical to [`Simulator::run_data`] on the same
-    /// content: every instrument counter, traffic figure, and output
-    /// entry agrees; only the representation inside
-    /// [`SimReport::outputs`] differs.
+    /// Exactly [`Simulator::run_data`], whose outputs are already CSF.
+    /// Kept because the benchmark package calls it by this name.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when inputs are missing or execution fails.
+    /// As [`Simulator::run_data`].
     pub fn run_data_compressed(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
-        self.run_impl(inputs, true)
+        self.run_data(inputs)
     }
 
     /// The content key [`Simulator::run_data_cached`] stores reports
@@ -367,7 +358,7 @@ impl Simulator {
         h.finish()
     }
 
-    fn run_impl(&self, inputs: &[&TensorData], compressed: bool) -> Result<SimReport, SimError> {
+    fn run_impl(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
         if let (Some(bytes), Some(ctx)) = (self.limits.max_resident_cache_bytes, &self.context) {
             ctx.set_max_cache_bytes(bytes);
         }
@@ -438,9 +429,8 @@ impl Simulator {
                     .chain(outputs[..i].iter().flatten())
                     .map(|t| (t.name().to_string(), t))
                     .collect();
-                let out =
-                    engine.execute_data(&env, &mut instruments, &mut boundaries, compressed)?;
-                Ok((instruments, out))
+                let out = engine.execute_data(&env, &mut instruments, &mut boundaries)?;
+                Ok((instruments, TensorData::Compressed(out)))
             };
 
             let results: Vec<Result<(Instruments, TensorData), SimError>> = if self.threads > 1

@@ -31,7 +31,7 @@ use teaal_core::canon;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
 use teaal_fibertree::telemetry;
-use teaal_fibertree::{ByteLru, TransformCache};
+use teaal_fibertree::{ByteLru, TensorData, TransformCache};
 
 use crate::compile::CompiledPlan;
 use crate::error::SimError;
@@ -209,7 +209,7 @@ impl EvalContext {
         let bytes: u64 = report
             .outputs
             .values()
-            .map(|t| (t.nnz() as u64) * (8 + 8 * t.order() as u64))
+            .map(TensorData::approx_bytes)
             .sum::<u64>()
             + 256;
         telemetry::report_cache_stats().miss(bytes);

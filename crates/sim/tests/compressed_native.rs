@@ -1,12 +1,13 @@
-//! The compressed fast path stays compressed end-to-end.
+//! The engine stays in compressed storage end-to-end.
 //!
-//! `Simulator::run_data_compressed` with compressed inputs must (a) never
-//! decompress on the hot path — every catalog SpMSpM spec's transform
-//! pipeline (swizzles, shape/occupancy partitions, flattens) and output
-//! assembly runs on CSF arrays, pinned by the process-wide
-//! [`teaal_fibertree::telemetry::decompress_count`] — and (b) produce
-//! reports bit-identical to the owned oracle: instrument counters, time,
-//! energy, and output content all agree.
+//! `Simulator::run_data` must never decompress, whichever representation
+//! its inputs arrive in: every catalog SpMSpM spec's transform pipeline
+//! (swizzles, shape/occupancy partitions, flattens — including the
+//! three-rank flatten of the double-flatten cascade) runs on CSF arrays,
+//! owned inputs that need a transform are compressed rather than
+//! decompressed into, and outputs assemble as CSF. The process-wide
+//! [`teaal_fibertree::telemetry::decompress_count`] pins this. Owned and
+//! compressed inputs must also yield bit-identical reports.
 //!
 //! This file holds a single test so nothing else in the process touches
 //! the decompression counter between the snapshots.
@@ -24,59 +25,43 @@ fn catalog_specs_run_compressed_native_with_zero_decompressions() {
     let b = genmat::uniform("B", &["K", "N"], 60, 40, 600, 22);
     let ca = TensorData::Compressed(CompressedTensor::from_tensor(&a).unwrap());
     let cb = TensorData::Compressed(CompressedTensor::from_tensor(&b).unwrap());
-
-    // Owned oracle runs first (it never touches compressed storage).
-    let mut oracles = Vec::new();
-    for (label, yaml) in teaal_fixtures::spmspm_specs() {
-        let sim = Simulator::new(TeaalSpec::parse(yaml).unwrap()).unwrap();
-        oracles.push((label, sim.run(&[a.clone(), b.clone()]).unwrap()));
-    }
+    let (oa, ob) = (TensorData::Owned(a), TensorData::Owned(b));
+    let specs = teaal_fixtures::spmspm_specs()
+        .into_iter()
+        .chain([("double-flatten", teaal_fixtures::DOUBLE_FLATTEN)]);
 
     let before = telemetry::decompress_count();
-    let mut compressed_reports = Vec::new();
-    for (_, yaml) in teaal_fixtures::spmspm_specs() {
+    let mut reports = Vec::new();
+    for (label, yaml) in specs {
         let sim = Simulator::new(TeaalSpec::parse(yaml).unwrap()).unwrap();
-        compressed_reports.push(sim.run_data_compressed(&[&ca, &cb]).unwrap());
+        let owned = sim.run_data(&[&oa, &ob]).unwrap();
+        let compressed = sim.run_data(&[&ca, &cb]).unwrap();
+        reports.push((label, owned, compressed));
     }
     assert_eq!(
         telemetry::decompress_count(),
         before,
-        "the compressed-native path must never call to_tensor()"
+        "run_data must never call to_tensor(), with owned or compressed inputs"
     );
 
-    for ((label, owned), compressed) in oracles.iter().zip(&compressed_reports) {
+    for (label, owned, compressed) in &reports {
         // Every Instruments-derived counter, bit for bit.
         assert_eq!(
             owned.einsums, compressed.einsums,
-            "{label}: instrument counters diverge on the compressed-native path"
+            "{label}: instrument counters diverge across input representations"
         );
         assert_eq!(owned.seconds, compressed.seconds, "{label}: time diverges");
         assert_eq!(
             owned.energy_joules, compressed.energy_joules,
             "{label}: energy diverges"
         );
-        // Outputs: same names, same content (representations differ by
-        // construction — owned trees vs CSF).
+        // Outputs: CSF from either input, and equal bit for bit.
         assert_eq!(
-            owned.outputs.keys().collect::<Vec<_>>(),
-            compressed.outputs.keys().collect::<Vec<_>>(),
-            "{label}: output sets diverge"
+            owned.outputs, compressed.outputs,
+            "{label}: outputs diverge"
         );
-        for (name, o) in &owned.outputs {
-            let c = &compressed.outputs[name];
-            assert!(o.as_owned().is_some(), "{label}/{name}: oracle is owned");
-            assert!(c.is_compressed(), "{label}/{name}: fast path is compressed");
-            assert_eq!(
-                o.leaves(),
-                c.leaves(),
-                "{label}/{name}: output content diverges"
-            );
-            assert_eq!(o.nnz(), c.nnz(), "{label}/{name}: nnz diverges");
-            assert_eq!(
-                o.rank_stats(),
-                c.rank_stats(),
-                "{label}/{name}: structure diverges"
-            );
+        for (name, c) in &compressed.outputs {
+            assert!(c.is_compressed(), "{label}/{name}: output is not CSF");
         }
     }
 }

@@ -143,9 +143,9 @@ fn compressed(t: &Tensor) -> TensorData {
     TensorData::Compressed(CompressedTensor::from_tensor(t).unwrap())
 }
 
-/// The four catalog specs on a seeded ~120² SpMSpM, with owned inputs
-/// (owned outputs) and with compressed inputs (compressed outputs, the
-/// streaming accumulator where the loop order allows it).
+/// The four catalog specs on a seeded ~120² SpMSpM, with owned and with
+/// compressed inputs (outputs are CSF either way, through the streaming
+/// accumulator where the loop order allows it).
 #[test]
 fn catalog_specs_match_pinned_statistics() {
     let a = genmat::uniform("A", &["K", "M"], 120, 110, 900, 41);
@@ -159,7 +159,7 @@ fn catalog_specs_match_pinned_statistics() {
         });
         cases.push((format!("{label}/owned"), pin, text));
         let (pin, text) = pin_runs(Simulator::new(spec).unwrap(), |sim| {
-            vec![sim.run_data_compressed(&[&ca, &cb]).unwrap()]
+            vec![sim.run_data(&[&ca, &cb]).unwrap()]
         });
         cases.push((format!("{label}/compressed"), pin, text));
     }
@@ -285,7 +285,7 @@ fn sharded_plans_match_pinned_statistics() {
             let (pin, text) = pin_runs(sim, |sim| {
                 vec![
                     sim.run(&[a.clone(), b.clone()]).unwrap(),
-                    sim.run_data_compressed(&[&ca, &cb]).unwrap(),
+                    sim.run_data(&[&ca, &cb]).unwrap(),
                 ]
             });
             cases.push((format!("{label}/x{threads}"), pin, text));
@@ -505,7 +505,7 @@ fn proposal_graph_supersteps_match_pinned_statistics() {
                     .map(|(i, &p)| (i as u64, p))
                     .collect();
                 let p0 = dense_vector("P0", "V", v, &props);
-                let report = sim.run_data_compressed(&[&g, &a0, &p0]).unwrap();
+                let report = sim.run_data(&[&g, &a0, &p0]).unwrap();
                 for (p, val) in report.outputs["PW"].entries() {
                     properties[p[0] as usize] = val;
                 }
@@ -548,28 +548,6 @@ fn proposal_graph_supersteps_match_pinned_statistics() {
     );
 }
 
-/// A cascade whose reduction flattens three ranks into one: `(K, M)` and
-/// then `(KM, N)`, so `T` is walked through a single rank of `(k, m, n)`
-/// triples.
-const DOUBLE_FLATTEN: &str = concat!(
-    "einsum:\n",
-    "  declaration:\n",
-    "    A: [K, M]\n",
-    "    B: [K, N]\n",
-    "    T: [K, M, N]\n",
-    "    Z: [M, N]\n",
-    "  expressions:\n",
-    "    - T[k, m, n] = A[k, m] * B[k, n]\n",
-    "    - Z[m, n] = T[k, m, n]\n",
-    "mapping:\n",
-    "  partitioning:\n",
-    "    Z:\n",
-    "      (K, M): [flatten()]\n",
-    "      (KM, N): [flatten()]\n",
-    "  loop-order:\n",
-    "    Z: [KMN]\n",
-);
-
 /// The double-flatten cascade with owned and with compressed inputs: the
 /// intermediate's transform chain fuses three ranks into one.
 #[test]
@@ -577,14 +555,14 @@ fn double_flatten_matches_pinned_statistics() {
     let a = genmat::uniform("A", &["K", "M"], 30, 24, 140, 11);
     let b = genmat::uniform("B", &["K", "N"], 30, 20, 120, 12);
     let (ca, cb) = (compressed(&a), compressed(&b));
-    let spec = TeaalSpec::parse(DOUBLE_FLATTEN).unwrap();
+    let spec = TeaalSpec::parse(teaal_fixtures::DOUBLE_FLATTEN).unwrap();
     let mut cases = Vec::new();
     let (pin, text) = pin_runs(Simulator::new(spec.clone()).unwrap(), |sim| {
         vec![sim.run(&[a.clone(), b.clone()]).unwrap()]
     });
     cases.push(("double-flatten/owned".to_string(), pin, text));
     let (pin, text) = pin_runs(Simulator::new(spec).unwrap(), |sim| {
-        vec![sim.run_data_compressed(&[&ca, &cb]).unwrap()]
+        vec![sim.run_data(&[&ca, &cb]).unwrap()]
     });
     cases.push(("double-flatten/compressed".to_string(), pin, text));
     check(

@@ -4,7 +4,8 @@
 //!
 //! This is the contract that lets callers pick a representation purely on
 //! performance grounds — the model's answers (traffic, compute, visits,
-//! intersections, outputs) never depend on the choice.
+//! intersections, outputs) never depend on the choice. Outputs are CSF
+//! either way.
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
@@ -87,33 +88,9 @@ fn assert_representation_independent(label: &str, yaml: &str, a: &Tensor, b: &Te
         "{label}: energy model diverges"
     );
 
-    // Third leg: the fully compressed-native path (compressed transforms
-    // and compressed outputs) must agree with both.
-    let native = sim
-        .run_data_compressed(&[&ca, &cb])
-        .unwrap_or_else(|e| panic!("{label}: compressed-native run failed: {e}"));
-    assert_eq!(
-        owned.einsums, native.einsums,
-        "{label}: instrument counters diverge on the compressed-native path"
-    );
-    assert_eq!(
-        owned.seconds, native.seconds,
-        "{label}: native time diverges"
-    );
-    for (name, o) in &owned.outputs {
-        let c = native
-            .outputs
-            .get(name)
-            .unwrap_or_else(|| panic!("{label}: native run lost output {name}"));
-        assert!(
-            c.is_compressed(),
-            "{label}/{name}: native outputs must be compressed"
-        );
-        assert_eq!(
-            o.leaves(),
-            c.leaves(),
-            "{label}/{name}: native output content diverges"
-        );
+    // Outputs are CSF whichever representation the inputs arrived in.
+    for (name, c) in owned.outputs.iter().chain(&compressed.outputs) {
+        assert!(c.is_compressed(), "{label}/{name}: output is not CSF");
     }
 }
 
@@ -130,7 +107,10 @@ fn catalog_specs_are_representation_independent_on_generated_matrices() {
     // occupancy partitions with several boundaries, and cache behavior.
     let a = genmat::uniform("A", &["K", "M"], 60, 50, 700, 11);
     let b = genmat::uniform("B", &["K", "N"], 60, 40, 600, 12);
-    for (label, yaml) in teaal_fixtures::spmspm_specs() {
+    let specs = teaal_fixtures::spmspm_specs()
+        .into_iter()
+        .chain([("double-flatten", teaal_fixtures::DOUBLE_FLATTEN)]);
+    for (label, yaml) in specs {
         assert_representation_independent(label, yaml, &a, &b);
     }
 }

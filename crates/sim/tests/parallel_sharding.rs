@@ -67,7 +67,7 @@ fn inputs() -> (Tensor, Tensor) {
 }
 
 /// All four catalog accelerator specs: 1-thread vs 4-thread, owned and
-/// compressed pipelines.
+/// compressed inputs.
 #[test]
 fn catalog_specs_are_thread_count_invariant() {
     let (a, b) = inputs();
@@ -90,12 +90,12 @@ fn catalog_specs_are_thread_count_invariant() {
         let cseq = Simulator::new(spec.clone())
             .unwrap()
             .with_threads(1)
-            .run_data_compressed(&[&ca, &cb])
+            .run_data(&[&ca, &cb])
             .unwrap();
         let cpar = Simulator::new(spec)
             .unwrap()
             .with_threads(4)
-            .run_data_compressed(&[&ca, &cb])
+            .run_data(&[&ca, &cb])
             .unwrap();
         assert_reports_identical(&format!("{label} (compressed)"), &cseq, &cpar);
     }
@@ -187,10 +187,12 @@ fn shard_count_never_changes_the_report() {
                     .with_ops(*ops)
                     .with_threads(threads);
                 let owned = sim.run(ins).unwrap();
-                let data: Vec<TensorData> =
-                    ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
+                let data: Vec<TensorData> = ins
+                    .iter()
+                    .map(|t| TensorData::Compressed(CompressedTensor::from_tensor(t).unwrap()))
+                    .collect();
                 let refs: Vec<&TensorData> = data.iter().collect();
-                let compressed = sim.run_data_compressed(&refs).unwrap();
+                let compressed = sim.run_data(&refs).unwrap();
                 (owned, compressed)
             };
             let (seq, cseq) = run_with(1);
