@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
 
 use crate::error::SimError;
 use crate::estimate::estimate_data;
@@ -235,6 +235,8 @@ pub fn explore_loop_orders_with_context(
     context: Option<&Arc<EvalContext>>,
 ) -> Result<Vec<Candidate>, SimError> {
     let orders = candidate_orders(spec, einsum)?;
+    let datas = compressed_inputs(inputs)?;
+    let refs: Vec<&TensorData> = datas.iter().collect();
 
     // A candidate that fails to lower is skipped, not charged against the
     // budget (counting failures used to starve the budget and return
@@ -249,7 +251,7 @@ pub fn explore_loop_orders_with_context(
             Some(ctx) => ctx.simulator(&s).ok()?,
             None => Simulator::new(s).ok()?,
         };
-        let report = sim.with_ops(ops).with_threads(1).run(inputs).ok()?;
+        let report = sim.with_ops(ops).with_threads(1).run_data(&refs).ok()?;
         Some(candidate_from(candidate.to_vec(), &report))
     };
 
@@ -321,10 +323,8 @@ pub fn explore_fast_with_context(
         .then(|| CancelToken::new(&config.limits));
 
     // Phase 1: estimate every lowerable candidate from cached statistics.
-    let datas: Vec<TensorData> = inputs
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
+    // Both phases borrow one compressed copy of the inputs.
+    let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
     let local_stats;
     let cache: &StatsCache = match context {
@@ -416,7 +416,7 @@ pub fn explore_fast_with_context(
         if let Some(t) = &token {
             sim = sim.with_cancel(t.clone());
         }
-        match sim.run(inputs) {
+        match sim.run_data(&refs) {
             Ok(report) => Some(candidate_from(candidate.to_vec(), &report)),
             Err(
                 e @ (SimError::DeadlineExceeded { .. }
@@ -451,6 +451,15 @@ pub fn explore_fast_with_context(
         engine_evals,
         estimator_evals,
     })
+}
+
+/// The search inputs, compressed once: every candidate of a search borrows
+/// them instead of cloning owned trees per run.
+fn compressed_inputs(inputs: &[Tensor]) -> Result<Vec<TensorData>, SimError> {
+    inputs
+        .iter()
+        .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
+        .collect()
 }
 
 /// All loop-order permutations for `einsum` in Heap order — the shared

@@ -78,7 +78,9 @@ use std::sync::{Arc, OnceLock};
 
 use teaal::fibertree::telemetry;
 use teaal::prelude::*;
-use teaal::request::{error_block, evaluate_request, parse_ops, EvalFailure, RequestOverrides};
+use teaal::request::{
+    compress_dataset, error_block, evaluate_request, parse_ops, EvalFailure, RequestOverrides,
+};
 use teaal::sim::{
     explore_fast_with_context, explore_loop_orders_with_context, CancelToken, Candidate,
     EvalContext, EvalLimits, Objective,
@@ -482,9 +484,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             )
             .map(|()| ExitCode::SUCCESS)
         }
-        "batch" => run_batch(
-            &ctx, &requests, &specs, &tensors, &extents, ops, threads, &token,
-        ),
+        "batch" => compress_dataset(std::mem::take(&mut tensors)).and_then(|data| {
+            run_batch(
+                &ctx, &requests, &specs, &data, &extents, ops, threads, &token,
+            )
+        }),
         _ => {
             let mut sim = ctx
                 .simulator(&specs[0])
@@ -612,19 +616,12 @@ fn run_batch(
     ctx: &Arc<EvalContext>,
     requests: &[BatchRequest],
     specs: &[Arc<TeaalSpec>],
-    tensors: &[Tensor],
+    data: &[TensorData],
     extents: &[(String, u64)],
     ops: OpTable,
     threads: usize,
     token: &Option<CancelToken>,
 ) -> Result<ExitCode, String> {
-    // The dataset is shared read-only by every request: materialize the
-    // `TensorData` views once here instead of cloning every tensor per
-    // request inside the worker loop.
-    let data: Vec<TensorData> = tensors
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
     // Evaluation (including panic isolation and failure classification)
     // lives in `teaal::request`, shared verbatim with `teaal serve` — so
     // batch's error blocks and serve's wire error codes cannot drift.

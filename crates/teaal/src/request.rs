@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use teaal_core::TeaalSpec;
-use teaal_fibertree::TensorData;
+use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
 use teaal_sim::{CancelToken, EvalContext, OpTable, SimError};
 
 /// The failure classes a request can end in, shared verbatim between
@@ -200,6 +200,24 @@ pub struct RequestOverrides {
     pub loop_order: Vec<(String, Vec<String>)>,
     /// Operator table override.
     pub ops: Option<OpTable>,
+}
+
+/// Compresses a loaded dataset once, consuming the owned trees: the
+/// shared dataset of `teaal batch` and `teaal serve` is held in CSF
+/// only, and every request borrows it.
+///
+/// # Errors
+///
+/// A message naming the tensor that has no compressed form.
+pub fn compress_dataset(tensors: Vec<Tensor>) -> Result<Vec<TensorData>, String> {
+    tensors
+        .into_iter()
+        .map(|t| {
+            CompressedTensor::from_tensor(&t)
+                .map(TensorData::Compressed)
+                .map_err(|e| format!("tensor {}: {e}", t.name()))
+        })
+        .collect()
 }
 
 /// Evaluates one request against the shared dataset and renders the

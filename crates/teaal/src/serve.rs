@@ -62,7 +62,9 @@ use teaal_fibertree::{Tensor, TensorData};
 use teaal_sim::{CancelToken, EvalContext, EvalLimits, OpTable};
 use teaal_workloads::{genmat, io as tio};
 
-use crate::request::{evaluate_request, parse_ops, ErrorCode, EvalFailure, RequestOverrides};
+use crate::request::{
+    compress_dataset, evaluate_request, parse_ops, ErrorCode, EvalFailure, RequestOverrides,
+};
 use crate::wire::{self, Frame, FrameKind, WireError};
 
 /// How often the accept loop polls for new connections and the
@@ -745,13 +747,10 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
     if let Some(bytes) = cfg.max_cache_bytes {
         ctx.set_max_cache_bytes(bytes);
     }
+    let data = compress_dataset(cfg.tensors)?;
     let daemon = Arc::new(Daemon {
         ctx,
-        data: cfg
-            .tensors
-            .iter()
-            .map(|t| TensorData::Owned(t.clone()))
-            .collect(),
+        data,
         queue: Mutex::new(Queue {
             jobs: VecDeque::new(),
             closed: false,
