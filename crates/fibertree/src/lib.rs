@@ -23,7 +23,8 @@
 //!   path is tested against.
 //! - [`CompressedTensor`] — *compressed sparse fiber* (CSF) storage: two
 //!   flat arrays per rank (coordinates narrowed to `u32` when the rank
-//!   extent fits) plus one leaf value arena, built in one pass from COO
+//!   extent fits; one coordinate array per tuple component on flattened
+//!   ranks) plus one leaf value arena, built in one pass from COO
 //!   entries ([`CompressedTensor::from_entries`]), streamed through a
 //!   [`CompressedBuilder`], or converted from an owned tree
 //!   ([`CompressedTensor::from_tensor`]). Iteration touches contiguous
@@ -36,7 +37,7 @@
 //! key-permutation re-sort (no tree build),
 //! [`CompressedTensor::partition_rank`] a pure segment-array split, and
 //! [`CompressedTensor::flatten_rank`] a segment fusion producing
-//! pair-coordinate levels (one flatten; deeper tuples stay owned). Every
+//! tuple-coordinate levels of any depth. Every
 //! decompression ([`CompressedTensor::to_tensor`]) is counted by
 //! [`telemetry::decompress_count`], so a pipeline that claims to be
 //! compressed-native can prove it.

@@ -12,9 +12,9 @@
 //! ([`CompressedTensor::to_tensor`](crate::CompressedTensor::to_tensor)),
 //! which is the one operation a compressed-native pipeline must never
 //! perform. The simulator's integration tests snapshot it around a run to
-//! prove the hot path stayed in the compressed representation — silent
-//! fallbacks to the owned path show up as a nonzero delta instead of as a
-//! quiet performance cliff.
+//! prove the hot path stayed in the compressed representation — a
+//! decompression sneaking onto it shows up as a nonzero delta instead of
+//! as a quiet performance cliff.
 //!
 //! # Thread safety under shard parallelism
 //!

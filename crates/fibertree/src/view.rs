@@ -413,7 +413,8 @@ impl<'a> PayloadView<'a> {
 /// The simulator takes its inputs as `TensorData`: owned trees when the
 /// workload is small or needs in-place construction, compressed storage
 /// when it is large and read-only. [`TensorData::root_view`] hands the
-/// engine a cursor either way.
+/// engine a cursor either way; everything the engine builds (transformed
+/// inputs, outputs) is compressed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorData {
     /// An owned fibertree.
