@@ -66,7 +66,8 @@ pub enum CoordKey<'a> {
 }
 
 /// A tuple coordinate of a compressed flattened rank, read in place: one
-/// word per component, no allocation.
+/// word per component, no allocation. Its components are reachable through
+/// [`CoordKey::component`].
 #[derive(Clone, Copy)]
 pub struct TupleKey<'a> {
     pub(crate) level: &'a Level,
@@ -76,13 +77,13 @@ pub struct TupleKey<'a> {
 impl TupleKey<'_> {
     /// Number of components.
     #[inline]
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.level.arity()
     }
 
     /// Component `c` (`c < arity`).
     #[inline]
-    pub fn get(&self, c: usize) -> u64 {
+    pub(crate) fn get(&self, c: usize) -> u64 {
         self.level.component(self.pos, c)
     }
 }
