@@ -568,8 +568,10 @@ impl TensorData {
     /// The hash is representation-independent — an owned tensor and its
     /// compressed form hash equally — so it can key shared caches (the
     /// `PreparedInputs` stage of the evaluation pipeline) no matter which
-    /// storage a tensor arrived in. Costs one full [`TensorData::leaves`]
-    /// walk; hash once and reuse the key.
+    /// storage a tensor arrived in. Costs two walks over the stored
+    /// coordinates (one counts the nonzero leaves, one hashes them), read
+    /// in place without building a path per leaf; hash once and reuse the
+    /// key.
     pub fn content_hash(&self) -> u64 {
         fn absorb(state: &mut u64, bytes: &[u8]) {
             for &b in bytes {
@@ -601,15 +603,37 @@ impl TensorData {
         }
         fn absorb_coord(state: &mut u64, coord: &Coord) {
             match coord {
-                Coord::Point(p) => {
-                    absorb_u64(state, 0);
-                    absorb_u64(state, *p);
-                }
+                Coord::Point(p) => absorb_point(state, *p),
                 Coord::Tuple(parts) => {
                     absorb_u64(state, 1);
                     absorb_u64(state, parts.len() as u64);
                     for p in parts {
                         absorb_coord(state, p);
+                    }
+                }
+            }
+        }
+        fn absorb_point(state: &mut u64, p: u64) {
+            absorb_u64(state, 0);
+            absorb_u64(state, p);
+        }
+        // The same bytes as `absorb_coord(key.to_coord())`: compressed
+        // tuples are flat tuples of points.
+        fn absorb_key(state: &mut u64, key: &CoordKey<'_>) {
+            match key {
+                CoordKey::Borrowed(c) => absorb_coord(state, c),
+                CoordKey::Point(p) => absorb_point(state, *p),
+                CoordKey::Pair(a, b) => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, 2);
+                    absorb_point(state, *a);
+                    absorb_point(state, *b);
+                }
+                CoordKey::Tuple(t) => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, t.arity() as u64);
+                    for c in 0..t.arity() {
+                        absorb_point(state, t.get(c));
                     }
                 }
             }
@@ -624,16 +648,42 @@ impl TensorData {
         for shape in self.rank_shapes() {
             absorb_shape(&mut state, shape);
         }
-        let leaves = self.leaves();
-        absorb_u64(&mut state, leaves.len() as u64);
-        for (path, value) in &leaves {
+        let mut path = Vec::with_capacity(self.order());
+        let mut leaves = 0u64;
+        for_each_leaf(self.root_view(), &mut path, &mut |_, _| leaves += 1);
+        absorb_u64(&mut state, leaves);
+        for_each_leaf(self.root_view(), &mut path, &mut |path, value| {
             absorb_u64(&mut state, path.len() as u64);
-            for coord in path {
-                absorb_coord(&mut state, coord);
+            for key in path {
+                absorb_key(&mut state, key);
             }
             absorb_u64(&mut state, value.to_bits());
-        }
+        });
         state
+    }
+}
+
+/// Calls `f(path, value)` for every nonzero leaf under `node`, in
+/// lexicographic order — the walk behind [`TensorData::leaves`], with the
+/// path lent as in-place keys instead of cloned per leaf.
+fn for_each_leaf<'a>(
+    node: PayloadView<'a>,
+    path: &mut Vec<CoordKey<'a>>,
+    f: &mut impl FnMut(&[CoordKey<'a>], f64),
+) {
+    match node {
+        PayloadView::Val(v) => {
+            if v != 0.0 {
+                f(path, v);
+            }
+        }
+        PayloadView::Fiber(fiber) => {
+            for pos in 0..fiber.occupancy() {
+                path.push(fiber.coord_key_at(pos));
+                for_each_leaf(fiber.payload_at(pos), path, f);
+                path.pop();
+            }
+        }
     }
 }
 
@@ -792,6 +842,123 @@ mod tests {
         assert_eq!(o.content_hash(), c.content_hash());
         // And deterministic across calls.
         assert_eq!(o.content_hash(), o.content_hash());
+    }
+
+    /// The formula `content_hash` streams, computed from materialized
+    /// [`TensorData::leaves`] paths.
+    fn content_hash_from_leaves(t: &TensorData) -> u64 {
+        fn absorb_u64(state: &mut u64, v: u64) {
+            for b in v.to_le_bytes() {
+                *state ^= u64::from(b);
+                *state = state.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn absorb_str(state: &mut u64, s: &str) {
+            absorb_u64(state, s.len() as u64);
+            for &b in s.as_bytes() {
+                *state ^= u64::from(b);
+                *state = state.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn absorb_shape(state: &mut u64, shape: &Shape) {
+            match shape {
+                Shape::Interval(n) => {
+                    absorb_u64(state, 0);
+                    absorb_u64(state, *n);
+                }
+                Shape::Tuple(parts) => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, parts.len() as u64);
+                    parts.iter().for_each(|p| absorb_shape(state, p));
+                }
+            }
+        }
+        fn absorb_coord(state: &mut u64, coord: &Coord) {
+            match coord {
+                Coord::Point(p) => {
+                    absorb_u64(state, 0);
+                    absorb_u64(state, *p);
+                }
+                Coord::Tuple(parts) => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, parts.len() as u64);
+                    parts.iter().for_each(|p| absorb_coord(state, p));
+                }
+            }
+        }
+        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+        absorb_str(&mut state, "tensor-content-v1");
+        absorb_str(&mut state, t.name());
+        absorb_u64(&mut state, t.order() as u64);
+        t.rank_ids().iter().for_each(|r| absorb_str(&mut state, r));
+        t.rank_shapes()
+            .iter()
+            .for_each(|s| absorb_shape(&mut state, s));
+        let leaves = t.leaves();
+        absorb_u64(&mut state, leaves.len() as u64);
+        for (path, value) in &leaves {
+            absorb_u64(&mut state, path.len() as u64);
+            path.iter().for_each(|c| absorb_coord(&mut state, c));
+            absorb_u64(&mut state, value.to_bits());
+        }
+        state
+    }
+
+    #[test]
+    fn content_hash_streams_the_leaves_formula() {
+        use crate::builder::CompressedBuilder;
+        let t = Tensor::from_entries(
+            "T",
+            &["K", "M", "N"],
+            &[5, 4, 6],
+            vec![
+                (vec![0, 1, 2], 1.5),
+                (vec![0, 3, 0], -2.0),
+                (vec![2, 0, 5], 4.0),
+                (vec![4, 3, 3], 0.25),
+                (vec![4, 3, 5], 7.0),
+            ],
+        )
+        .unwrap();
+        let c = CompressedTensor::from_tensor(&t).unwrap();
+        let pair_o = t.flatten_rank("K", "KM").unwrap();
+        let pair_c = c.flatten_rank("K", "KM").unwrap();
+        let triple_o = pair_o.flatten_rank("KM", "KMN").unwrap();
+        let triple_c = pair_c.flatten_rank("KM", "KMN").unwrap();
+        // Explicit zeros survive a streaming build but are not leaves.
+        let mut b = CompressedBuilder::new(
+            "Z",
+            vec!["I".into(), "J".into()],
+            vec![Shape::Interval(4), Shape::Interval(4)],
+        )
+        .unwrap();
+        for (p, v) in [([0, 1], 2.0), ([0, 2], 0.0), ([3, 3], -1.0)] {
+            b.push_point(&p, v).unwrap();
+        }
+        let zeros = b.finish();
+        let scalar = Tensor::from_entries("S", &[], &[], vec![(vec![], 3.0)]).unwrap();
+        let cases: Vec<TensorData> = vec![
+            t.into(),
+            c.into(),
+            pair_o.into(),
+            pair_c.into(),
+            triple_o.into(),
+            triple_c.into(),
+            zeros.into(),
+            CompressedTensor::from_tensor(&scalar).unwrap().into(),
+            scalar.into(),
+        ];
+        for data in &cases {
+            assert_eq!(
+                data.content_hash(),
+                content_hash_from_leaves(data),
+                "{}",
+                data.name()
+            );
+        }
+        // Flattened forms hash alike across representations too.
+        assert_eq!(cases[2].content_hash(), cases[3].content_hash());
+        assert_eq!(cases[4].content_hash(), cases[5].content_hash());
     }
 
     #[test]

@@ -427,10 +427,10 @@ pub struct OutputChannel {
     pub drain_bits: u64,
     /// Bits re-filled from DRAM for revisited partial outputs.
     pub refill_bits: u64,
+    /// The current partial-output epoch. Each output point keeps the
+    /// epoch that last touched it next to its value, in the engine's
+    /// accumulator.
     epoch: u64,
-    /// Keyed by a hash of output coordinates, which come from input
-    /// tensors: the default hasher keeps crafted collisions out.
-    last_epoch: HashMap<u64, u64>,
 }
 
 impl OutputChannel {
@@ -448,24 +448,23 @@ impl OutputChannel {
         self.epoch += 1;
     }
 
-    /// Records a write/update of the output point identified by `key`
-    /// (a hash of the output coordinates). `first` marks a fresh point.
-    pub fn record(&mut self, key: u64, first: bool) {
-        if first {
-            self.writes += 1;
-        } else {
-            self.updates += 1;
-        }
-        if self.evict_on.is_some() {
-            match self.last_epoch.insert(key, self.epoch) {
-                Some(e) if e != self.epoch => {
-                    // Revisited in a later epoch: the partial value was
-                    // drained and must return.
-                    self.drain_bits += self.elem_bits;
-                    self.refill_bits += self.elem_bits;
-                }
-                _ => {}
-            }
+    /// Records the first write of a fresh output point and returns the
+    /// epoch to store with it.
+    pub(crate) fn write(&mut self) -> u64 {
+        self.writes += 1;
+        self.epoch
+    }
+
+    /// Records a reduction update of a point last touched in epoch
+    /// `*last`, and stamps it with the current epoch. A point revisited in
+    /// a later epoch had its partial value drained, which must return.
+    /// Without `evict_on` the epoch never advances, so nothing drains.
+    pub(crate) fn update(&mut self, last: &mut u64) {
+        self.updates += 1;
+        if *last != self.epoch {
+            self.drain_bits += self.elem_bits;
+            self.refill_bits += self.elem_bits;
+            *last = self.epoch;
         }
     }
 
@@ -874,10 +873,10 @@ mod tests {
     #[test]
     fn output_partial_drains_across_epochs() {
         let mut out = OutputChannel::new(96, Some("K2".into()));
-        out.record(42, true);
+        let mut last = out.write();
         out.advance_epoch();
-        out.record(42, false); // revisited → drain + refill
-        out.record(42, false); // same epoch → no extra traffic
+        out.update(&mut last); // revisited → drain + refill
+        out.update(&mut last); // same epoch → no extra traffic
         assert_eq!(out.writes, 1);
         assert_eq!(out.updates, 2);
         assert_eq!(out.drain_bits, 96);

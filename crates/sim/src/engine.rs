@@ -23,9 +23,22 @@
 //! resolved to a dense index once per [`Engine::execute_data`], in time
 //! proportional to the plan, never to the input. The walk then counts into
 //! walk-local dense arrays and reuses one set of stream and node buffers
-//! per loop level, so no step allocates: only a newly seen output key or
-//! space id does. The arrays fold into the public [`Instruments`] once at
-//! the end of the walk (and once per shard, before the shard merge).
+//! per loop level, so no step allocates. A leaf probes no map either:
+//! the current space id is resolved to a walk-local dense slot at most
+//! once per visit of the innermost space level (by the first leaf that
+//! charges compute), and multiplies and additions add into per-slot
+//! arrays. The arrays fold into the public [`Instruments`]
+//! once at the end of the walk (and once per shard, before the shard
+//! merge).
+//!
+//! Per-key output state lives with the key. A non-concordant walk
+//! accumulates into an `OutTable`: coordinates in one flat arena, the
+//! value and the last partial-output epoch in parallel arrays, found
+//! through an open-addressing index. A new output point appends to those
+//! arrays and allocates nothing of its own (the arrays grow
+//! geometrically); the drain sorts slot ids once and pushes borrowed key
+//! slices straight into the [`CompressedBuilder`]. A concordant walk
+//! streams, carrying the one pending key's value and epoch.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -46,6 +59,7 @@ use crate::counters::{
 use crate::error::{panic_message, SimError};
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
+use crate::table::{KeyTable, OutTable};
 
 /// Boundary lists published by occupancy-partition leaders, keyed by
 /// `(rank, leader tensor)`.
@@ -103,16 +117,19 @@ struct Exec<'e, 'p> {
     record_first_space: bool,
 }
 
-/// The engine's output accumulator. `Map` buffers every point (the
-/// general path); `Stream` drains straight into a [`CompressedBuilder`]
-/// when the loop order is concordant with the output rank order, so
-/// leaf visits arrive key-sorted with equal keys adjacent and only one
-/// pending entry ever needs buffering.
+/// The engine's output accumulator. `Table` keeps every point in a
+/// walk-local [`OutTable`] (the general path): the key's coordinates,
+/// value and last output epoch live together in flat arrays, so a new
+/// point costs no allocation, and the table drains in key order with one
+/// sort. `Stream` drains straight into a [`CompressedBuilder`] when the
+/// loop order is concordant with the output rank order, so leaf visits
+/// arrive key-sorted with equal keys adjacent and only one pending entry
+/// (key, value, last epoch) ever needs buffering.
 enum OutAcc {
-    Map(BTreeMap<Vec<u64>, f64>),
+    Table(OutTable),
     Stream {
         builder: CompressedBuilder,
-        pending: Option<(Vec<u64>, f64)>,
+        pending: Option<(Vec<u64>, f64, u64)>,
     },
 }
 
@@ -125,6 +142,9 @@ struct State<'t> {
     /// Bound loop variables as `(root id, value)`, innermost last.
     binds: Vec<(usize, u64)>,
     space: Vec<u64>,
+    /// `space`'s slot in [`Walk::spaces`], once a leaf charged compute
+    /// at it; cleared whenever a space level moves.
+    space_slot: Option<usize>,
     /// The output key of the current leaf, rebuilt in place.
     key: Vec<u64>,
     out: OutAcc,
@@ -365,6 +385,11 @@ struct Walk<'i> {
     visits: Vec<Option<u64>>,
     /// Intersection-unit comparisons per level, `None` until charged.
     comparisons: Vec<Option<u64>>,
+    /// Space ids seen by this walk, as dense slots...
+    spaces: KeyTable,
+    /// ...and the multiplies and additions charged at each slot.
+    muls: Vec<u64>,
+    adds: Vec<u64>,
 }
 
 impl<'i> Walk<'i> {
@@ -386,7 +411,20 @@ impl<'i> Walk<'i> {
             reads: vec![0; names.reads.len()],
             visits: vec![None; names.levels.len()],
             comparisons: vec![None; names.levels.len()],
+            spaces: KeyTable::new(names.levels.iter().filter(|l| l.is_space).count()),
+            muls: Vec::new(),
+            adds: Vec::new(),
         }
+    }
+
+    /// The dense slot of space id `space`.
+    fn space_slot(&mut self, space: &[u64]) -> usize {
+        let (slot, fresh) = self.spaces.slot(space);
+        if fresh {
+            self.muls.push(0);
+            self.adds.push(0);
+        }
+        slot
     }
 
     /// Folds the dense counters into the public instruments.
@@ -405,6 +443,16 @@ impl<'i> Walk<'i> {
             }
             if let Some(c) = c {
                 *self.intersect_by_rank.entry(lp.name.clone()).or_insert(0) += c;
+            }
+        }
+        // Only charged slots: a space id whose visits reached no
+        // multiply (addition) has no `muls` (`adds`) entry.
+        for (slot, (&m, &a)) in self.muls.iter().zip(&self.adds).enumerate() {
+            let space = self.spaces.key(slot);
+            for (counts, n) in [(&mut self.compute.muls, m), (&mut self.compute.adds, a)] {
+                if n > 0 {
+                    *counts.entry(space.to_vec()).or_insert(0) += n;
+                }
             }
         }
     }
@@ -589,21 +637,28 @@ impl<'p> Engine<'p> {
                 other => return other,
             }
         }
-        let out = if concordant {
-            OutAcc::Stream {
-                builder: self.output_builder(&self.plan.output.target_order)?,
-                pending: None,
-            }
-        } else {
-            OutAcc::Map(BTreeMap::new())
-        };
+        let out = self.output_acc(concordant)?;
         let (out, _) = exec.run(&tensors, instruments, out)?;
 
         // 4. Assemble the output tensor.
         match out {
             OutAcc::Stream { builder, pending } => self.finish_stream(builder, pending),
-            OutAcc::Map(map) => self.build_output(map, instruments),
+            OutAcc::Table(table) => self.build_output(table, instruments),
         }
+    }
+
+    /// A fresh output accumulator: streaming when `stream`, a table
+    /// otherwise.
+    fn output_acc(&self, stream: bool) -> Result<OutAcc, SimError> {
+        let target = &self.plan.output.target_order;
+        Ok(if stream {
+            OutAcc::Stream {
+                builder: self.output_builder(target)?,
+                pending: None,
+            }
+        } else {
+            OutAcc::Table(OutTable::new(target.len()))
+        })
     }
 
     /// Whether the loop order is concordant with the output rank order:
@@ -640,7 +695,7 @@ impl<'p> Engine<'p> {
 
     /// An output builder over `ranks` (the target order, or the
     /// production order of an online swizzle). Streamed, sharded and
-    /// buffered outputs all build through it, so they are bit-identical.
+    /// table outputs all build through it, so they are bit-identical.
     fn output_builder(&self, ranks: &[String]) -> Result<CompressedBuilder, SimError> {
         let shapes: Vec<Shape> = ranks
             .iter()
@@ -654,14 +709,15 @@ impl<'p> Engine<'p> {
     }
 
     /// Flushes a streaming accumulator's pending entry (dropping semiring
-    /// zeros, like the buffered drain) and closes the builder.
+    /// zeros, like the table drain) and closes the builder.
     fn finish_stream(
         &self,
         builder: CompressedBuilder,
-        pending: Option<(Vec<u64>, f64)>,
+        pending: Option<(Vec<u64>, f64, u64)>,
     ) -> Result<CompressedTensor, SimError> {
         let zero = self.ops.semiring.zero();
-        drain(builder, pending.filter(|(_, v)| *v != zero))
+        let last = pending.as_ref().map(|(k, v, _)| (k.as_slice(), *v));
+        drain(builder, zero, last)
     }
 
     /// Decides whether this execution can shard its top loop rank across
@@ -859,15 +915,7 @@ impl<'p> Engine<'p> {
                                     record_first_space,
                                     ..exec.clone()
                                 };
-                                let out = if stream_out {
-                                    OutAcc::Stream {
-                                        builder: self
-                                            .output_builder(&self.plan.output.target_order)?,
-                                        pending: None,
-                                    }
-                                } else {
-                                    OutAcc::Map(BTreeMap::new())
-                                };
+                                let out = self.output_acc(stream_out)?;
                                 let (out, first_space) = shard_exec.run(tensors, &mut si, out)?;
                                 Ok((out, first_space, si))
                             },
@@ -899,7 +947,7 @@ impl<'p> Engine<'p> {
         let top_is_space = top.is_space;
         let base_writes = instruments.output.writes;
         let base_updates = instruments.output.updates;
-        let mut merged_out: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
+        let mut merged_out = OutTable::new(self.plan.output.target_order.len());
         let mut merged_builder = if stream_out {
             Some(self.output_builder(&self.plan.output.target_order)?)
         } else {
@@ -926,22 +974,18 @@ impl<'p> Engine<'p> {
                         .expect("stream shards merge into a builder")
                         .append_tensor(&t)?;
                 }
-                OutAcc::Map(map) => {
-                    for (k, v) in map {
-                        match merged_out.entry(k) {
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                e.insert(v);
+                OutAcc::Table(table) => {
+                    // Take keeps the first (sequentially earliest) shard's
+                    // value; reductions fold shard partials with the
+                    // exact ⊕.
+                    for (k, v) in table.iter() {
+                        merged_out.fold(k, v, |acc, v| {
+                            if is_take {
+                                acc
+                            } else {
+                                self.ops.semiring.add(acc, v)
                             }
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                // Take keeps the first (sequentially
-                                // earliest) shard's value; reductions fold
-                                // shard partials with the exact ⊕.
-                                if !is_take {
-                                    let folded = self.ops.semiring.add(*e.get(), v);
-                                    e.insert(folded);
-                                }
-                            }
-                        }
+                        });
                     }
                 }
             }
@@ -976,8 +1020,8 @@ impl<'p> Engine<'p> {
         if let Some(builder) = merged_builder {
             return Ok(builder.finish());
         }
-        // Buffered shards assemble through the shared drain, exactly like
-        // a sequential run over the merged accumulator.
+        // Table shards assemble through the shared drain, exactly like a
+        // sequential run over the merged table.
         self.build_output(merged_out, instruments)
     }
 
@@ -1151,20 +1195,21 @@ impl<'p> Engine<'p> {
         Ok(cur.into_owned())
     }
 
-    /// Assembles a buffered output: filter semiring zeros, optionally
-    /// build in production order first, record online-swizzle merge
-    /// groups, and swizzle back to the target order.
+    /// Assembles a table-accumulated output: one sort of the table's
+    /// slots, drained into a builder with semiring zeros dropped. With an
+    /// online swizzle the keys are first reordered into production order,
+    /// built, recorded as merge groups, and swizzled back to the target
+    /// order.
     fn build_output(
         &self,
-        acc: BTreeMap<Vec<u64>, f64>,
+        mut table: OutTable,
         instruments: &mut Instruments,
     ) -> Result<CompressedTensor, SimError> {
         let out_plan = &self.plan.output;
         let target = &out_plan.target_order;
         let zero = self.ops.semiring.zero();
-        let filtered = acc.into_iter().filter(|(_, v)| *v != zero);
         if !out_plan.online_swizzle {
-            return drain(self.output_builder(target)?, filtered);
+            return drain(self.output_builder(target)?, zero, table.sorted());
         }
         // Build in production order first so the merge fan-in reflects
         // how the hardware sees the data, then swizzle.
@@ -1178,45 +1223,27 @@ impl<'p> Engine<'p> {
                     .expect("produced ⊆ target")
             })
             .collect();
-        let mut prod_entries: Vec<(Vec<u64>, f64)> = filtered
-            .map(|(k, v)| (perm.iter().map(|&i| k[i]).collect(), v))
-            .collect();
-        prod_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let prod = drain(self.output_builder(produced)?, prod_entries)?;
+        table.permute(&perm);
+        let prod = drain(self.output_builder(produced)?, zero, table.sorted())?;
         record_merge_groups(&prod, target, &mut instruments.merges);
         let o: Vec<&str> = target.iter().map(String::as_str).collect();
         Ok(prod.swizzle(&o)?)
     }
 }
 
-/// Pushes sorted point entries into `builder` and closes it.
-fn drain(
+/// Pushes sorted point entries into `builder`, dropping semiring zeros,
+/// and closes it.
+fn drain<'k>(
     mut builder: CompressedBuilder,
-    entries: impl IntoIterator<Item = (Vec<u64>, f64)>,
+    zero: f64,
+    entries: impl IntoIterator<Item = (&'k [u64], f64)>,
 ) -> Result<CompressedTensor, SimError> {
     for (k, v) in entries {
-        builder.push_point(&k, v)?;
-    }
-    Ok(builder.finish())
-}
-
-/// FNV-1a over the output point's coordinate words.
-///
-/// The output channel deduplicates partial-output drains by key hash;
-/// `DefaultHasher`'s algorithm is explicitly unspecified and has changed
-/// across Rust releases, so instrument reports hashed with it were not
-/// reproducible across toolchains. FNV-1a is pinned by a regression test.
-fn fnv1a_hash(words: &[u64]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET_BASIS;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+        if v != zero {
+            builder.push_point(k, v)?;
         }
     }
-    h
+    Ok(builder.finish())
 }
 
 /// Shifts the leading (top space rank) component of every space id by
@@ -1318,6 +1345,7 @@ impl<'e, 'p> Exec<'e, 'p> {
                 .collect(),
             binds: Vec::new(),
             space: Vec::new(),
+            space_slot: None,
             key: Vec::new(),
             out,
             first_space: BTreeMap::new(),
@@ -1504,6 +1532,7 @@ impl<'e, 'p> Exec<'e, 'p> {
             if !dead_product && !all_dead {
                 if lp.is_space {
                     state.space.push(pi);
+                    state.space_slot = None;
                 }
                 self.level(li + 1, deeper, state, walk)?;
                 if lp.is_space {
@@ -1615,6 +1644,7 @@ impl<'e, 'p> Exec<'e, 'p> {
         let State {
             binds,
             space,
+            space_slot,
             key,
             out,
             first_space,
@@ -1628,65 +1658,62 @@ impl<'e, 'p> Exec<'e, 'p> {
             }
         }
 
-        let key_hash = fnv1a_hash(key);
-
         let is_take = self.take_which.is_some();
         let mut adds = term_adds;
         match out {
-            OutAcc::Map(map) => match map.get_mut(key.as_slice()) {
-                Some(existing) => {
+            OutAcc::Table(table) => match table.probe(key) {
+                Ok(slot) => {
+                    let (existing, last) = table.entry_mut(slot);
                     if !is_take {
                         *existing = ops.semiring.add(*existing, value);
                         adds += 1;
                     }
-                    walk.output.record(key_hash, false);
+                    walk.output.update(last);
                 }
-                None => {
+                Err(at) => {
                     if let Some(token) = &self.engine.cancel {
                         token.charge_outputs(1)?;
                     }
                     if self.record_first_space {
                         first_space.insert(key.clone(), space.clone());
                     }
-                    map.insert(key.clone(), value);
-                    walk.output.record(key_hash, true);
+                    table.insert(at, key, value, walk.output.write());
                 }
             },
             OutAcc::Stream { builder, pending } => match pending {
                 // Concordance makes equal keys adjacent: reduce in place
                 // while the key repeats, push the finished entry when it
                 // changes.
-                Some((pk, pv)) if pk == key => {
+                Some((pk, pv, last)) if pk == key => {
                     if !is_take {
                         *pv = ops.semiring.add(*pv, value);
                         adds += 1;
                     }
-                    walk.output.record(key_hash, false);
+                    walk.output.update(last);
                 }
                 _ => {
                     if let Some(token) = &self.engine.cancel {
                         token.charge_outputs(1)?;
                     }
                     match pending {
-                        Some((pk, pv)) => {
+                        Some((pk, pv, last)) => {
                             if *pv != zero {
                                 builder.push_point(pk, *pv)?;
                             }
                             pk.clone_from(key);
                             *pv = value;
+                            *last = walk.output.write();
                         }
-                        None => *pending = Some((key.clone(), value)),
+                        None => *pending = Some((key.clone(), value, walk.output.write())),
                     }
-                    walk.output.record(key_hash, true);
                 }
             },
         }
 
-        if muls > 0 {
-            bump(&mut walk.compute.muls, space, muls);
-        }
-        if adds > 0 {
-            bump(&mut walk.compute.adds, space, adds);
+        if muls + adds > 0 {
+            let slot = *space_slot.get_or_insert_with(|| walk.space_slot(space));
+            walk.muls[slot] += muls;
+            walk.adds[slot] += adds;
         }
         Ok(())
     }
@@ -1702,39 +1729,4 @@ fn affine_index(vars: &[usize], offset: i64, binds: &[(usize, u64)]) -> Option<u
         acc += x as i64;
     }
     u64::try_from(acc).ok()
-}
-
-/// Adds `n` to the counter of space id `space`, allocating a key only for
-/// a space id seen for the first time.
-fn bump(counts: &mut BTreeMap<Vec<u64>, u64>, space: &[u64], n: u64) {
-    match counts.get_mut(space) {
-        Some(c) => *c += n,
-        None => {
-            counts.insert(space.to_vec(), n);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pinned FNV-1a values: these must never change, or instrument
-    /// reports stop being comparable across toolchains and releases.
-    #[test]
-    fn fnv1a_hash_is_pinned() {
-        // Offset basis: hashing nothing.
-        assert_eq!(fnv1a_hash(&[]), 0xcbf2_9ce4_8422_2325);
-        // Reference values computed from the FNV-1a definition over the
-        // little-endian byte expansion of each word.
-        assert_eq!(fnv1a_hash(&[0]), 0xa8c7_f832_281a_39c5);
-        assert_eq!(fnv1a_hash(&[1, 2, 3]), 0xda2b_fb22_5e0d_1f05);
-        assert_eq!(fnv1a_hash(&[u64::MAX]), 0x8cf5_1a8b_fca3_883d);
-    }
-
-    #[test]
-    fn fnv1a_hash_distinguishes_order_and_length() {
-        assert_ne!(fnv1a_hash(&[1, 2]), fnv1a_hash(&[2, 1]));
-        assert_ne!(fnv1a_hash(&[1]), fnv1a_hash(&[1, 0]));
-    }
 }

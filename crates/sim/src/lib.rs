@@ -25,6 +25,7 @@ pub mod model;
 pub mod ops;
 pub mod pipeline;
 pub mod report;
+mod table;
 
 pub use compile::CompiledPlan;
 pub use counters::{ChannelCfg, Instruments, Lru, MergeGroup, OutputChannel, TensorChannel};

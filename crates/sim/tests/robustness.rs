@@ -34,8 +34,11 @@ use teaal_fibertree::{telemetry, Tensor};
 use teaal_sim::{BudgetKind, CancelToken, EvalContext, EvalLimits, SimError, SimReport, Simulator};
 use teaal_workloads::genmat;
 
-/// Serializes tests that install failpoint configs (process-global
-/// state). Poisoning is ignored: a failed test must not cascade.
+/// Serializes every test in this file. Failpoint configs are
+/// process-global and every engine run passes their sites, so a test
+/// running concurrently with an armed `@1` failpoint can consume the one
+/// injected fault meant for another. Poisoning is ignored: a failed test
+/// must not cascade.
 static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
 
 fn lock_failpoints() -> MutexGuard<'static, ()> {
@@ -180,6 +183,7 @@ fn injected_transform_error_is_structured_not_a_panic() {
 
 #[test]
 fn expired_deadline_returns_structured_error_with_progress() {
+    let _serial = lock_failpoints();
     let ins = inputs(34);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
@@ -198,6 +202,7 @@ fn expired_deadline_returns_structured_error_with_progress() {
 
 #[test]
 fn step_budget_trips_mid_run_with_partial_telemetry() {
+    let _serial = lock_failpoints();
     let ins = inputs(35);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
@@ -223,6 +228,7 @@ fn step_budget_trips_mid_run_with_partial_telemetry() {
 
 #[test]
 fn output_budget_trips() {
+    let _serial = lock_failpoints();
     let ins = inputs(36);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
@@ -240,6 +246,7 @@ fn output_budget_trips() {
 
 #[test]
 fn external_cancellation_returns_cancelled() {
+    let _serial = lock_failpoints();
     let ins = inputs(37);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let token = CancelToken::unlimited();
@@ -254,6 +261,7 @@ fn external_cancellation_returns_cancelled() {
 
 #[test]
 fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
+    let _serial = lock_failpoints();
     let ins = inputs(38);
     // Small enough that the four catalog specs' transformed inputs cannot
     // all stay resident, large enough that single artifacts fit.
@@ -281,6 +289,7 @@ fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
 
 #[test]
 fn nan_modelled_time_is_a_structured_error_not_a_panic() {
+    let _serial = lock_failpoints();
     // A zero-bandwidth DRAM with no bound storage traffic models
     // 0 bytes / 0 B/s = NaN seconds. The seed panicked inside the
     // bottleneck comparison (`expect("times are finite")`); now the run
@@ -330,6 +339,7 @@ proptest! {
         entries in 1u64..2_000,
         spec_idx in 0usize..4,
     ) {
+        let _serial = lock_failpoints();
         let ins = inputs(40);
         let (label, yaml) = teaal_fixtures::spmspm_specs()[spec_idx];
         let spec = TeaalSpec::parse(yaml).unwrap();
