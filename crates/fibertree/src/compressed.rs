@@ -49,7 +49,7 @@ use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
 use crate::tensor::Tensor;
-use crate::view::{CoordKey, TupleKey};
+use crate::view::{CoordKey, PointRun, TupleKey};
 
 /// One level's flat coordinate array, narrowed to `u32` when the rank
 /// extent allows.
@@ -106,13 +106,12 @@ impl CoordStore {
         }
     }
 
-    /// A stable address-based identity for element `i`, unique within the
-    /// backing allocation for the lifetime of the borrow.
+    /// Elements `[start, end)` as a raw run.
     #[inline]
-    fn addr_key(&self, i: usize) -> usize {
+    fn run(&self, start: usize, end: usize) -> PointRun<'_> {
         match self {
-            CoordStore::U32(v) => v.as_ptr() as usize + i * std::mem::size_of::<u32>(),
-            CoordStore::U64(v) => v.as_ptr() as usize + i * std::mem::size_of::<u64>(),
+            CoordStore::U32(v) => PointRun::U32(&v[start..end]),
+            CoordStore::U64(v) => PointRun::U64(&v[start..end]),
         }
     }
 
@@ -599,9 +598,11 @@ impl CompressedTensor {
         self.levels[level].raw_into(p, out);
     }
 
-    /// Number of elements at `level`.
+    /// Number of elements at `level` (`level < order`): the range of the
+    /// positions [`FiberView::csf_position`](crate::view::FiberView::csf_position)
+    /// reports for it.
     #[inline]
-    pub(crate) fn level_len(&self, level: usize) -> usize {
+    pub fn level_len(&self, level: usize) -> usize {
         self.levels[level].coords.len()
     }
 
@@ -616,11 +617,12 @@ impl CompressedTensor {
         self.levels[level].search_key(start, end, key)
     }
 
-    /// A stable identity for element `p` of `level`, unique within this
-    /// tensor for the lifetime of the borrow.
+    /// Elements `[start, end)` of `level` as a raw run, when the level
+    /// holds point coordinates.
     #[inline]
-    pub(crate) fn payload_key(&self, level: usize, p: usize) -> usize {
-        self.levels[level].coords.addr_key(p)
+    pub(crate) fn point_run(&self, level: usize, start: usize, end: usize) -> Option<PointRun<'_>> {
+        let l = &self.levels[level];
+        l.upper.is_empty().then(|| l.coords.run(start, end))
     }
 
     /// The `[start, end)` range of element `p`'s child fiber one rank

@@ -17,13 +17,16 @@
 //! ([`intersect2`], [`intersect_many`], [`union_many`]) are thin wrappers
 //! that drain a stream into a `Vec` — convenient for tests and small
 //! fibers, while the simulator's engine consumes the streams directly.
-//! Both report identical [`CoIterStats`].
+//! Both report identical [`CoIterStats`]. An [`IntersectStream`] over one
+//! or two compressed point fibers reads their coordinate arrays as raw
+//! runs ([`crate::PointRun`]), as SAM's scanners and intersecters do,
+//! with the cascade's exact charging.
 
 use serde::{Deserialize, Serialize};
 
 use crate::coord::Coord;
 use crate::fiber::Fiber;
-use crate::view::{CoordKey, FiberView, PayloadView};
+use crate::view::{CoordKey, FiberView, PayloadView, PointRun};
 
 /// The intersection unit type (Table 3 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
@@ -273,23 +276,52 @@ fn gallop(
 /// same stream over new fibers, so a caller that keeps one stream per loop
 /// level allocates only on first use. The [`Iterator`] impl materializes
 /// each match for callers that want owned rows.
+///
+/// One or two compressed point fibers (see [`FiberView::point_run`]) in an
+/// unbounded stream skip the cascade: the stream scans one raw run, or
+/// merges (two-finger, skip-ahead) or probes (leader-follower) two, by
+/// direct integer compares. That choice follows from the fibers' shape
+/// alone, and positions, matches and comparisons equal the cascade's.
 #[derive(Clone, Debug, Default)]
 pub struct IntersectStream<'a> {
-    /// Fiber 0 is the source; fiber `k` is merged by stage `k`.
+    /// What `advance` runs, chosen by `restart`.
+    kernel: Kernel<'a>,
+    /// Fiber 0 is the source; fiber `k` is merged by stage `k` (cascade
+    /// only).
     fibers: Vec<FiberView<'a>>,
-    /// `stages[k - 1]` is the two-input unit merging fiber `k`.
+    /// `stages[k - 1]` is the two-input unit merging fiber `k` (cascade
+    /// only).
     stages: Vec<ManyStage<'a>>,
     /// Positions of the current match, one per fiber. While stage `k`
     /// holds an upstream match, `positions[..k]` are that match's.
     positions: Vec<usize>,
-    /// The source's next position.
+    /// The source's next position (in a run kernel, the first run's).
     source_pos: usize,
+    /// A run kernel's next position in the second run.
+    follow_pos: usize,
+    /// A run kernel's comparisons.
+    run_comparisons: u64,
     /// Emission from the source stops (uncharged) at the first coordinate
     /// `>= Point(limit)` — the shard boundary of a bounded stream.
     limit: Option<u64>,
     /// Leader-follower mode: stages probe instead of merging.
     probe: bool,
     matches: u64,
+}
+
+/// The loop an [`IntersectStream`] runs.
+#[derive(Clone, Copy, Debug, Default)]
+enum Kernel<'a> {
+    /// The cascade of two-input stages over fiber cursors: tuple levels,
+    /// owned fibers, more than two fibers, and bounded (shard) streams.
+    #[default]
+    Cascade,
+    /// One point run, scanned.
+    Scan(PointRun<'a>),
+    /// Two point runs, merged two-finger.
+    Merge(PointRun<'a>, PointRun<'a>),
+    /// The first point run probing the second by binary search.
+    Probe(PointRun<'a>, PointRun<'a>),
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -327,16 +359,30 @@ impl<'a> IntersectStream<'a> {
             !fibers.is_empty(),
             "intersect_stream needs at least one fiber"
         );
-        self.fibers.clear();
-        self.fibers.extend_from_slice(fibers);
         self.positions.clear();
         self.positions.resize(fibers.len(), 0);
-        self.stages.clear();
-        self.stages.resize(fibers.len() - 1, ManyStage::default());
         self.probe = matches!(policy, IntersectPolicy::LeaderFollower { .. });
         self.matches = 0;
         self.source_pos = 0;
+        self.follow_pos = 0;
+        self.run_comparisons = 0;
         self.limit = None;
+        self.stages.clear();
+        self.kernel = match (fibers, bounds) {
+            ([a], None) => a.point_run().map_or(Kernel::Cascade, Kernel::Scan),
+            ([a, b], None) => match (a.point_run(), b.point_run()) {
+                (Some(ra), Some(rb)) if self.probe => Kernel::Probe(ra, rb),
+                (Some(ra), Some(rb)) => Kernel::Merge(ra, rb),
+                _ => Kernel::Cascade,
+            },
+            _ => Kernel::Cascade,
+        };
+        if !matches!(self.kernel, Kernel::Cascade) {
+            return;
+        }
+        self.fibers.clear();
+        self.fibers.extend_from_slice(fibers);
+        self.stages.resize(fibers.len() - 1, ManyStage::default());
         if let Some((lo, hi)) = bounds {
             assert!(
                 fibers.len() <= 2,
@@ -364,10 +410,91 @@ impl<'a> IntersectStream<'a> {
     /// Advances to the next match and returns its coordinate; its
     /// per-fiber positions are then in [`IntersectStream::positions`].
     pub fn advance(&mut self) -> Option<CoordKey<'a>> {
-        let top = self.fibers.len().checked_sub(1)?;
-        let key = self.pull(top)?;
+        let key = match self.kernel {
+            Kernel::Cascade => {
+                let top = self.fibers.len().checked_sub(1)?;
+                self.pull(top)?
+            }
+            Kernel::Scan(run) => {
+                let i = self.source_pos;
+                if i >= run.len() {
+                    return None;
+                }
+                self.positions[0] = i;
+                self.source_pos = i + 1;
+                CoordKey::Point(run.get(i))
+            }
+            Kernel::Merge(a, b) => CoordKey::Point(match (a, b) {
+                (PointRun::U32(a), PointRun::U32(b)) => self.merge_runs(a, b),
+                (PointRun::U32(a), PointRun::U64(b)) => self.merge_runs(a, b),
+                (PointRun::U64(a), PointRun::U32(b)) => self.merge_runs(a, b),
+                (PointRun::U64(a), PointRun::U64(b)) => self.merge_runs(a, b),
+            }?),
+            Kernel::Probe(a, b) => CoordKey::Point(match (a, b) {
+                (PointRun::U32(a), PointRun::U32(b)) => self.probe_runs(a, b),
+                (PointRun::U32(a), PointRun::U64(b)) => self.probe_runs(a, b),
+                (PointRun::U64(a), PointRun::U32(b)) => self.probe_runs(a, b),
+                (PointRun::U64(a), PointRun::U64(b)) => self.probe_runs(a, b),
+            }?),
+        };
         self.matches += 1;
         Some(key)
+    }
+
+    /// The two-finger merge of two runs: one comparison per step, the
+    /// smaller side advancing. What the cascade's single stage does, with
+    /// the source as `a`.
+    #[inline]
+    fn merge_runs<A, B>(&mut self, a: &[A], b: &[B]) -> Option<u64>
+    where
+        A: Copy + Into<u64>,
+        B: Copy + Into<u64>,
+    {
+        let (mut i, mut j) = (self.source_pos, self.follow_pos);
+        let mut comparisons = 0u64;
+        let mut hit = None;
+        while i < a.len() && j < b.len() {
+            comparisons += 1;
+            let (x, y): (u64, u64) = (a[i].into(), b[j].into());
+            match x.cmp(&y) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    self.positions[0] = i;
+                    self.positions[1] = j;
+                    hit = Some(x);
+                    i += 1;
+                    j += 1;
+                    break;
+                }
+            }
+        }
+        self.source_pos = i;
+        self.follow_pos = j;
+        self.run_comparisons += comparisons;
+        hit
+    }
+
+    /// Leader-follower over two runs: every element of `a` costs one
+    /// probe, a binary search of all of `b`.
+    #[inline]
+    fn probe_runs<A, B>(&mut self, a: &[A], b: &[B]) -> Option<u64>
+    where
+        A: Copy + Into<u64>,
+        B: Copy + Into<u64>,
+    {
+        while self.source_pos < a.len() {
+            let i = self.source_pos;
+            self.source_pos += 1;
+            self.run_comparisons += 1;
+            let x: u64 = a[i].into();
+            if let Ok(j) = b.binary_search_by(|&y| y.into().cmp(&x)) {
+                self.positions[0] = i;
+                self.positions[1] = j;
+                return Some(x);
+            }
+        }
+        None
     }
 
     /// Per-fiber positions of the match [`IntersectStream::advance`] last
@@ -379,7 +506,8 @@ impl<'a> IntersectStream<'a> {
     /// The statistics accrued so far (complete after draining).
     pub fn stats(&self) -> CoIterStats {
         CoIterStats {
-            comparisons: self.stages.iter().map(|s| s.comparisons).sum(),
+            comparisons: self.run_comparisons
+                + self.stages.iter().map(|s| s.comparisons).sum::<u64>(),
             matches: self.matches,
         }
     }

@@ -130,4 +130,4 @@ pub use iterate::{CoIterStats, IntersectPolicy};
 pub use semiring::Semiring;
 pub use stats::{RankStats, StatsCache, TensorStats};
 pub use tensor::{Tensor, TensorBuilder};
-pub use view::{CoordKey, FiberView, PayloadView, TensorData, TupleKey};
+pub use view::{CoordKey, FiberView, PayloadView, PointRun, TensorData, TupleKey};

@@ -39,6 +39,43 @@ pub enum FiberView<'a> {
     },
 }
 
+/// The coordinates of one compressed point fiber, in the width its level
+/// stores them (see [`FiberView::point_run`]). Position `i` of the run is
+/// position `i` of the fiber.
+#[derive(Clone, Copy, Debug)]
+pub enum PointRun<'a> {
+    /// A level narrowed to 32-bit coordinates.
+    U32(&'a [u32]),
+    /// A full-width level.
+    U64(&'a [u64]),
+}
+
+impl PointRun<'_> {
+    /// Number of coordinates.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            PointRun::U32(r) => r.len(),
+            PointRun::U64(r) => r.len(),
+        }
+    }
+
+    /// Whether the run is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The coordinate at position `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        match self {
+            PointRun::U32(r) => u64::from(r[i]),
+            PointRun::U64(r) => r[i],
+        }
+    }
+}
+
 /// What a fiber element holds: a scalar leaf or the fiber one rank below.
 #[derive(Clone, Copy, Debug)]
 pub enum PayloadView<'a> {
@@ -286,17 +323,33 @@ impl<'a> FiberView<'a> {
         }
     }
 
-    /// A stable identity for the element at `pos`, unique within the
-    /// backing storage for the lifetime of the borrow. The simulator's
-    /// instrumentation uses this to deduplicate touches; the value itself
-    /// carries no meaning.
+    /// Where the element at `pos` lives in compressed storage: its level
+    /// and its absolute position in that level's flat arrays (`None` for
+    /// owned fibers). The pair names one element of the tensor, the same
+    /// for every cursor onto it, so the simulator's channels index their
+    /// per-element state by it.
     #[inline]
-    pub fn payload_key(&self, pos: usize) -> usize {
+    pub fn csf_position(&self, pos: usize) -> Option<(usize, usize)> {
         match self {
-            FiberView::Owned(f) => &f.elements()[pos].payload as *const Payload as usize,
+            FiberView::Owned(_) => None,
+            FiberView::Compressed { level, start, .. } => Some((*level, start + pos)),
+        }
+    }
+
+    /// The fiber's coordinates as one raw integer run, when it is a point
+    /// level of compressed storage (`None` for owned fibers and tuple
+    /// levels). Co-iteration scans and merges such runs by direct integer
+    /// compares.
+    #[inline]
+    pub fn point_run(&self) -> Option<PointRun<'a>> {
+        match self {
+            FiberView::Owned(_) => None,
             FiberView::Compressed {
-                tree, level, start, ..
-            } => tree.payload_key(*level, start + pos),
+                tree,
+                level,
+                start,
+                end,
+            } => tree.point_run(*level, *start, *end),
         }
     }
 
@@ -749,19 +802,51 @@ mod tests {
     }
 
     #[test]
-    fn payload_keys_are_stable_and_distinct() {
-        let (_, c) = both_views();
+    fn csf_positions_name_each_element_once() {
+        let (o, c) = both_views();
+        assert_eq!(o.root_fiber_view().unwrap().csf_position(0), None);
+        // Every element of every level, reached through its parent's
+        // cursor, has its own (level, position), and positions count the
+        // level's flat arrays in order.
         let root = c.root_fiber_view().unwrap();
-        let keys: Vec<usize> = (0..root.occupancy()).map(|p| root.payload_key(p)).collect();
+        let mut seen = Vec::new();
+        for p in 0..root.occupancy() {
+            seen.push(root.csf_position(p).unwrap());
+            let child = root.payload_at(p).as_fiber().unwrap();
+            for q in 0..child.occupancy() {
+                seen.push(child.csf_position(q).unwrap());
+            }
+        }
+        let mut want = vec![(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (1, 3)];
+        assert_eq!(seen, want);
+        seen.sort_unstable();
+        want.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen, want);
+        // Another cursor onto the same fiber names the same elements.
+        let again = c.root_fiber_view().unwrap();
+        assert_eq!(again.csf_position(1), root.csf_position(1));
+    }
+
+    #[test]
+    fn point_runs_expose_compressed_point_levels_only() {
+        let (o, c) = both_views();
+        assert!(o.root_fiber_view().unwrap().point_run().is_none());
+        let root = c.root_fiber_view().unwrap();
+        let run = root.point_run().unwrap();
+        assert!(matches!(run, PointRun::U32(_)));
+        assert_eq!((run.len(), run.get(0), run.get(1)), (2, 0, 2));
+        let k = root.payload_at(1).as_fiber().unwrap().point_run().unwrap();
         assert_eq!(
-            keys,
-            (0..root.occupancy())
-                .map(|p| root.payload_key(p))
-                .collect::<Vec<_>>()
+            (0..k.len()).map(|i| k.get(i)).collect::<Vec<_>>(),
+            [0, 1, 2]
         );
-        let mut dedup = keys.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), keys.len());
+        let flat = CompressedTensor::from_tensor(&fig1_matrix_a().flatten_rank("M", "MK").unwrap())
+            .unwrap();
+        assert!(FiberView::of_compressed(&flat)
+            .unwrap()
+            .point_run()
+            .is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 use teaal_accel::vertex_centric::{self, GraphDesign, GRAPHDYNS_CHUNKS};
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::{CompressedBuilder, Shape, TensorData};
 use teaal_sim::{CancelToken, EvalLimits, OpTable, SimError};
 use teaal_workloads::Graph;
 
@@ -212,13 +212,13 @@ pub fn run_with_limits(
         if let Some(t) = &token {
             t.checkpoint()?;
         }
-        let a0 = build_vector("A0", "S", v, active.iter().copied());
+        let a0 = build_vector("A0", "S", v, active.iter().copied())?;
         let p0 = build_vector(
             "P0",
             "V",
             v,
             properties.iter().enumerate().map(|(i, &p)| (i as u64, p)),
-        );
+        )?;
         let report = sim.run_data(&[&g, &a0, &p0])?;
 
         let r = report.outputs.get("R").map_or(0, TensorData::nnz);
@@ -294,26 +294,29 @@ pub fn run_with_limits(
 
 /// Builds a 1-tensor that may legitimately hold `0.0` payloads (the root's
 /// distance), bypassing the implicit-zero dropping of
-/// `Tensor::from_entries`. Frontier and property vectors are small and
-/// rebuilt each superstep, so they stay in the owned representation.
+/// `CompressedTensor::from_entries`: it streams straight into the CSF
+/// storage the engine walks, so a superstep copies nothing at the
+/// simulator's boundary. Entries carry distinct coordinates.
 fn build_vector(
     name: &str,
     rank: &str,
     extent: u64,
     entries: impl Iterator<Item = (u64, f64)>,
-) -> TensorData {
-    let mut t = Tensor::empty(name, &[rank], &[extent]);
+) -> Result<TensorData, SimError> {
     let mut sorted: Vec<(u64, f64)> = entries.collect();
-    sorted.sort_by_key(|(c, _)| *c);
+    sorted.sort_unstable_by_key(|(c, _)| *c);
+    let mut b =
+        CompressedBuilder::new(name, vec![rank.to_string()], vec![Shape::Interval(extent)])?;
     for (c, val) in sorted {
-        t.set(&[c], val);
+        b.push_point(&[c], val)?;
     }
-    TensorData::Owned(t)
+    Ok(TensorData::Compressed(b.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teaal_fibertree::Tensor;
     use teaal_workloads::graphs::{reference_bfs, reference_sssp};
 
     fn small_graph(weighted: bool) -> Graph {

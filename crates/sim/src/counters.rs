@@ -5,54 +5,25 @@
 //! [`Instruments`] as it executes. Channels apply the binding semantics on
 //! line (buffet epoch dedup, cache replay, eager subtree fills) so that
 //! the per-component action counts of paper §4.3 fall out at the end.
+//!
+//! A touch names its element by `(level, position)` in the CSF storage
+//! the walk reads, so every piece of per-element state is an array entry,
+//! not a hash-map probe: the epoch of an element's last buffet fill, its
+//! cache line-sequence id, the cache's line → slot index, and the shard
+//! fill log that the merge deduplicates. The per-level arrays are
+//! allocated on their first use, at the level's length.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 
 use teaal_fibertree::{FiberView, PayloadView};
 
-/// A fixed hasher for the channels' maps keyed by payload addresses and
-/// cache line ids. Both are made by this program, never taken from
-/// outside input, and the maps are never iterated, so the hash function
-/// cannot reach a report. A multiply spreads the key into the high bits
-/// and a shift folds them back down, because addresses share their low
-/// (alignment) bits.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-/// A hash map keyed by program-made integers under [`IntHasher`].
-pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-
-/// End-of-list marker for [`Lru`]'s recency links.
+/// End-of-list marker for [`Lru`]'s recency links and its line index.
 const NIL: usize = usize::MAX;
 
 /// One resident line of an [`Lru`], linked into its recency list.
 #[derive(Clone, Debug)]
 struct LruLine {
-    line: u64,
+    line: usize,
     prev: usize,
     next: usize,
 }
@@ -62,35 +33,31 @@ struct LruLine {
 ///
 /// Resident lines form a doubly linked list from most to least recently
 /// used, so a hit and an eviction are both `O(1)`: the victim is the
-/// list's tail, the line with the oldest last use.
+/// list's tail, the line with the oldest last use. Line ids are dense
+/// (a channel numbers its lines from zero as it first touches them), so
+/// the line → slot index is a plain array.
 #[derive(Clone, Debug)]
-pub struct Lru {
+pub(crate) struct Lru {
     capacity_lines: usize,
-    /// Line id → its slot in `slots`.
-    index: IntMap<u64, usize>,
+    /// Line id → its slot in `slots`, [`NIL`] when not resident.
+    index: Vec<usize>,
     slots: Vec<LruLine>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot: the next victim.
     tail: usize,
     /// Hits observed.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Misses observed (each miss is a line fill).
-    pub misses: u64,
-}
-
-impl Default for Lru {
-    fn default() -> Self {
-        Lru::new(1)
-    }
+    pub(crate) misses: u64,
 }
 
 impl Lru {
     /// Creates a cache with the given line capacity.
-    pub fn new(capacity_lines: usize) -> Self {
+    pub(crate) fn new(capacity_lines: usize) -> Self {
         Lru {
             capacity_lines: capacity_lines.max(1),
-            index: IntMap::default(),
+            index: Vec::new(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -100,8 +67,13 @@ impl Lru {
     }
 
     /// Accesses a line, recording a hit or a miss (with LRU eviction).
-    pub fn access(&mut self, line: u64) -> bool {
-        if let Some(&slot) = self.index.get(&line) {
+    pub(crate) fn access(&mut self, line: u64) -> bool {
+        let line = usize::try_from(line).expect("line ids count touched elements");
+        if line >= self.index.len() {
+            self.index.resize(line + 1, NIL);
+        }
+        let slot = self.index[line];
+        if slot != NIL {
             self.hits += 1;
             self.unlink(slot);
             self.push_front(slot);
@@ -111,7 +83,7 @@ impl Lru {
         let slot = if self.slots.len() >= self.capacity_lines {
             let victim = self.tail;
             self.unlink(victim);
-            self.index.remove(&self.slots[victim].line);
+            self.index[self.slots[victim].line] = NIL;
             self.slots[victim].line = line;
             victim
         } else {
@@ -123,7 +95,7 @@ impl Lru {
             self.slots.len() - 1
         };
         self.push_front(slot);
-        self.index.insert(line, slot);
+        self.index[line] = slot;
         false
     }
 
@@ -236,7 +208,45 @@ pub(crate) struct RankSlot {
     eager: Eager,
 }
 
+/// Per-element state of one CSF level of a channel's tensor, indexed by
+/// the element's position in the level. Each array is allocated on the
+/// first touch that needs it, at the level's length.
+#[derive(Clone, Debug, Default)]
+struct LevelMarks {
+    len: usize,
+    /// Buffet path: one plus the epoch of the element's last fill, `0`
+    /// for never filled.
+    stamps: Vec<u64>,
+    /// Cache path: one plus the element's line-sequence id, `0` for not
+    /// yet numbered.
+    ids: Vec<u64>,
+}
+
+impl LevelMarks {
+    #[inline]
+    fn stamps(&mut self) -> &mut [u64] {
+        if self.stamps.is_empty() {
+            self.stamps = vec![0; self.len];
+        }
+        &mut self.stamps
+    }
+
+    #[inline]
+    fn ids(&mut self) -> &mut [u64] {
+        if self.ids.is_empty() {
+            self.ids = vec![0; self.len];
+        }
+        &mut self.ids
+    }
+}
+
 /// Per-tensor traffic accounting.
+///
+/// Touches name elements by `(level, position)` in the tensor's CSF
+/// storage ([`FiberView::csf_position`]), and the per-element state — the
+/// buffet epoch of the last fill, the cache line-sequence id — lives in
+/// per-level arrays indexed by position, sized to the tensor the walk
+/// reads.
 #[derive(Clone, Debug, Default)]
 pub struct TensorChannel {
     cfg: ChannelCfg,
@@ -247,18 +257,18 @@ pub struct TensorChannel {
     /// Bits read on-chip (buffer-side traffic).
     pub buffer_read_bits: u64,
     /// The cache model, when configured.
-    pub cache: Option<Lru>,
-    seen: IntMap<usize, u64>,
+    cache: Option<Lru>,
+    marks: Vec<LevelMarks>,
     epoch: u64,
     next_line: u64,
-    line_of: IntMap<usize, u64>,
     line_fill: u64,
     /// When this channel runs inside a shard whose fills must be
     /// deduplicated against other shards (fully-buffered tensors, whose
     /// single epoch spans all shards), every fill event is also logged
-    /// here so the merge can keep only each key's first fill in shard
-    /// order — exactly the fill the sequential run would charge.
-    shard_log: Option<Vec<(usize, u64)>>,
+    /// here as `(level, position, bits)` so the merge can keep only each
+    /// element's first fill in shard order — exactly the fill the
+    /// sequential run would charge.
+    shard_log: Option<Vec<(usize, usize, u64)>>,
 }
 
 impl TensorChannel {
@@ -277,19 +287,40 @@ impl TensorChannel {
         &self.cfg
     }
 
+    /// Sizes the per-element state to a tensor with these CSF level
+    /// lengths ([`teaal_fibertree::CompressedTensor::level_len`]). A
+    /// channel already bound to the same lengths keeps its state; nothing
+    /// is allocated until a touch needs it.
+    pub(crate) fn bind_levels(&mut self, lens: &[usize]) {
+        if !self.marks.iter().map(|m| m.len).eq(lens.iter().copied()) {
+            self.marks = lens
+                .iter()
+                .map(|&len| LevelMarks {
+                    len,
+                    ..LevelMarks::default()
+                })
+                .collect();
+        }
+    }
+
     /// Starts a new buffet epoch: the loop advanced on this channel's
     /// `evict_on` rank.
     pub(crate) fn advance_epoch(&mut self) {
         self.epoch += 1;
     }
 
-    /// Records an element touch at a resolved rank. `key` identifies the
-    /// element stably (the engine passes [`FiberView::payload_key`]);
-    /// `payload` lets eager bindings size the subtree fill and may come
-    /// from either tensor representation. The touch count itself is the
-    /// caller's: the engine keeps it in a dense per-walk array and folds
-    /// it into [`TensorChannel::reads_by_rank`].
-    pub(crate) fn touch(&mut self, slot: &RankSlot, key: usize, payload: PayloadView<'_>) {
+    /// Records a touch of the element at `pos` of CSF level `level`,
+    /// through a resolved rank. `payload` lets eager bindings size the
+    /// subtree fill. The touch count itself is the caller's: the engine
+    /// keeps it in a dense per-walk array and folds it into
+    /// [`TensorChannel::reads_by_rank`].
+    pub(crate) fn touch(
+        &mut self,
+        slot: &RankSlot,
+        level: usize,
+        pos: usize,
+        payload: PayloadView<'_>,
+    ) {
         let bits = slot.bits;
         self.buffer_read_bits += bits;
         // Under an eager binding, only the eager rank generates fills;
@@ -301,13 +332,14 @@ impl TensorChannel {
         if let Some(cache) = &mut self.cache {
             let bits_per_line = self.cfg.line_bits.max(bits);
             let per_line = (bits_per_line / bits.max(1)).max(1);
-            let next_line = &mut self.next_line;
-            let id = *self.line_of.entry(key).or_insert_with(|| {
-                let id = *next_line;
-                *next_line += 1;
-                id
-            });
-            if !cache.access(id / per_line) && self.cfg.dram_backed {
+            // Elements are numbered in first-touch order, and consecutive
+            // numbers share a line.
+            let id = &mut self.marks[level].ids()[pos];
+            if *id == 0 {
+                self.next_line += 1;
+                *id = self.next_line;
+            }
+            if !cache.access((*id - 1) / per_line) && self.cfg.dram_backed {
                 let fill = match slot.eager {
                     Eager::Root { start } => self.subtree_bits(bits, start, payload),
                     _ => bits_per_line,
@@ -319,11 +351,12 @@ impl TensorChannel {
 
         // Buffet / default path: first touch per epoch fills from DRAM.
         if self.cfg.dram_backed {
-            let epoch = self.epoch;
-            match self.seen.insert(key, epoch) {
-                Some(e) if e == epoch => return,
-                _ => {}
+            let stamp = self.epoch + 1;
+            let mark = &mut self.marks[level].stamps()[pos];
+            if *mark == stamp {
+                return;
             }
+            *mark = stamp;
             let fill = match slot.eager {
                 Eager::Root { start } => self.subtree_bits(bits, start, payload),
                 _ => bits,
@@ -331,7 +364,7 @@ impl TensorChannel {
             self.fill_bits += fill;
             self.line_fill += 1;
             if let Some(log) = &mut self.shard_log {
-                log.push((key, fill));
+                log.push((level, pos, fill));
             }
         }
     }
@@ -354,7 +387,7 @@ impl TensorChannel {
     /// shard order). Touch counters are purely additive; fills are
     /// additive when the shard ran without a fill log (per-shard epochs
     /// partition the sequential epochs) and first-fill-wins deduplicated
-    /// against `self.seen` otherwise. After absorbing, only the public
+    /// by element position otherwise. After absorbing, only the public
     /// counters are meaningful — the internal dedup state is merge
     /// bookkeeping, not a resumable simulation state.
     pub(crate) fn absorb_shard(&mut self, shard: TensorChannel) {
@@ -364,9 +397,13 @@ impl TensorChannel {
         self.buffer_read_bits += shard.buffer_read_bits;
         match shard.shard_log {
             Some(log) => {
-                for (key, bits) in log {
-                    if let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(key) {
-                        e.insert(0);
+                // Every shard walked the same tensor: adopt its shape.
+                let lens: Vec<usize> = shard.marks.iter().map(|m| m.len).collect();
+                self.bind_levels(&lens);
+                for (level, pos, bits) in log {
+                    let mark = &mut self.marks[level].stamps()[pos];
+                    if *mark == 0 {
+                        *mark = 1;
                         self.fill_bits += bits;
                         self.line_fill += 1;
                     }
@@ -741,6 +778,13 @@ mod tests {
 
     const LEAF: PayloadView<'static> = PayloadView::Val(1.0);
 
+    /// A channel bound to a one-level tensor of 16 elements.
+    fn channel(cfg: ChannelCfg) -> TensorChannel {
+        let mut ch = TensorChannel::new(cfg);
+        ch.bind_levels(&[16]);
+        ch
+    }
+
     #[test]
     fn lru_hits_and_misses() {
         let mut c = Lru::new(2);
@@ -814,12 +858,12 @@ mod tests {
         let mut cfg = ChannelCfg::fully_buffered(vec![("K".to_string(), 64)]);
         cfg.evict_on = Some("M".into());
         let k = cfg.slot("K");
-        let mut ch = TensorChannel::new(cfg);
-        ch.touch(&k, 1, LEAF);
-        ch.touch(&k, 1, LEAF); // same epoch: no refill
+        let mut ch = channel(cfg);
+        ch.touch(&k, 0, 1, LEAF);
+        ch.touch(&k, 0, 1, LEAF); // same epoch: no refill
         assert_eq!(ch.fill_bits, 64);
         ch.advance_epoch();
-        ch.touch(&k, 1, LEAF); // new epoch: refill
+        ch.touch(&k, 0, 1, LEAF); // new epoch: refill
         assert_eq!(ch.fill_bits, 128);
         assert_eq!(ch.buffer_read_bits, 3 * 64);
     }
@@ -847,11 +891,11 @@ mod tests {
     fn fully_buffered_fetches_once() {
         let cfg = ChannelCfg::fully_buffered(vec![("K".to_string(), 32)]);
         let k = cfg.slot("K");
-        let mut ch = TensorChannel::new(cfg);
+        let mut ch = channel(cfg);
         for _ in 0..10 {
-            ch.touch(&k, 7, LEAF);
+            ch.touch(&k, 0, 7, LEAF);
         }
-        ch.touch(&k, 8, LEAF);
+        ch.touch(&k, 0, 8, LEAF);
         assert_eq!(ch.fill_bits, 64); // two distinct elements
     }
 
@@ -861,11 +905,11 @@ mod tests {
         cfg.cache_lines = Some(1);
         cfg.line_bits = 128; // two elements per line
         let k = cfg.slot("K");
-        let mut ch = TensorChannel::new(cfg);
-        ch.touch(&k, 1, LEAF); // line 0 miss
-        ch.touch(&k, 2, LEAF); // line 0 hit
-        ch.touch(&k, 3, LEAF); // line 1 miss (evicts line 0)
-        ch.touch(&k, 1, LEAF); // line 0 miss again
+        let mut ch = channel(cfg);
+        ch.touch(&k, 0, 1, LEAF); // line 0 miss
+        ch.touch(&k, 0, 2, LEAF); // line 0 hit
+        ch.touch(&k, 0, 3, LEAF); // line 1 miss (evicts line 0)
+        ch.touch(&k, 0, 1, LEAF); // line 0 miss again
         assert_eq!(ch.fills(), 3);
         assert_eq!(ch.fill_bits, 3 * 128);
     }
@@ -893,5 +937,190 @@ mod tests {
         assert_eq!(c.total_adds(), 3);
         assert_eq!(c.max_per_pe(), 10);
         assert_eq!(c.spaces(), 2);
+    }
+
+    /// The channel semantics before touches were keyed by position, over
+    /// ordered maps: the last fill epoch and the line-sequence id of each
+    /// element, keyed by its `(level, position)`, and the scanning LRU.
+    struct MapChannel {
+        seen: BTreeMap<(usize, usize), u64>,
+        line_of: BTreeMap<(usize, usize), u64>,
+        next_line: u64,
+        epoch: u64,
+        cache: Option<ScanLru>,
+        hits: u64,
+        fill_bits: u64,
+        buffer_read_bits: u64,
+        line_fill: u64,
+        log: Vec<((usize, usize), u64)>,
+    }
+
+    impl MapChannel {
+        fn new(cfg: &ChannelCfg) -> Self {
+            MapChannel {
+                seen: BTreeMap::new(),
+                line_of: BTreeMap::new(),
+                next_line: 0,
+                epoch: 0,
+                cache: cfg.cache_lines.map(|capacity| ScanLru {
+                    capacity: capacity.max(1),
+                    lines: Vec::new(),
+                    clock: 0,
+                }),
+                hits: 0,
+                fill_bits: 0,
+                buffer_read_bits: 0,
+                line_fill: 0,
+                log: Vec::new(),
+            }
+        }
+
+        /// A touch with a leaf payload (an eager fill is the element
+        /// alone).
+        fn touch(&mut self, cfg: &ChannelCfg, slot: &RankSlot, key: (usize, usize)) {
+            let bits = slot.bits;
+            self.buffer_read_bits += bits;
+            if slot.eager == Eager::Below {
+                return;
+            }
+            let eager = matches!(slot.eager, Eager::Root { .. });
+            if let Some(cache) = &mut self.cache {
+                let bits_per_line = cfg.line_bits.max(bits);
+                let per_line = (bits_per_line / bits.max(1)).max(1);
+                let next_line = &mut self.next_line;
+                let id = *self.line_of.entry(key).or_insert_with(|| {
+                    *next_line += 1;
+                    *next_line - 1
+                });
+                if cache.access(id / per_line) {
+                    self.hits += 1;
+                } else if cfg.dram_backed {
+                    self.fill_bits += if eager { bits } else { bits_per_line };
+                }
+                return;
+            }
+            if cfg.dram_backed {
+                if self.seen.insert(key, self.epoch) == Some(self.epoch) {
+                    return;
+                }
+                self.fill_bits += bits;
+                self.line_fill += 1;
+                self.log.push((key, bits));
+            }
+        }
+
+        fn fills(&self) -> u64 {
+            match &self.cache {
+                Some(c) => c.clock - self.hits,
+                None => self.line_fill,
+            }
+        }
+    }
+
+    const LEVELS: usize = 3;
+    const LEVEL_LEN: usize = 12;
+
+    /// One channel configuration: three ranks of different widths, an
+    /// optional eager rank, and either a buffet or a cache.
+    fn arb_cfg() -> impl Strategy<Value = ChannelCfg> {
+        (0u8..3, 0u8..3, 1usize..5, 64u64..300).prop_map(|(kind, eager, lines, line_bits)| {
+            let mut cfg = ChannelCfg::fully_buffered(vec![
+                ("K".to_string(), 32),
+                ("M".to_string(), 64),
+                ("N".to_string(), 48),
+            ]);
+            cfg.evict_on = Some("K".into());
+            match kind {
+                0 => {}
+                1 => {
+                    cfg.cache_lines = Some(lines);
+                    cfg.line_bits = line_bits;
+                }
+                _ => cfg.dram_backed = false,
+            }
+            if eager == 1 {
+                cfg.eager_rank = Some("M".into());
+            }
+            cfg
+        })
+    }
+
+    /// Touches `(level, position, rank)`, with rank 3 standing for "end
+    /// the buffet epoch" instead.
+    fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+        proptest::collection::vec((0..LEVELS, 0..LEVEL_LEN, 0usize..4), 0..120)
+    }
+
+    const RANKS: [&str; 3] = ["K", "M", "N"];
+
+    fn replay(
+        cfg: &ChannelCfg,
+        ops: &[(usize, usize, usize)],
+        ch: &mut TensorChannel,
+        oracle: &mut MapChannel,
+    ) {
+        let slots: Vec<RankSlot> = RANKS.iter().map(|r| cfg.slot(r)).collect();
+        for &(level, pos, rank) in ops {
+            if rank == 3 {
+                ch.advance_epoch();
+                oracle.epoch += 1;
+            } else {
+                ch.touch(&slots[rank], level, pos, LEAF);
+                oracle.touch(cfg, &slots[rank], (level, pos));
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Position-indexed channels count exactly what the map-keyed
+        /// semantics count: fill bits, buffer reads, element fills, and
+        /// LRU hits and misses, across epochs and levels.
+        #[test]
+        fn position_keyed_channels_match_the_map_oracle(cfg in arb_cfg(), ops in arb_ops()) {
+            let mut ch = TensorChannel::new(cfg.clone());
+            ch.bind_levels(&[LEVEL_LEN; LEVELS]);
+            let mut oracle = MapChannel::new(&cfg);
+            replay(&cfg, &ops, &mut ch, &mut oracle);
+            prop_assert_eq!(ch.fill_bits, oracle.fill_bits);
+            prop_assert_eq!(ch.buffer_read_bits, oracle.buffer_read_bits);
+            prop_assert_eq!(ch.fills(), oracle.fills());
+            if let Some(cache) = &ch.cache {
+                prop_assert_eq!(cache.hits, oracle.hits);
+                prop_assert_eq!(cache.hits + cache.misses, oracle.cache.as_ref().unwrap().clock);
+            }
+        }
+
+        /// Shards that log fills merge first-fill-wins in shard order:
+        /// the merged channel charges each element's first fill across
+        /// all shards, as one map of every shard's log would.
+        #[test]
+        fn shard_fill_logs_dedup_like_the_map_oracle(
+            cfg in arb_cfg(),
+            shards in proptest::collection::vec(arb_ops(), 1..4),
+        ) {
+            let mut cfg = cfg;
+            cfg.cache_lines = None;
+            let mut parent = TensorChannel::new(cfg.clone());
+            let mut first: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            let mut buffer_read_bits = 0;
+            for ops in &shards {
+                let mut ch = parent.fork_shard(true);
+                ch.bind_levels(&[LEVEL_LEN; LEVELS]);
+                let mut oracle = MapChannel::new(&cfg);
+                replay(&cfg, ops, &mut ch, &mut oracle);
+                for (key, bits) in oracle.log {
+                    first.entry(key).or_insert(bits);
+                }
+                buffer_read_bits += oracle.buffer_read_bits;
+                parent.absorb_shard(ch);
+            }
+            prop_assert_eq!(parent.fill_bits, first.values().sum::<u64>());
+            prop_assert_eq!(parent.fills(), first.len() as u64);
+            prop_assert_eq!(parent.buffer_read_bits, buffer_read_bits);
+        }
     }
 }

@@ -7,29 +7,33 @@
 //! unioning additive ones, projecting flattened coordinates, resolving
 //! affine indices — while streaming every access into [`Instruments`].
 //!
-//! The nest is driven end-to-end by [`FiberView`] cursors over
-//! [`TensorData`] inputs: untransformed tensors (owned or compressed) are
-//! borrowed, never cloned, and each loop level consumes a lazy
-//! intersection/union stream instead of materializing a match list.
+//! The nest walks CSF ([`CompressedTensor`]) only, through [`FiberView`]
+//! cursors: untransformed compressed inputs are borrowed, never cloned,
+//! and an owned input is compressed once ([`crate::Simulator::run_data`]
+//! does it once per run, so a direct caller of [`Engine::execute_data`]
+//! is the only one who pays it per execution). Each loop level consumes a
+//! lazy intersection/union stream instead of materializing a match list;
+//! an intersection of one or two point levels scans or merges their raw
+//! coordinate runs ([`teaal_fibertree::PointRun`]) by integer compares.
 //!
-//! The engine builds one storage representation, CSF
-//! ([`CompressedTensor`]): every input transform chain runs on CSF arrays
-//! (an owned input is compressed once, before its first step), and every
-//! output drains through a [`CompressedBuilder`]. Owned trees only ever
-//! arrive as untransformed inputs, which are read in place.
+//! The engine builds one storage representation, CSF: every input
+//! transform chain runs on CSF arrays, and every output drains through a
+//! [`CompressedBuilder`].
 //!
 //! Every name the walk uses — tensor channels, working ranks, loop
 //! variables, and the loop ranks that end buffet and output epochs — is
 //! resolved to a dense index once per [`Engine::execute_data`], in time
 //! proportional to the plan, never to the input. The walk then counts into
 //! walk-local dense arrays and reuses one set of stream and node buffers
-//! per loop level, so no step allocates. A leaf probes no map either:
-//! the current space id is resolved to a walk-local dense slot at most
-//! once per visit of the innermost space level (by the first leaf that
-//! charges compute), and multiplies and additions add into per-slot
-//! arrays. The arrays fold into the public [`Instruments`]
-//! once at the end of the walk (and once per shard, before the shard
-//! merge).
+//! per loop level, so no step allocates, and no step probes a map. A touch
+//! names its element by `(level, CSF position)`
+//! ([`FiberView::csf_position`]), and each channel keeps its per-element
+//! state (buffet epoch stamps, cache line ids) in per-level arrays indexed
+//! by position. The current space id is resolved to a walk-local dense
+//! slot at most once per visit of the innermost space level (by the first
+//! leaf that charges compute), and multiplies and additions add into
+//! per-slot arrays. The arrays fold into the public [`Instruments`] once
+//! at the end of the walk (and once per shard, before the shard merge).
 //!
 //! Per-key output state lives with the key. A non-concordant walk
 //! accumulates into an `OutTable`: coordinates in one flat arena, the
@@ -176,6 +180,8 @@ struct ShardPlan {
 struct WalkPlan {
     /// Access index → tensor index in the prepared inputs.
     access_tensor: Vec<usize>,
+    /// Channel index → the prepared input its touches read, if any.
+    chan_tensor: Vec<Option<usize>>,
     levels: Vec<LevelPlan>,
     /// `touches[ai][li]`: what a touch by access `ai` at level `li`
     /// charges (`None` when the tensor has no channel).
@@ -359,8 +365,13 @@ impl WalkPlan {
             .iter()
             .map(|r| root_id(r))
             .collect();
+        let chan_tensor = chans
+            .iter()
+            .map(|(name, _)| plan.tensor_plans.iter().position(|tp| tp.tensor == **name))
+            .collect();
         Ok(WalkPlan {
             access_tensor,
+            chan_tensor,
             levels,
             touches,
             reads,
@@ -555,10 +566,10 @@ impl<'p> Engine<'p> {
         boundaries: &mut BoundaryCache,
     ) -> Result<CompressedTensor, SimError> {
         // 1. Transform inputs per plan (leaders first — plan order).
-        // Untransformed inputs are borrowed rather than cloned — the graph
-        // driver re-executes cascades every superstep against the same
-        // multi-million-entry compressed adjacency. Transform chains run
-        // on CSF arrays. With a [`TransformCache`] attached,
+        // Untransformed compressed inputs are borrowed rather than cloned
+        // — the graph driver re-executes cascades every superstep against
+        // the same multi-million-entry compressed adjacency. Transform
+        // chains run on CSF arrays. With a [`TransformCache`] attached,
         // content-determined chains are served from the cache and their
         // recorded side effects replayed.
         let mut tensors: Vec<PreparedInput<'t>> = Vec::new();
@@ -597,7 +608,14 @@ impl<'p> Engine<'p> {
                     }
                 }
             } else {
-                PreparedInput::Borrowed(input)
+                match input {
+                    TensorData::Compressed(_) => PreparedInput::Borrowed(input),
+                    // `Simulator::run_data` compresses owned inputs once
+                    // per run; a direct caller pays it per execution.
+                    TensorData::Owned(t) => PreparedInput::Owned(TensorData::Compressed(
+                        CompressedTensor::from_tensor(t)?,
+                    )),
+                }
             };
             tensors.push(t);
         }
@@ -1356,6 +1374,12 @@ impl<'e, 'p> Exec<'e, 'p> {
             .map(|_| LevelScratch::default())
             .collect();
         let mut walk = Walk::new(inst, names);
+        for (ch, ti) in walk.chans.iter_mut().zip(&names.chan_tensor) {
+            if let Some(TensorData::Compressed(c)) = ti.map(|ti| tensors[ti].data()) {
+                let lens: Vec<usize> = (0..c.order()).map(|l| c.level_len(l)).collect();
+                ch.bind_levels(&lens);
+            }
+        }
         let walked = self.level(0, &mut scratch, &mut state, &mut walk);
         walk.fold(names);
         walked?;
@@ -1482,7 +1506,7 @@ impl<'e, 'p> Exec<'e, 'p> {
                 match hit {
                     Some((fiber, p)) => {
                         let pv = fiber.payload_at(p);
-                        self.touch(ai, li, fiber.payload_key(p), pv, walk);
+                        self.touch(ai, li, fiber, p, pv, walk);
                         state.nodes[ai] = Some(pv);
                     }
                     None => {
@@ -1512,7 +1536,7 @@ impl<'e, 'p> Exec<'e, 'p> {
                             match pos {
                                 Some(p) => {
                                     let pv = f.payload_at(p);
-                                    self.touch(ai, li, f.payload_key(p), pv, walk);
+                                    self.touch(ai, li, f, p, pv, walk);
                                     Some(pv)
                                 }
                                 None => None,
@@ -1564,17 +1588,23 @@ impl<'e, 'p> Exec<'e, 'p> {
         Ok(())
     }
 
+    /// Charges access `ai`'s touch at level `li` of element `p` of
+    /// `fiber`, named by its CSF position.
     fn touch(
         &self,
         ai: usize,
         li: usize,
-        key: usize,
+        fiber: FiberView<'_>,
+        p: usize,
         payload: PayloadView<'_>,
         walk: &mut Walk<'_>,
     ) {
         if let Some(t) = &self.names.touches[ai][li] {
             walk.reads[t.read] += 1;
-            walk.chans[t.chan].touch(&t.slot, key, payload);
+            let (level, pos) = fiber
+                .csf_position(p)
+                .expect("the walk reads compressed inputs only");
+            walk.chans[t.chan].touch(&t.slot, level, pos, payload);
         }
     }
 

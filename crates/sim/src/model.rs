@@ -23,7 +23,7 @@ use std::sync::Arc;
 use teaal_core::ir::{EinsumBlock, EinsumPlan};
 use teaal_core::spec::{ComponentClass, ComputeOp, TeaalSpec};
 use teaal_core::TeaalSpec as Spec;
-use teaal_fibertree::{IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, IntersectPolicy, Tensor, TensorData};
 
 use crate::compile::CompiledPlan;
 use crate::counters::Instruments;
@@ -246,26 +246,29 @@ impl Simulator {
     /// Runs the cascade on the given input tensors (matched by name).
     ///
     /// Convenience wrapper over [`Simulator::run_data`] for owned
-    /// tensors; each input is cloned into the execution environment.
+    /// tensors; each input is compressed once, straight from the borrowed
+    /// tree, into the CSF storage the walk reads.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when inputs are missing or execution fails.
     pub fn run(&self, inputs: &[Tensor]) -> Result<SimReport, SimError> {
-        let data: Vec<TensorData> = inputs
+        let data = inputs
             .iter()
-            .map(|t| TensorData::Owned(t.clone()))
-            .collect();
+            .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
+            .collect::<Result<Vec<TensorData>, SimError>>()?;
         let refs: Vec<&TensorData> = data.iter().collect();
         self.run_data(&refs)
     }
 
     /// Runs the cascade on borrowed inputs in either representation.
     ///
-    /// Inputs are *borrowed*, not cloned: a large compressed tensor (a
-    /// graph adjacency, a SuiteSparse-scale matrix) can be reused across
-    /// many runs — the graph driver re-executes its cascade every
-    /// superstep against the same [`TensorData`]. Outputs (and therefore
+    /// Compressed inputs are *borrowed*, not cloned: a large compressed
+    /// tensor (a graph adjacency, a SuiteSparse-scale matrix) can be
+    /// reused across many runs — the graph driver re-executes its cascade
+    /// every superstep against the same [`TensorData`]. The nest walk
+    /// reads CSF only, so an owned input is compressed once per call and
+    /// shared by every Einsum of the cascade. Outputs (and therefore
     /// intermediates) are always CSF, assembled through a streaming
     /// [`CompressedBuilder`](teaal_fibertree::CompressedBuilder), and every
     /// input transform chain runs on CSF arrays. Results are
@@ -362,6 +365,20 @@ impl Simulator {
         if let (Some(bytes), Some(ctx)) = (self.limits.max_resident_cache_bytes, &self.context) {
             ctx.set_max_cache_bytes(bytes);
         }
+        let compressed = inputs
+            .iter()
+            .filter_map(|t| t.as_owned())
+            .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
+            .collect::<Result<Vec<TensorData>, SimError>>()?;
+        let mut owned = compressed.iter();
+        let inputs: Vec<&TensorData> = inputs
+            .iter()
+            .map(|&t| match t {
+                TensorData::Owned(_) => owned.next().expect("one copy per owned input"),
+                TensorData::Compressed(_) => t,
+            })
+            .collect();
+        let inputs = inputs.as_slice();
         let plans = self.compiled.plans();
         // Rank extents from input shapes plus overrides.
         let mut base_extents: BTreeMap<String, u64> = BTreeMap::new();

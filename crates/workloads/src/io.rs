@@ -232,11 +232,22 @@ fn write_parts(
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes every test here that reads. The failpoint config is
+    /// process-global and every `read_tensor` passes `io.read`, so a read
+    /// running concurrently with an armed `io.read:err@1` could consume
+    /// the one injected fault (failing that read, and the injection test
+    /// with it). Poisoning is ignored: a failed test must not cascade.
+    static READS: Mutex<()> = Mutex::new(());
+
+    fn lock_reads() -> MutexGuard<'static, ()> {
+        READS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn injected_read_failure_is_a_structured_parse_error() {
-        // Failpoint config is process-global; this is the only test in
-        // this binary that installs one, and it clears it on the way out.
+        let _reads = lock_reads();
         teaal_core::failpoint::set_config("io.read:err@1").unwrap();
         let err = read_tensor(Cursor::new(b"0 0 1.0\n"), "A").unwrap_err();
         teaal_core::failpoint::set_config("").unwrap();
@@ -252,6 +263,7 @@ mod tests {
 
     #[test]
     fn roundtrip_through_text() {
+        let _reads = lock_reads();
         let t = Tensor::from_entries(
             "A",
             &["K", "M"],
@@ -269,6 +281,7 @@ mod tests {
 
     #[test]
     fn compressed_read_matches_owned_read() {
+        let _reads = lock_reads();
         let t = Tensor::from_entries(
             "A",
             &["K", "M"],
@@ -286,6 +299,7 @@ mod tests {
 
     #[test]
     fn headerless_files_infer_shape_and_ranks() {
+        let _reads = lock_reads();
         let src = "0 1 2.5\n3 4 1.0\n";
         let t = read_tensor(Cursor::new(src), "B").unwrap();
         assert_eq!(t.name(), "B");
@@ -296,6 +310,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_report_position() {
+        let _reads = lock_reads();
         let err = read_tensor(Cursor::new("0 1 2.5\nbogus\n"), "B").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("line 2"), "{msg}");
@@ -303,6 +318,7 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_are_skipped() {
+        let _reads = lock_reads();
         let src = "# tensor V ranks K shape 10\n\n# a comment\n7 3.5\n";
         let t = read_tensor(Cursor::new(src), "X").unwrap();
         assert_eq!(t.name(), "V");
