@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use teaal_bench::leaf_sum;
 use teaal_fibertree::iterate::intersect2_stream;
 use teaal_fibertree::partition::SplitKind;
-use teaal_fibertree::{iterate, IntersectPolicy, TensorData};
+use teaal_fibertree::{CompressedTensor, FiberView, IntersectPolicy};
 use teaal_workloads::genmat;
 
 fn bench_transforms(c: &mut Criterion) {
@@ -34,27 +34,19 @@ fn bench_transforms(c: &mut Criterion) {
     g.finish();
 }
 
+/// The first row fiber of a one-row compressed matrix.
+fn row(t: &CompressedTensor) -> FiberView<'_> {
+    t.root_fiber_view()
+        .unwrap()
+        .payload_at(0)
+        .as_fiber()
+        .unwrap()
+}
+
 fn bench_intersection(c: &mut Criterion) {
-    let a = genmat::uniform("A", &["M", "K"], 1, 100_000, 5_000, 2);
-    let b = genmat::uniform("B", &["M", "K"], 1, 100_000, 5_000, 3);
-    let fa = a
-        .root_fiber()
-        .unwrap()
-        .iter()
-        .next()
-        .unwrap()
-        .payload
-        .as_fiber()
-        .unwrap();
-    let fb = b
-        .root_fiber()
-        .unwrap()
-        .iter()
-        .next()
-        .unwrap()
-        .payload
-        .as_fiber()
-        .unwrap();
+    let a = genmat::uniform_compressed("A", &["M", "K"], 1, 100_000, 5_000, 2);
+    let b = genmat::uniform_compressed("B", &["M", "K"], 1, 100_000, 5_000, 3);
+    let (fa, fb) = (row(&a), row(&b));
     let mut g = c.benchmark_group("fibertree_intersection");
     for (name, policy) in [
         ("two_finger", IntersectPolicy::TwoFinger),
@@ -65,79 +57,32 @@ fn bench_intersection(c: &mut Criterion) {
         ("skip_ahead", IntersectPolicy::SkipAhead),
     ] {
         g.bench_with_input(BenchmarkId::new("policy", name), &policy, |bch, p| {
-            bch.iter(|| iterate::intersect2(fa, fb, *p))
+            bch.iter(|| intersect2_stream(fa, fb, *p).count())
         });
     }
     g.finish();
 }
 
-/// Owned tree vs compressed (CSF) arrays behind the same cursors: full
-/// leaf streams and two-finger co-iteration.
-fn bench_representations(c: &mut Criterion) {
-    let owned_m = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1000, 1000, 50_000, 1));
-    let comp_m = TensorData::Compressed(genmat::uniform_compressed(
-        "A",
-        &["M", "K"],
-        1000,
-        1000,
-        50_000,
-        1,
-    ));
-    let owned_a = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1, 500_000, 40_000, 2));
-    let owned_b = TensorData::Owned(genmat::uniform("B", &["M", "K"], 1, 500_000, 40_000, 3));
-    let comp_a = TensorData::Compressed(genmat::uniform_compressed(
-        "A",
-        &["M", "K"],
-        1,
-        500_000,
-        40_000,
-        2,
-    ));
-    let comp_b = TensorData::Compressed(genmat::uniform_compressed(
-        "B",
-        &["M", "K"],
-        1,
-        500_000,
-        40_000,
-        3,
-    ));
-    let mut g = c.benchmark_group("fibertree_representation");
-    for (name, data) in [("owned", &owned_m), ("compressed", &comp_m)] {
-        g.bench_with_input(BenchmarkId::new("leaf_stream", name), data, |b, d| {
-            b.iter(|| leaf_sum(std::hint::black_box(d).root_fiber_view().unwrap()))
-        });
-    }
-    for (name, da, db) in [
-        ("owned", &owned_a, &owned_b),
-        ("compressed", &comp_a, &comp_b),
-    ] {
-        g.bench_function(BenchmarkId::new("intersect2_two_finger", name), |b| {
-            let fa = da
-                .root_fiber_view()
-                .unwrap()
-                .payload_at(0)
-                .as_fiber()
-                .unwrap();
-            let fb = db
-                .root_fiber_view()
-                .unwrap()
-                .payload_at(0)
-                .as_fiber()
-                .unwrap();
-            b.iter(|| {
-                intersect2_stream(fa, fb, IntersectPolicy::TwoFinger)
-                    .map(|(_, i, j)| i + j)
-                    .sum::<usize>()
-            })
-        });
-    }
+/// Cursors over compressed (CSF) arrays: a full leaf stream and
+/// two-finger co-iteration of two long rows.
+fn bench_cursors(c: &mut Criterion) {
+    let m = genmat::uniform_compressed("A", &["M", "K"], 1000, 1000, 50_000, 1);
+    let a = genmat::uniform_compressed("A", &["M", "K"], 1, 500_000, 40_000, 2);
+    let b = genmat::uniform_compressed("B", &["M", "K"], 1, 500_000, 40_000, 3);
+    let mut g = c.benchmark_group("fibertree_cursors");
+    g.bench_function("leaf_stream", |bch| {
+        bch.iter(|| leaf_sum(std::hint::black_box(&m).root_fiber_view().unwrap()))
+    });
+    let (fa, fb) = (row(&a), row(&b));
+    g.bench_function("intersect2_two_finger", |bch| {
+        bch.iter(|| {
+            intersect2_stream(fa, fb, IntersectPolicy::TwoFinger)
+                .map(|(_, i, j)| i + j)
+                .sum::<usize>()
+        })
+    });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_transforms,
-    bench_intersection,
-    bench_representations
-);
+criterion_group!(benches, bench_transforms, bench_intersection, bench_cursors);
 criterion_main!(benches);

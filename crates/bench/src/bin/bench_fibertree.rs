@@ -1,9 +1,10 @@
-//! Owned-vs-compressed fibertree microbenchmark, recorded to
-//! `BENCH_fibertree.json` — the start of the storage-layer perf
-//! trajectory.
+//! Fibertree storage-layer microbenchmark, recorded to
+//! `BENCH_fibertree.json`.
 //!
-//! Five cases, each timed over both representations of identical
-//! content:
+//! Six cases. The four cursor cases time the compressed (CSF) cursors
+//! every evaluation reads; the two transform cases time both
+//! representations of identical content, since `Tensor` keeps its own
+//! transforms as the test oracle:
 //!
 //! 1. `leaf_stream` — DFS over every leaf of a large sparse matrix (the
 //!    full-tensor iteration every simulation performs per operand),
@@ -49,7 +50,8 @@ use teaal_workloads::genmat;
 struct CaseResult {
     case: &'static str,
     detail: String,
-    owned_ns: u128,
+    /// The owned tree's time, for the transform cases only.
+    owned_ns: Option<u128>,
     compressed_ns: u128,
 }
 
@@ -76,6 +78,15 @@ fn rowwise(a: FiberView<'_>, b: FiberView<'_>) -> u64 {
     matches
 }
 
+/// The first row fiber of a one-row compressed matrix.
+fn row(t: &CompressedTensor) -> FiberView<'_> {
+    t.root_fiber_view()
+        .unwrap()
+        .payload_at(0)
+        .as_fiber()
+        .unwrap()
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let reps = if quick { 3 } else { 7 };
@@ -92,7 +103,7 @@ fn main() {
     };
 
     println!(
-        "== fibertree owned vs compressed ({} mode) ==",
+        "== fibertree cursors and transforms ({} mode) ==",
         if quick { "quick" } else { "full" }
     );
 
@@ -100,66 +111,27 @@ fn main() {
 
     // Case 1: full leaf stream over a large matrix.
     {
-        let owned = TensorData::Owned(genmat::uniform("A", &["M", "K"], dim, dim, nnz, 1));
-        let comp = TensorData::Compressed(genmat::uniform_compressed(
-            "A",
-            &["M", "K"],
-            dim,
-            dim,
-            nnz,
-            1,
-        ));
-        assert_eq!(
-            owned.nnz(),
-            comp.nnz(),
-            "same content in both representations"
-        );
-        let owned_ns = time_min(reps, || leaf_sum(owned.root_fiber_view().unwrap()));
-        let compressed_ns = time_min(reps, || leaf_sum(comp.root_fiber_view().unwrap()));
+        let m = genmat::uniform_compressed("A", &["M", "K"], dim, dim, nnz, 1);
+        let compressed_ns = time_min(reps, || leaf_sum(m.root_fiber_view().unwrap()));
         results.push(CaseResult {
             case: "leaf_stream_large_matrix",
-            detail: format!("{dim}x{dim}, {} nnz", owned.nnz()),
-            owned_ns,
+            detail: format!("{dim}x{dim}, {} nnz", m.nnz()),
+            owned_ns: None,
             compressed_ns,
         });
     }
 
     // Case 2: two-finger intersection of two long sparse vectors.
     {
-        let oa = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1, vec_dim, vec_nnz, 2));
-        let ob = TensorData::Owned(genmat::uniform("B", &["M", "K"], 1, vec_dim, vec_nnz, 3));
-        let ca = TensorData::Compressed(genmat::uniform_compressed(
-            "A",
-            &["M", "K"],
-            1,
-            vec_dim,
-            vec_nnz,
-            2,
-        ));
-        let cb = TensorData::Compressed(genmat::uniform_compressed(
-            "B",
-            &["M", "K"],
-            1,
-            vec_dim,
-            vec_nnz,
-            3,
-        ));
-        fn fiber(d: &TensorData) -> FiberView<'_> {
-            d.root_fiber_view()
-                .unwrap()
-                .payload_at(0)
-                .as_fiber()
-                .unwrap()
-        }
-        let drain = |a: FiberView<'_>, b: FiberView<'_>| {
-            intersect2_stream(a, b, IntersectPolicy::TwoFinger).count()
-        };
-        let owned_ns = time_min(reps, || drain(fiber(&oa), fiber(&ob)));
-        let compressed_ns = time_min(reps, || drain(fiber(&ca), fiber(&cb)));
+        let a = genmat::uniform_compressed("A", &["M", "K"], 1, vec_dim, vec_nnz, 2);
+        let b = genmat::uniform_compressed("B", &["M", "K"], 1, vec_dim, vec_nnz, 3);
+        let compressed_ns = time_min(reps, || {
+            intersect2_stream(row(&a), row(&b), IntersectPolicy::TwoFinger).count()
+        });
         results.push(CaseResult {
             case: "intersect2_vectors",
             detail: format!("2 x {vec_nnz} of {vec_dim}"),
-            owned_ns,
+            owned_ns: None,
             compressed_ns,
         });
     }
@@ -168,34 +140,15 @@ fn main() {
     {
         let rows = dim / 4;
         let n = nnz / 2;
-        let oa = TensorData::Owned(genmat::uniform("A", &["M", "K"], rows, rows, n, 4));
-        let ob = TensorData::Owned(genmat::uniform("B", &["M", "K"], rows, rows, n, 5));
-        let ca = TensorData::Compressed(genmat::uniform_compressed(
-            "A",
-            &["M", "K"],
-            rows,
-            rows,
-            n,
-            4,
-        ));
-        let cb = TensorData::Compressed(genmat::uniform_compressed(
-            "B",
-            &["M", "K"],
-            rows,
-            rows,
-            n,
-            5,
-        ));
-        let owned_ns = time_min(reps, || {
-            rowwise(oa.root_fiber_view().unwrap(), ob.root_fiber_view().unwrap())
-        });
+        let a = genmat::uniform_compressed("A", &["M", "K"], rows, rows, n, 4);
+        let b = genmat::uniform_compressed("B", &["M", "K"], rows, rows, n, 5);
         let compressed_ns = time_min(reps, || {
-            rowwise(ca.root_fiber_view().unwrap(), cb.root_fiber_view().unwrap())
+            rowwise(a.root_fiber_view().unwrap(), b.root_fiber_view().unwrap())
         });
         results.push(CaseResult {
             case: "rowwise_cointeration",
             detail: format!("{rows}x{rows}, 2 x {n} nnz"),
-            owned_ns,
+            owned_ns: None,
             compressed_ns,
         });
     }
@@ -227,7 +180,7 @@ fn main() {
         results.push(CaseResult {
             case: "transform_swizzle_partition",
             detail: format!("{dim}x{dim}, {} nnz", owned.nnz()),
-            owned_ns,
+            owned_ns: Some(owned_ns),
             compressed_ns,
         });
     }
@@ -255,7 +208,7 @@ fn main() {
         results.push(CaseResult {
             case: "transform_flatten_occupancy",
             detail: format!("{dim}x{dim}, {} nnz", owned.nnz()),
-            owned_ns,
+            owned_ns: Some(owned_ns),
             compressed_ns,
         });
     }
@@ -265,40 +218,15 @@ fn main() {
     // large operand's runs instead of scanning them.
     {
         let small_nnz = if quick { 400 } else { 2_000usize };
-        let oa = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1, vec_dim, small_nnz, 8));
-        let ob = TensorData::Owned(genmat::uniform("B", &["M", "K"], 1, vec_dim, vec_nnz, 9));
-        let ca = TensorData::Compressed(genmat::uniform_compressed(
-            "A",
-            &["M", "K"],
-            1,
-            vec_dim,
-            small_nnz,
-            8,
-        ));
-        let cb = TensorData::Compressed(genmat::uniform_compressed(
-            "B",
-            &["M", "K"],
-            1,
-            vec_dim,
-            vec_nnz,
-            9,
-        ));
-        fn fiber(d: &TensorData) -> FiberView<'_> {
-            d.root_fiber_view()
-                .unwrap()
-                .payload_at(0)
-                .as_fiber()
-                .unwrap()
-        }
-        let drain = |a: FiberView<'_>, b: FiberView<'_>| {
-            intersect2_stream(a, b, IntersectPolicy::SkipAhead).count()
-        };
-        let owned_ns = time_min(reps, || drain(fiber(&oa), fiber(&ob)));
-        let compressed_ns = time_min(reps, || drain(fiber(&ca), fiber(&cb)));
+        let a = genmat::uniform_compressed("A", &["M", "K"], 1, vec_dim, small_nnz, 8);
+        let b = genmat::uniform_compressed("B", &["M", "K"], 1, vec_dim, vec_nnz, 9);
+        let compressed_ns = time_min(reps, || {
+            intersect2_stream(row(&a), row(&b), IntersectPolicy::SkipAhead).count()
+        });
         results.push(CaseResult {
             case: "intersect2_vectors_skewed",
             detail: format!("{small_nnz} vs {vec_nnz} of {vec_dim}, skip-ahead"),
-            owned_ns,
+            owned_ns: None,
             compressed_ns,
         });
     }
@@ -308,13 +236,16 @@ fn main() {
         "case", "owned ns", "compressed ns", "speedup"
     );
     for r in &results {
+        let (owned, speedup) = match r.owned_ns {
+            Some(o) => (
+                o.to_string(),
+                format!("{:.2}x", o as f64 / r.compressed_ns as f64),
+            ),
+            None => ("-".into(), "-".into()),
+        };
         println!(
-            "{:<28}{:>16}{:>16}{:>9.2}x  ({})",
-            r.case,
-            r.owned_ns,
-            r.compressed_ns,
-            r.owned_ns as f64 / r.compressed_ns as f64,
-            r.detail
+            "{:<28}{:>16}{:>16}{:>10}  ({})",
+            r.case, owned, r.compressed_ns, speedup, r.detail
         );
     }
 
@@ -412,7 +343,8 @@ fn main() {
     {
         use teaal_fibertree::StatsCache;
         use teaal_sim::{
-            estimate_data, explore_fast, explore_loop_orders, ExploreConfig, Objective, OpTable,
+            estimate_data, explore_fast_with_context, explore_loop_orders_with_context,
+            ExploreConfig, Objective, OpTable,
         };
         let spec = TeaalSpec::parse(teaal_fixtures::GAMMA_EM).unwrap();
         let (mdim, mnnz) = if quick {
@@ -426,33 +358,38 @@ fn main() {
         let search_reps = if quick { 1 } else { 3 };
         let cfg = ExploreConfig::default();
         let exhaustive_ns = time_min(search_reps, || {
-            explore_loop_orders(
+            explore_loop_orders_with_context(
                 &spec,
                 "Z",
                 &ins,
                 OpTable::arithmetic(),
                 Objective::Time,
                 cfg.budget,
+                1,
+                None,
             )
             .unwrap()
         });
         let fast_ns = time_min(search_reps, || {
-            explore_fast(&spec, "Z", &ins, OpTable::arithmetic(), &cfg).unwrap()
+            explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap()
         });
-        let exhaustive = explore_loop_orders(
+        let exhaustive = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             cfg.budget,
+            1,
+            None,
         )
         .unwrap();
-        let fast = explore_fast(&spec, "Z", &ins, OpTable::arithmetic(), &cfg).unwrap();
+        let fast =
+            explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap();
         // Per-candidate costs on the spec's own (default) mapping. The
         // estimator is timed against a warm `StatsCache` — the O(nnz)
         // stats pass is paid once per tensor across the whole search, as
-        // in `explore_fast`, so the marginal per-candidate cost is what
+        // in `explore_fast_with_context`, so the marginal per-candidate cost is what
         // matters.
         let sim = Simulator::new(spec.clone()).unwrap();
         let datas: Vec<TensorData> = ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
@@ -566,17 +503,21 @@ fn main() {
     }
 
     // Hand-rolled JSON (no serializer in the offline build).
-    let mut json = String::from("{\n  \"bench\": \"fibertree_owned_vs_compressed\",\n");
+    let mut json = String::from("{\n  \"bench\": \"fibertree\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n  \"cases\": [\n"));
     for (i, r) in results.iter().enumerate() {
+        let owned = r.owned_ns.map_or(String::new(), |o| {
+            format!(
+                ", \"owned_ns\": {o}, \"speedup\": {:.4}",
+                o as f64 / r.compressed_ns as f64
+            )
+        });
         json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"detail\": \"{}\", \"owned_ns\": {}, \
-             \"compressed_ns\": {}, \"speedup\": {:.4}}}{}\n",
+            "    {{\"case\": \"{}\", \"detail\": \"{}\", \"compressed_ns\": {}{}}}{}\n",
             r.case,
             r.detail,
-            r.owned_ns,
             r.compressed_ns,
-            r.owned_ns as f64 / r.compressed_ns as f64,
+            owned,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -640,12 +581,4 @@ fn main() {
     f.write_all(json.as_bytes())
         .expect("write benchmark summary");
     println!("\nwrote {path}");
-
-    let large = &results[0];
-    if large.compressed_ns > large.owned_ns {
-        println!(
-            "WARNING: compressed slower than owned on {} ({} vs {} ns)",
-            large.case, large.compressed_ns, large.owned_ns
-        );
-    }
 }

@@ -4,7 +4,7 @@
 //! Usage: `fig10d_sigma [--scale N]`
 
 use teaal_accel::SpmspmAccel;
-use teaal_bench::{arg_scale, arithmetic_mean, pct_error, print_table, reported};
+use teaal_bench::{arg_scale, arithmetic_mean, pct_error, print_table, reported, scaled_dim};
 use teaal_workloads::baselines::TpuBaseline;
 use teaal_workloads::genmat;
 
@@ -17,7 +17,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut errors = Vec::new();
     for (i, (m, n, k)) in reported::FIG10D_WORKLOADS.iter().enumerate() {
-        let (m, n, k) = ((m / scale).max(8), (n / scale).max(8), (k / scale).max(8));
+        let (m, n, k) = (
+            scaled_dim(*m, scale),
+            scaled_dim(*n, scale),
+            scaled_dim(*k, scale),
+        );
         let a = genmat::uniform_density(
             "A",
             &["K", "M"],

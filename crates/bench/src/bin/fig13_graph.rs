@@ -16,7 +16,7 @@ fn make_graph(tag: &str, scale: u64, weighted: bool) -> Graph {
     // originals' 12-14): shrinking a power-law graph shrinks its diameter,
     // and the per-iteration |V| costs the optimized designs avoid only
     // show up across many frontier expansions (the paper's lj BFS runs
-    // ~14 iterations — see EXPERIMENTS.md).
+    // ~14 iterations — see the paper-fidelity table in ROADMAP.md).
     let e = (v * 4).max(1024) as usize;
     Graph::power_law(v, e, weighted, 1000 + tag.len() as u64)
 }

@@ -1,5 +1,5 @@
 //! Runs every table and figure regenerator in sequence — the source of
-//! the numbers recorded in EXPERIMENTS.md.
+//! the numbers in the paper-fidelity table of ROADMAP.md.
 //!
 //! Usage: `cargo run --release -p teaal-bench --bin run_all`
 

@@ -15,9 +15,8 @@ use teaal_sim::SimReport;
 use teaal_workloads::{by_tag, Dataset};
 
 /// Sums every leaf reachable from a view — the canonical full-tensor
-/// iteration both storage representations must serve, shared by the
-/// criterion bench and the `bench_fibertree` binary so they time the
-/// same walk.
+/// iteration over CSF cursors, shared by the criterion bench and the
+/// `bench_fibertree` binary so they time the same walk.
 pub fn leaf_sum(v: FiberView<'_>) -> f64 {
     let mut acc = 0.0;
     for pos in 0..v.occupancy() {
@@ -31,7 +30,7 @@ pub fn leaf_sum(v: FiberView<'_>) -> f64 {
 
 /// Default linear scale factor for the Table 4 substitutes: dimensions
 /// and nnz are divided by this so interpreted simulation stays in seconds
-/// per accelerator (recorded in EXPERIMENTS.md).
+/// per accelerator (see the paper-fidelity table in ROADMAP.md).
 pub const DEFAULT_MATRIX_SCALE: u64 = 8;
 
 /// Default scale for the large vertex-centric graphs.
@@ -121,6 +120,14 @@ pub fn arg_scale(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// A paper dimension divided by `scale`, floored at 8 so scaled-down
+/// workloads keep a few fibers per rank. Only dimensions that scaling
+/// shrank are clamped: one the paper gives below 8 keeps its value (the
+/// N = 1 of Fig. 10d's `2048/1/128` row stays 1 at every scale).
+pub fn scaled_dim(d: u64, scale: u64) -> u64 {
+    (d / scale).max(8).min(d)
+}
+
 /// Arithmetic mean (the paper reports averages as arithmetic means, §7).
 pub fn arithmetic_mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -156,6 +163,16 @@ mod tests {
         assert_eq!(a.rank_ids(), &["K".to_string(), "M".to_string()]);
         assert_eq!(b.rank_ids(), &["K".to_string(), "N".to_string()]);
         assert_eq!(a.rank_shapes()[0], b.rank_shapes()[0]);
+    }
+
+    #[test]
+    fn scaled_dims_clamp_only_what_scaling_shrank() {
+        assert_eq!(scaled_dim(2048, 4), 512);
+        assert_eq!(scaled_dim(16, 4), 8);
+        assert_eq!(scaled_dim(1, 4), 1);
+        assert_eq!(scaled_dim(1, 1), 1);
+        assert_eq!(scaled_dim(6, 2), 6);
+        assert_eq!(scaled_dim(128, 1), 128);
     }
 
     #[test]

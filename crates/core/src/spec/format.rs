@@ -164,7 +164,9 @@ impl TensorFormat {
         )
     }
 
-    fn footprint_from_parts(
+    /// [`TensorFormat::footprint_bytes`] from a tensor's rank ids, shapes
+    /// and per-rank `(fiber count, total occupancy)` statistics.
+    pub fn footprint_from_parts(
         &self,
         rank_ids: &[String],
         rank_shapes: &[teaal_fibertree::Shape],

@@ -6,7 +6,7 @@
 //! same `(tensor, chain)` pair recurs constantly — every engine-verified
 //! candidate re-transforms the same inputs. A [`TransformCache`] keys the
 //! finished view by a caller-computed content hash
-//! ([`TensorData::content_hash`] combined with a canonical description of
+//! ([`CompressedTensor::content_hash`] combined with a canonical description of
 //! the chain) and hands back shared [`Arc`] views, so a warm cache
 //! performs **zero** redundant transforms
 //! ([`telemetry::transform_exec_count`] stays flat).
@@ -38,10 +38,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::compressed::CompressedTensor;
 use crate::coord::Coord;
 use crate::telemetry;
 use crate::telemetry::CacheStats;
-use crate::view::TensorData;
 
 /// A thread-safe, byte-accounted LRU map from 64-bit content hashes to
 /// shared [`Arc`] values.
@@ -232,9 +232,8 @@ pub struct BoundaryRecord {
 /// plus the chain's replayable side effects in execution order.
 #[derive(Clone, Debug)]
 pub struct TransformedView {
-    /// The transformed tensor, always compressed (CSF): transform chains
-    /// run on CSF arrays whichever representation the input arrived in.
-    pub tensor: TensorData,
+    /// The transformed tensor: transform chains run on CSF arrays.
+    pub tensor: CompressedTensor,
     /// Merge groups recorded while the chain ran.
     pub merges: Vec<MergeRecord>,
     /// Boundary lists published while the chain ran.
@@ -242,7 +241,7 @@ pub struct TransformedView {
 }
 
 impl TransformedView {
-    /// Rough resident size: [`TensorData::approx_bytes`] of the tensor.
+    /// Rough resident size: [`CompressedTensor::approx_bytes`] of the tensor.
     pub fn approx_bytes(&self) -> u64 {
         self.tensor.approx_bytes()
     }
@@ -351,15 +350,11 @@ impl TransformCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::TensorBuilder;
 
     fn view(tag: f64) -> TransformedView {
-        let t = TensorBuilder::new("T", &["I"], &[8])
-            .entry(&[1], tag)
-            .build()
-            .unwrap();
+        let t = CompressedTensor::from_entries("T", &["I"], &[8], vec![(vec![1], tag)]).unwrap();
         TransformedView {
-            tensor: TensorData::Owned(t),
+            tensor: t,
             merges: vec![MergeRecord {
                 tensor: "T".into(),
                 elems: 4,

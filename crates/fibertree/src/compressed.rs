@@ -35,8 +35,8 @@
 //! [`CompressedBuilder`].
 //! [`CompressedTensor::to_tensor`] and [`CompressedTensor::from_tensor`]
 //! convert losslessly between the representations, and
-//! [`FiberView`](crate::view::FiberView) cursors iterate both behind one
-//! interface. Every `to_tensor` decompression is counted by
+//! [`FiberView`](crate::view::FiberView) cursors iterate compressed
+//! storage. Every `to_tensor` decompression is counted by
 //! [`crate::telemetry`], which is how the simulator's tests prove the hot
 //! path never leaves the compressed representation.
 
@@ -596,6 +596,13 @@ impl CompressedTensor {
     #[inline]
     pub(crate) fn raw_into(&self, level: usize, p: usize, out: &mut [u64]) {
         self.levels[level].raw_into(p, out);
+    }
+
+    /// Rough resident size for cache accounting: one value plus one
+    /// coordinate word per rank per leaf — good enough for byte-bounded
+    /// caches and telemetry, not allocator-exact.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.nnz() as u64) * (8 + 8 * self.order() as u64)
     }
 
     /// Number of elements at `level` (`level < order`): the range of the

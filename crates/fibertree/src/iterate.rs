@@ -1,5 +1,4 @@
-//! Co-iteration over fibers: streaming intersection, union, and
-//! projection lookup.
+//! Co-iteration over fibers: streaming intersection and union.
 //!
 //! Sparse accelerators "sparsify" the iteration space (paper §2.4) by
 //! co-iterating the operands of each loop rank. Multiplicative operands are
@@ -12,21 +11,17 @@
 //! Co-iteration is a *streaming dataflow of coordinate cursors* (in the
 //! spirit of the Sparse Abstract Machine): [`intersect2_stream`],
 //! [`intersect_stream`], and [`union_stream`] are lazy iterators over
-//! [`FiberView`] cursors that emit one match at a time, never
-//! materializing a match list. The matching eager functions
-//! ([`intersect2`], [`intersect_many`], [`union_many`]) are thin wrappers
-//! that drain a stream into a `Vec` — convenient for tests and small
-//! fibers, while the simulator's engine consumes the streams directly.
-//! Both report identical [`CoIterStats`]. An [`IntersectStream`] over one
-//! or two compressed point fibers reads their coordinate arrays as raw
-//! runs ([`crate::PointRun`]), as SAM's scanners and intersecters do,
-//! with the cascade's exact charging.
+//! compressed-fiber [`FiberView`] cursors that emit one match at a time,
+//! never materializing a match list; the simulator's engine consumes
+//! them directly, and collecting one into a `Vec` is the eager form. An
+//! [`IntersectStream`] over one or two point fibers reads their
+//! coordinate arrays as raw runs ([`crate::PointRun`]), as SAM's scanners
+//! and intersecters do, with the cascade's exact charging.
 
 use serde::{Deserialize, Serialize};
 
 use crate::coord::Coord;
-use crate::fiber::Fiber;
-use crate::view::{CoordKey, FiberView, PayloadView, PointRun};
+use crate::view::{CoordKey, FiberView, PointRun};
 
 /// The intersection unit type (Table 3 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
@@ -199,20 +194,6 @@ fn skew_step(rem_self: usize, rem_other: usize) -> usize {
     (rem_self / rem_other.max(1)).max(1)
 }
 
-/// Intersects two fibers eagerly, returning the positions of each match.
-///
-/// Each output tuple is `(coord, position in a, position in b)`. This is
-/// [`intersect2_stream`] drained into a `Vec`.
-pub fn intersect2(
-    a: &Fiber,
-    b: &Fiber,
-    policy: IntersectPolicy,
-) -> (Vec<(Coord, usize, usize)>, CoIterStats) {
-    let mut s = intersect2_stream(FiberView::Owned(a), FiberView::Owned(b), policy);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
-}
-
 /// Gallops forward from `start` to the first position whose coordinate is
 /// `>= target`, returning `(position, probes spent)`.
 ///
@@ -277,7 +258,7 @@ fn gallop(
 /// level allocates only on first use. The [`Iterator`] impl materializes
 /// each match for callers that want owned rows.
 ///
-/// One or two compressed point fibers (see [`FiberView::point_run`]) in an
+/// One or two point fibers (see [`FiberView::point_run`]) in an
 /// unbounded stream skip the cascade: the stream scans one raw run, or
 /// merges (two-finger, skip-ahead) or probes (leader-follower) two, by
 /// direct integer compares. That choice follows from the fibers' shape
@@ -313,7 +294,7 @@ pub struct IntersectStream<'a> {
 #[derive(Clone, Copy, Debug, Default)]
 enum Kernel<'a> {
     /// The cascade of two-input stages over fiber cursors: tuple levels,
-    /// owned fibers, more than two fibers, and bounded (shard) streams.
+    /// more than two fibers, and bounded (shard) streams.
     #[default]
     Cascade,
     /// One point run, scanned.
@@ -657,23 +638,6 @@ impl Iterator for IntersectStream<'_> {
     }
 }
 
-/// Intersects any number of fibers eagerly, returning for each matching
-/// coordinate the per-fiber positions. This is [`intersect_stream`]
-/// drained into a `Vec`.
-///
-/// # Panics
-///
-/// Panics when `fibers` is empty.
-pub fn intersect_many(
-    fibers: &[&Fiber],
-    policy: IntersectPolicy,
-) -> (Vec<(Coord, Vec<usize>)>, CoIterStats) {
-    let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
-    let mut s = intersect_stream(&views, policy);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
-}
-
 // ---------------------------------------------------------------------------
 // Union.
 // ---------------------------------------------------------------------------
@@ -805,53 +769,21 @@ impl Iterator for UnionStream<'_> {
     }
 }
 
-/// Unions any number of fibers eagerly. This is [`union_stream`] drained
-/// into a `Vec`.
-pub fn union_many(fibers: &[&Fiber]) -> (Vec<UnionMatch>, CoIterStats) {
-    let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
-    let mut s = union_stream(&views);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
-}
-
-// ---------------------------------------------------------------------------
-// Projection.
-// ---------------------------------------------------------------------------
-
-/// Looks up a coordinate in a fiber by *projection*: used when a loop rank
-/// covers several root ranks (after flattening) but a tensor only carries a
-/// subset of them, so the relevant tuple component is extracted and probed.
-pub fn project_lookup<'f>(
-    fiber: &FiberView<'f>,
-    coord: &Coord,
-    component: usize,
-) -> Option<PayloadView<'f>> {
-    let c = match coord {
-        Coord::Point(_) => {
-            debug_assert_eq!(component, 0, "points have a single component");
-            coord.clone()
-        }
-        Coord::Tuple(cs) => cs.get(component)?.clone(),
-    };
-    fiber.get(&c)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use crate::compressed::CompressedTensor;
-    use crate::coord::Shape;
-    use crate::view::TensorData;
 
-    fn fib(coords: &[u64]) -> Fiber {
-        Fiber::from_pairs(
-            Shape::Interval(1000),
-            coords.iter().map(|&c| (c, c as f64 + 1.0)),
-        )
-        .expect("test fiber is valid")
-    }
+    const POLICIES: [IntersectPolicy; 4] = [
+        IntersectPolicy::TwoFinger,
+        IntersectPolicy::LeaderFollower { leader: 0 },
+        IntersectPolicy::LeaderFollower { leader: 1 },
+        IntersectPolicy::SkipAhead,
+    ];
 
-    fn compressed(coords: &[u64]) -> CompressedTensor {
+    fn fiber(coords: &[u64]) -> CompressedTensor {
         CompressedTensor::from_entries(
             "F",
             &["K"],
@@ -861,11 +793,58 @@ mod tests {
         .expect("test fiber is valid")
     }
 
+    fn view(t: &CompressedTensor) -> FiberView<'_> {
+        t.root_fiber_view().expect("1-tensor")
+    }
+
+    /// Each fiber's coordinates mapped to their positions.
+    fn positions(fibers: &[&[u64]]) -> Vec<BTreeMap<u64, usize>> {
+        fibers
+            .iter()
+            .map(|f| f.iter().enumerate().map(|(i, &c)| (c, i)).collect())
+            .collect()
+    }
+
+    /// The intersection oracle: every coordinate all fibers hold, with its
+    /// position in each.
+    fn oracle_intersection(fibers: &[&[u64]]) -> Vec<(Coord, Vec<usize>)> {
+        let pos = positions(fibers);
+        pos[0]
+            .keys()
+            .filter(|c| pos.iter().all(|m| m.contains_key(c)))
+            .map(|c| (Coord::Point(*c), pos.iter().map(|m| m[c]).collect()))
+            .collect()
+    }
+
+    /// The union oracle: every coordinate any fiber holds, with its
+    /// position where present.
+    fn oracle_union(fibers: &[&[u64]]) -> Vec<UnionMatch> {
+        let pos = positions(fibers);
+        let all: BTreeSet<u64> = pos.iter().flat_map(|m| m.keys().copied()).collect();
+        all.into_iter()
+            .map(|c| {
+                (
+                    Coord::Point(c),
+                    pos.iter().map(|m| m.get(&c).copied()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn drain2(
+        a: &[u64],
+        b: &[u64],
+        policy: IntersectPolicy,
+    ) -> (Vec<(Coord, usize, usize)>, CoIterStats) {
+        let (ta, tb) = (fiber(a), fiber(b));
+        let mut s = intersect2_stream(view(&ta), view(&tb), policy);
+        let rows: Vec<_> = s.by_ref().collect();
+        (rows, s.stats())
+    }
+
     #[test]
     fn two_finger_finds_all_matches() {
-        let a = fib(&[1, 3, 5, 7]);
-        let b = fib(&[2, 3, 7, 9]);
-        let (m, s) = intersect2(&a, &b, IntersectPolicy::TwoFinger);
+        let (m, s) = drain2(&[1, 3, 5, 7], &[2, 3, 7, 9], IntersectPolicy::TwoFinger);
         let coords: Vec<u64> = m.iter().map(|(c, _, _)| c.as_point().unwrap()).collect();
         assert_eq!(coords, vec![3, 7]);
         assert_eq!(s.matches, 2);
@@ -874,33 +853,36 @@ mod tests {
 
     #[test]
     fn all_policies_agree_on_matches() {
-        let a = fib(&[0, 2, 4, 6, 8, 10, 50, 51, 52]);
-        let b = fib(&[4, 5, 6, 52, 99]);
-        let (m0, _) = intersect2(&a, &b, IntersectPolicy::TwoFinger);
-        let (m1, _) = intersect2(&a, &b, IntersectPolicy::LeaderFollower { leader: 0 });
-        let (m2, _) = intersect2(&a, &b, IntersectPolicy::LeaderFollower { leader: 1 });
-        let (m3, _) = intersect2(&a, &b, IntersectPolicy::SkipAhead);
-        assert_eq!(m0, m1);
-        assert_eq!(m0, m2);
-        assert_eq!(m0, m3);
+        let a: &[u64] = &[0, 2, 4, 6, 8, 10, 50, 51, 52];
+        let b: &[u64] = &[4, 5, 6, 52, 99];
+        let want = oracle_intersection(&[a, b]);
+        let (ta, tb) = (fiber(a), fiber(b));
+        for policy in POLICIES {
+            let (rows, stats) = drain2(a, b, policy);
+            let rows: Vec<_> = rows.into_iter().map(|(c, i, j)| (c, vec![i, j])).collect();
+            assert_eq!(rows, want, "{policy:?}");
+            assert_eq!(stats.matches, want.len() as u64, "{policy:?}");
+            let cascade: Vec<_> = intersect_stream(&[view(&ta), view(&tb)], policy).collect();
+            assert_eq!(cascade, want, "{policy:?}");
+        }
     }
 
     #[test]
     fn leader_follower_work_tracks_leader_occupancy() {
-        let small = fib(&[100, 200]);
-        let big = fib(&(0..500).collect::<Vec<u64>>());
-        let (_, s) = intersect2(&small, &big, IntersectPolicy::LeaderFollower { leader: 0 });
+        let big: Vec<u64> = (0..500).collect();
+        let lead_small = IntersectPolicy::LeaderFollower { leader: 0 };
+        let (_, s) = drain2(&[100, 200], &big, lead_small);
         assert_eq!(s.comparisons, 2);
-        let (_, s) = intersect2(&small, &big, IntersectPolicy::LeaderFollower { leader: 1 });
+        let lead_big = IntersectPolicy::LeaderFollower { leader: 1 };
+        let (_, s) = drain2(&[100, 200], &big, lead_big);
         assert_eq!(s.comparisons, 500);
     }
 
     #[test]
     fn skip_ahead_beats_two_finger_on_skewed_inputs() {
-        let sparse = fib(&[999]);
-        let dense = fib(&(0..1000).collect::<Vec<u64>>());
-        let (_, tf) = intersect2(&sparse, &dense, IntersectPolicy::TwoFinger);
-        let (_, sa) = intersect2(&sparse, &dense, IntersectPolicy::SkipAhead);
+        let dense: Vec<u64> = (0..1000).collect();
+        let (_, tf) = drain2(&[999], &dense, IntersectPolicy::TwoFinger);
+        let (_, sa) = drain2(&[999], &dense, IntersectPolicy::SkipAhead);
         assert!(
             sa.comparisons < tf.comparisons / 10,
             "skip-ahead {} should be far below two-finger {}",
@@ -911,24 +893,18 @@ mod tests {
 
     #[test]
     fn intersect_many_matches_pairwise_composition() {
-        let a = fib(&[1, 2, 3, 4, 5]);
-        let b = fib(&[2, 4, 6]);
-        let c = fib(&[4, 5, 6]);
-        let (m, _) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].0, Coord::Point(4));
-        assert_eq!(m[0].1, vec![3, 1, 0]);
+        let fibers: [&[u64]; 3] = [&[1, 2, 3, 4, 5], &[2, 4, 6], &[4, 5, 6]];
+        let ts: Vec<CompressedTensor> = fibers.iter().map(|f| fiber(f)).collect();
+        let views: Vec<FiberView<'_>> = ts.iter().map(view).collect();
+        let rows: Vec<_> = intersect_stream(&views, IntersectPolicy::TwoFinger).collect();
+        assert_eq!(rows, oracle_intersection(&fibers));
+        assert_eq!(rows, vec![(Coord::Point(4), vec![3, 1, 0])]);
     }
 
     #[test]
     fn streams_are_lazy_but_stats_complete_on_drain() {
-        let a = fib(&[1, 3, 5, 7]);
-        let b = fib(&[3, 7]);
-        let mut s = intersect2_stream(
-            FiberView::Owned(&a),
-            FiberView::Owned(&b),
-            IntersectPolicy::TwoFinger,
-        );
+        let (ta, tb) = (fiber(&[1, 3, 5, 7]), fiber(&[3, 7]));
+        let mut s = intersect2_stream(view(&ta), view(&tb), IntersectPolicy::TwoFinger);
         let first = s.next().unwrap();
         assert_eq!(first.0, Coord::Point(3));
         let partial = s.stats();
@@ -938,70 +914,76 @@ mod tests {
         assert!(s.stats().comparisons > partial.comparisons);
     }
 
-    #[test]
-    fn streams_agree_across_representations() {
-        let coords_a: Vec<u64> = vec![0, 2, 4, 6, 8, 10, 50, 51, 52];
-        let coords_b: Vec<u64> = vec![4, 5, 6, 52, 99];
-        let (oa, ob) = (fib(&coords_a), fib(&coords_b));
-        let (ca, cb) = (compressed(&coords_a), compressed(&coords_b));
-        let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        for policy in [
-            IntersectPolicy::TwoFinger,
-            IntersectPolicy::LeaderFollower { leader: 0 },
-            IntersectPolicy::LeaderFollower { leader: 1 },
-            IntersectPolicy::SkipAhead,
-        ] {
-            let (mo, so) = intersect2(&oa, &ob, policy);
-            let mut s = intersect2_stream(
-                da.root_fiber_view().unwrap(),
-                db.root_fiber_view().unwrap(),
-                policy,
-            );
-            let mc: Vec<_> = s.by_ref().collect();
-            assert_eq!(mo, mc, "{policy:?}");
-            assert_eq!(so, s.stats(), "{policy:?}");
-        }
-        let (uo, suo) = union_many(&[&oa, &ob]);
-        let mut us = union_stream(&[da.root_fiber_view().unwrap(), db.root_fiber_view().unwrap()]);
-        let uc: Vec<_> = us.by_ref().collect();
-        assert_eq!(uo, uc);
-        assert_eq!(suo, us.stats());
-    }
-
+    /// The cascade charges what the eager pairwise composition would:
+    /// each stage merges the complete output of the stage above it, even
+    /// when its own fiber exhausts first.
     #[test]
     fn cascade_drains_upstream_when_a_stage_exhausts() {
-        // b exhausts immediately, but the a→b stage must still charge the
-        // comparisons the eager composition would (full |a| materialized,
-        // then the a∩b merge, then nothing at the c stage).
-        let a = fib(&[1, 2, 3, 4, 5]);
-        let b = fib(&[1]);
-        let c = fib(&[9]);
-        let (me, se) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        assert!(me.is_empty());
-        let views = [&a, &b, &c].map(FiberView::Owned);
-        let mut s = intersect_stream(&views, IntersectPolicy::TwoFinger);
-        assert!(s.by_ref().next().is_none());
-        assert_eq!(s.stats(), se);
+        // (fibers, comparisons of `a ∩ b` then of `(a ∩ b) ∩ c`, matches)
+        let cases: [([&[u64]; 3], u64, u64); 2] = [
+            // b exhausts at once: 1 + 1 comparisons, no match.
+            ([&[1, 2, 3, 4, 5], &[1], &[9]], 2, 0),
+            // c exhausts after its match; stage 1 still merges all of
+            // a and b: 5 + 1 comparisons.
+            ([&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 5], &[1]], 6, 1),
+        ];
+        for (fibers, comparisons, matches) in cases {
+            let ts: Vec<CompressedTensor> = fibers.iter().map(|f| fiber(f)).collect();
+            let views: Vec<FiberView<'_>> = ts.iter().map(view).collect();
+            let mut s = intersect_stream(&views, IntersectPolicy::TwoFinger);
+            let rows: Vec<_> = s.by_ref().collect();
+            assert_eq!(rows, oracle_intersection(&fibers));
+            assert_eq!(
+                s.stats(),
+                CoIterStats {
+                    comparisons,
+                    matches
+                }
+            );
+        }
     }
 
     #[test]
     fn union_yields_every_coordinate_once() {
-        let a = fib(&[1, 3]);
-        let b = fib(&[2, 3, 5]);
-        let (u, s) = union_many(&[&a, &b]);
-        let coords: Vec<u64> = u.iter().map(|(c, _)| c.as_point().unwrap()).collect();
-        assert_eq!(coords, vec![1, 2, 3, 5]);
-        assert_eq!(u[2].1, vec![Some(1), Some(1)]);
-        assert_eq!(u[0].1, vec![Some(0), None]);
-        assert_eq!(s.matches, 4);
+        let fibers: [&[u64]; 2] = [&[1, 3], &[2, 3, 5]];
+        let ts: Vec<CompressedTensor> = fibers.iter().map(|f| fiber(f)).collect();
+        let views: Vec<FiberView<'_>> = ts.iter().map(view).collect();
+        let mut s = union_stream(&views);
+        let rows: Vec<_> = s.by_ref().collect();
+        assert_eq!(rows, oracle_union(&fibers));
+        assert_eq!(rows[2].1, vec![Some(1), Some(1)]);
+        assert_eq!(rows[0].1, vec![Some(0), None]);
+        assert_eq!(s.stats().matches, 4);
+    }
+
+    /// The two-input unit and the cascade stream find the same matches
+    /// under every policy, and charge alike where they model the same
+    /// unit (the cascade merges under skip-ahead, and its source always
+    /// leads).
+    #[test]
+    fn streams_agree_across_representations() {
+        let a: &[u64] = &[0, 2, 4, 6, 8, 10, 50, 51, 52];
+        let b: &[u64] = &[4, 5, 6, 52, 99];
+        let (ta, tb) = (fiber(a), fiber(b));
+        for policy in POLICIES {
+            let (rows, stats) = drain2(a, b, policy);
+            let mut s = intersect_stream(&[view(&ta), view(&tb)], policy);
+            let cascade: Vec<_> = s.by_ref().collect();
+            let rows: Vec<_> = rows.into_iter().map(|(c, i, j)| (c, vec![i, j])).collect();
+            assert_eq!(rows, cascade, "{policy:?}");
+            if matches!(
+                policy,
+                IntersectPolicy::TwoFinger | IntersectPolicy::LeaderFollower { leader: 0 }
+            ) {
+                assert_eq!(stats, s.stats(), "{policy:?}");
+            }
+        }
     }
 
     #[test]
     fn union_of_empty_fibers_is_empty() {
-        let a = Fiber::new(Shape::Interval(5));
-        let b = Fiber::new(Shape::Interval(5));
-        let (u, _) = union_many(&[&a, &b]);
-        assert!(u.is_empty());
+        let (a, b) = (fiber(&[]), fiber(&[]));
+        assert!(union_stream(&[view(&a), view(&b)]).next().is_none());
     }
 
     /// Shard-exactness: for every split of the coordinate space into
@@ -1009,47 +991,33 @@ mod tests {
     /// to the unbounded stream's and their stats sum to its stats exactly.
     #[test]
     fn bounded_intersect_shards_partition_sequential_exactly() {
-        let coords_a: Vec<u64> = vec![0, 2, 4, 6, 8, 10, 50, 51, 52, 400, 401, 700];
-        let coords_b: Vec<u64> = vec![4, 5, 6, 52, 99, 400, 700, 999];
-        // Both representations: the engine shards owned and compressed
-        // inputs alike, and their coordinate keys differ (Borrowed vs
-        // inline Point).
-        let (ca, cb) = (compressed(&coords_a), compressed(&coords_b));
-        let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        let (fa, fb) = (fib(&coords_a), fib(&coords_b));
-        let view_sets: [[FiberView<'_>; 2]; 2] = [
-            [da.root_fiber_view().unwrap(), db.root_fiber_view().unwrap()],
-            [FiberView::Owned(&fa), FiberView::Owned(&fb)],
-        ];
-        for pair in &view_sets {
-            for policy in [
-                IntersectPolicy::TwoFinger,
-                IntersectPolicy::LeaderFollower { leader: 0 },
-                IntersectPolicy::LeaderFollower { leader: 1 },
-                IntersectPolicy::SkipAhead,
-            ] {
-                for nf in [1usize, 2] {
-                    let views: Vec<FiberView<'_>> = pair[..nf].to_vec();
-                    let mut whole = intersect_stream(&views, policy);
-                    let seq: Vec<_> = whole.by_ref().collect();
-                    let seq_stats = whole.stats();
-                    for split in [0u64, 1, 5, 52, 53, 399, 500, 999, 1000] {
-                        let mut merged = Vec::new();
-                        let mut comparisons = 0;
-                        let mut matches = 0;
-                        for (lo, hi) in [(0, split), (split, 1000)] {
-                            let mut s = intersect_stream_bounded(&views, policy, lo, hi);
-                            merged.extend(s.by_ref());
-                            comparisons += s.stats().comparisons;
-                            matches += s.stats().matches;
-                        }
-                        assert_eq!(seq, merged, "{policy:?} nf={nf} split={split}");
-                        assert_eq!(
-                            (seq_stats.comparisons, seq_stats.matches),
-                            (comparisons, matches),
-                            "{policy:?} nf={nf} split={split}"
-                        );
+        let (ta, tb) = (
+            fiber(&[0, 2, 4, 6, 8, 10, 50, 51, 52, 400, 401, 700]),
+            fiber(&[4, 5, 6, 52, 99, 400, 700, 999]),
+        );
+        let pair = [view(&ta), view(&tb)];
+        for policy in POLICIES {
+            for nf in [1usize, 2] {
+                let views = &pair[..nf];
+                let mut whole = intersect_stream(views, policy);
+                let seq: Vec<_> = whole.by_ref().collect();
+                let seq_stats = whole.stats();
+                for split in [0u64, 1, 5, 52, 53, 399, 500, 999, 1000] {
+                    let mut merged = Vec::new();
+                    let mut comparisons = 0;
+                    let mut matches = 0;
+                    for (lo, hi) in [(0, split), (split, 1000)] {
+                        let mut s = intersect_stream_bounded(views, policy, lo, hi);
+                        merged.extend(s.by_ref());
+                        comparisons += s.stats().comparisons;
+                        matches += s.stats().matches;
                     }
+                    assert_eq!(seq, merged, "{policy:?} nf={nf} split={split}");
+                    assert_eq!(
+                        (seq_stats.comparisons, seq_stats.matches),
+                        (comparisons, matches),
+                        "{policy:?} nf={nf} split={split}"
+                    );
                 }
             }
         }
@@ -1057,58 +1025,37 @@ mod tests {
 
     #[test]
     fn bounded_union_shards_partition_sequential_exactly() {
-        let coords_a: Vec<u64> = vec![1, 3, 40, 41, 800];
-        let coords_b: Vec<u64> = vec![2, 3, 5, 41, 999];
-        let coords_c: Vec<u64> = vec![0, 40, 900, 999];
-        let tensors: Vec<TensorData> = [&coords_a, &coords_b, &coords_c]
-            .iter()
-            .map(|c| TensorData::Compressed(compressed(c)))
-            .collect();
-        let fibers: Vec<Fiber> = [&coords_a, &coords_b, &coords_c]
-            .iter()
-            .map(|c| fib(c))
-            .collect();
-        let view_sets: [Vec<FiberView<'_>>; 2] = [
-            tensors
-                .iter()
-                .map(|t| t.root_fiber_view().unwrap())
-                .collect(),
-            fibers.iter().map(FiberView::Owned).collect(),
-        ];
-        for views in &view_sets {
-            let mut whole = union_stream(views);
-            let seq: Vec<_> = whole.by_ref().collect();
-            let seq_stats = whole.stats();
-            for splits in [vec![500], vec![0, 41], vec![3, 40, 900], vec![1000]] {
-                let mut bounds = vec![0u64];
-                bounds.extend(&splits);
-                bounds.push(1000);
-                let mut merged = Vec::new();
-                let mut comparisons = 0;
-                let mut matches = 0;
-                for w in bounds.windows(2) {
-                    let mut s = union_stream_bounded(views, w[0], w[1]);
-                    merged.extend(s.by_ref());
-                    comparisons += s.stats().comparisons;
-                    matches += s.stats().matches;
-                }
-                assert_eq!(seq, merged, "splits={splits:?}");
-                assert_eq!(
-                    (seq_stats.comparisons, seq_stats.matches),
-                    (comparisons, matches),
-                    "splits={splits:?}"
-                );
+        let ts: Vec<CompressedTensor> = [
+            &[1u64, 3, 40, 41, 800][..],
+            &[2, 3, 5, 41, 999],
+            &[0, 40, 900, 999],
+        ]
+        .iter()
+        .map(|c| fiber(c))
+        .collect();
+        let views: Vec<FiberView<'_>> = ts.iter().map(view).collect();
+        let mut whole = union_stream(&views);
+        let seq: Vec<_> = whole.by_ref().collect();
+        let seq_stats = whole.stats();
+        for splits in [vec![500], vec![0, 41], vec![3, 40, 900], vec![1000]] {
+            let mut bounds = vec![0u64];
+            bounds.extend(&splits);
+            bounds.push(1000);
+            let mut merged = Vec::new();
+            let mut comparisons = 0;
+            let mut matches = 0;
+            for w in bounds.windows(2) {
+                let mut s = union_stream_bounded(&views, w[0], w[1]);
+                merged.extend(s.by_ref());
+                comparisons += s.stats().comparisons;
+                matches += s.stats().matches;
             }
+            assert_eq!(seq, merged, "splits={splits:?}");
+            assert_eq!(
+                (seq_stats.comparisons, seq_stats.matches),
+                (comparisons, matches),
+                "splits={splits:?}"
+            );
         }
-    }
-
-    #[test]
-    fn project_lookup_extracts_tuple_components() {
-        let f = fib(&[7]);
-        let v = FiberView::Owned(&f);
-        let tuple = Coord::pair(7, 3);
-        assert!(project_lookup(&v, &tuple, 0).is_some());
-        assert!(project_lookup(&v, &tuple, 1).is_none());
-        assert!(project_lookup(&v, &Coord::Point(7), 0).is_some());
     }
 }

@@ -12,15 +12,15 @@
 //!
 //! ## Choosing a representation
 //!
-//! Tensor content has two storage representations behind one cursor
-//! interface:
+//! Tensor content has two storage representations, with one cursor
+//! interface over the compressed one:
 //!
 //! - [`Tensor`] — the *owned* fibertree: every fiber is its own
 //!   allocation, payloads nest recursively. Supports in-place writes
 //!   ([`Tensor::set`], [`fiber::Fiber::get_or_insert_with`]) and
-//!   arbitrary-depth flattening into tuple coordinates. Use it for small
-//!   workloads, in-place construction, and as the oracle the compressed
-//!   path is tested against.
+//!   arbitrary-depth flattening into tuple coordinates. Use it to build
+//!   small tensors in place and as the oracle the compressed path is
+//!   tested against.
 //! - [`CompressedTensor`] — *compressed sparse fiber* (CSF) storage: two
 //!   flat arrays per rank (coordinates narrowed to `u32` when the rank
 //!   extent fits; one coordinate array per tuple component on flattened
@@ -30,7 +30,8 @@
 //!   ([`CompressedTensor::from_tensor`]). Iteration touches contiguous
 //!   memory and cloning is a flat copy, so multi-million-entry inputs
 //!   (graph adjacencies, SuiteSparse-scale matrices) co-iterate without
-//!   pointer-chasing. Use it for every large tensor.
+//!   pointer-chasing. Everything that evaluates a tensor reads it in
+//!   this form.
 //!
 //! The content-preserving transforms run natively on both
 //! representations, bit-identically: [`CompressedTensor::swizzle`] is a
@@ -42,19 +43,19 @@
 //! [`telemetry::decompress_count`], so a pipeline that claims to be
 //! compressed-native can prove it.
 //!
-//! [`TensorData`] erases the choice, and [`FiberView`] /
-//! [`PayloadView`] cursors iterate both identically — the streaming
-//! co-iteration in [`iterate`] and the simulator engine are written
-//! against the cursors, never against a concrete representation. A
-//! round-trip (`from_entries → compress → iterate`) yields the same
-//! entries, matches, and [`CoIterStats`] either way; property tests pin
-//! that equivalence, and `proptest_compressed_transforms` pins the
+//! [`FiberView`] / [`PayloadView`] cursors read CSF storage; the
+//! streaming co-iteration in [`iterate`] and the simulator engine are
+//! written against them. [`TensorData`] is the input type that accepts
+//! either representation: the simulator compresses an owned input once,
+//! at its API boundary, before any cursor reads it. Property tests pin
+//! the cursors and co-iteration streams against oracles built from the
+//! owned tree's elements, and `proptest_compressed_transforms` pins the
 //! transform primitives bit-identical to the owned oracle.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use teaal_fibertree::{Tensor, partition::SplitKind, IntersectPolicy, iterate};
+//! use teaal_fibertree::{CompressedTensor, IntersectPolicy, iterate};
 //!
 //! // Build the sparse matrix from Fig. 1 of the paper.
 //! let a = teaal_fibertree::tensor::fig1_matrix_a();
@@ -65,34 +66,35 @@
 //!     "MK", partition::SplitKind::UniformOccupancy(2), "MK1", "MK0")?; // Fig. 2, step 2
 //! assert_eq!(parts.nnz(), a.nnz());
 //!
-//! // Co-iteration with an explicit intersection-unit policy:
-//! let at = a.swizzle(&["K", "M"])?;
-//! let b = teaal_fibertree::tensor::fig1_vector_b();
-//! let (matches, stats) = iterate::intersect2(
-//!     at.root_fiber().unwrap(),
-//!     b.root_fiber().unwrap(),
+//! // Co-iteration with an explicit intersection-unit policy, over the
+//! // CSF form every evaluation reads:
+//! let at = CompressedTensor::from_tensor(&a.swizzle(&["K", "M"])?)?;
+//! let b = CompressedTensor::from_tensor(&teaal_fibertree::tensor::fig1_vector_b())?;
+//! let mut stream = iterate::intersect2_stream(
+//!     at.root_fiber_view().unwrap(),
+//!     b.root_fiber_view().unwrap(),
 //!     IntersectPolicy::TwoFinger,
 //! );
+//! let matches: Vec<_> = stream.by_ref().collect();
 //! assert_eq!(matches.len(), 2); // k = 1, 2 present in both
-//! assert!(stats.comparisons >= 2);
+//! assert!(stream.stats().comparisons >= 2);
 //! # use teaal_fibertree::partition;
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```
 //!
-//! The same co-iteration as a lazy stream over compressed storage:
+//! Streams are lazy: each match is produced on demand.
 //!
 //! ```
-//! use teaal_fibertree::{CompressedTensor, IntersectPolicy, TensorData};
+//! use teaal_fibertree::{CompressedTensor, IntersectPolicy};
 //! use teaal_fibertree::iterate::intersect2_stream;
 //!
 //! let a = CompressedTensor::from_entries(
 //!     "A", &["K"], &[8], vec![(vec![1], 2.0), (vec![5], 3.0)])?;
 //! let b = CompressedTensor::from_entries(
 //!     "B", &["K"], &[8], vec![(vec![5], 4.0), (vec![7], 1.0)])?;
-//! let (da, db) = (TensorData::from(a), TensorData::from(b));
 //! let mut stream = intersect2_stream(
-//!     da.root_fiber_view().unwrap(),
-//!     db.root_fiber_view().unwrap(),
+//!     a.root_fiber_view().unwrap(),
+//!     b.root_fiber_view().unwrap(),
 //!     IntersectPolicy::TwoFinger,
 //! );
 //! let m = stream.next().unwrap();

@@ -3,9 +3,9 @@
 //! A [`TensorStats`] summarizes the shape of a fibertree without keeping
 //! any of its data: per-rank extents, fiber counts, occupancies, distinct
 //! coordinate counts, and a log2-bucketed fiber-length histogram. The
-//! summary is computed in one depth-first walk over [`FiberView`] cursors
-//! (so it works identically for owned and compressed tensors) and is the
-//! input the simulator's `estimate` module uses to predict co-iteration
+//! summary is computed in one depth-first walk, over [`FiberView`] cursors
+//! for compressed tensors and over the tree itself for owned ones, and is
+//! the input the simulator's `estimate` module uses to predict co-iteration
 //! work and traffic without touching values.
 //!
 //! Statistics are cheap relative to simulation but still O(nnz), so a
@@ -16,6 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use crate::coord::Coord;
+use crate::fiber::{Fiber, Payload};
 use crate::view::{FiberView, PayloadView, TensorData};
 
 /// Summary statistics for one storage rank (one fibertree level).
@@ -96,35 +97,38 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes statistics for a tensor in one depth-first pass.
+    /// Computes statistics for a tensor in one depth-first pass. An owned
+    /// tensor is summarized from its own tree, so memoizing an owned input
+    /// never pays a conversion to CSF.
     pub fn compute(data: &TensorData) -> TensorStats {
-        Self::compute_parts(
-            data.name(),
-            data.rank_ids(),
-            data.rank_shapes(),
-            data.nnz() as u64,
-            data.root_fiber_view(),
-        )
+        match data {
+            TensorData::Compressed(c) => c.statistics(),
+            TensorData::Owned(t) => {
+                Self::compute_parts(t.name(), t.rank_ids(), t.rank_shapes(), t.nnz(), |levels| {
+                    if let Some(root) = t.root_fiber() {
+                        walk_owned(root, 0, levels);
+                    }
+                })
+            }
+        }
     }
 
     fn compute_parts(
         name: &str,
         rank_ids: &[String],
         shapes: &[crate::coord::Shape],
-        nnz: u64,
-        root: Option<FiberView<'_>>,
+        nnz: usize,
+        walk: impl FnOnce(&mut [LevelAcc]),
     ) -> TensorStats {
         let mut levels: Vec<LevelAcc> = rank_ids
             .iter()
             .zip(shapes)
             .map(|(r, s)| LevelAcc::new(r, s.extent()))
             .collect();
-        if let Some(root) = root {
-            walk(root, 0, &mut levels);
-        }
+        walk(&mut levels);
         TensorStats {
             name: name.to_string(),
-            nnz,
+            nnz: nnz as u64,
             ranks: levels.into_iter().map(LevelAcc::finish).collect(),
             marginal_caps: Vec::new(),
             pattern_subset_of: Vec::new(),
@@ -253,17 +257,14 @@ fn walk(fiber: FiberView<'_>, level: usize, levels: &mut [LevelAcc]) {
     }
 }
 
-impl crate::tensor::Tensor {
-    /// Computes [`TensorStats`] for this tensor (one depth-first pass,
-    /// no cloning). See also [`StatsCache`] for memoized computation.
-    pub fn statistics(&self) -> TensorStats {
-        TensorStats::compute_parts(
-            self.name(),
-            self.rank_ids(),
-            self.rank_shapes(),
-            self.nnz() as u64,
-            self.root_fiber().map(FiberView::Owned),
-        )
+/// [`walk`] over an owned tree.
+fn walk_owned(fiber: &Fiber, level: usize, levels: &mut [LevelAcc]) {
+    levels[level].observe_fiber(fiber.occupancy() as u64);
+    for e in fiber.iter() {
+        levels[level].coords.insert(e.coord.clone());
+        if let Payload::Fiber(child) = &e.payload {
+            walk_owned(child, level + 1, levels);
+        }
     }
 }
 
@@ -275,17 +276,13 @@ impl crate::compressed::CompressedTensor {
             self.name(),
             self.rank_ids(),
             self.rank_shapes(),
-            self.nnz() as u64,
-            FiberView::of_compressed(self),
+            self.nnz(),
+            |levels| {
+                if let Some(root) = self.root_fiber_view() {
+                    walk(root, 0, levels);
+                }
+            },
         )
-    }
-}
-
-impl TensorData {
-    /// Computes [`TensorStats`] for either representation. See also
-    /// [`StatsCache`] for memoized computation.
-    pub fn statistics(&self) -> TensorStats {
-        TensorStats::compute(self)
     }
 }
 
@@ -401,12 +398,13 @@ mod tests {
     #[test]
     fn compressed_and_owned_agree() {
         let data = sample();
+        let TensorData::Owned(t) = &data else {
+            unreachable!("the sample is owned")
+        };
+        let ct = crate::compressed::CompressedTensor::from_tensor(t).expect("compressible");
         let owned = TensorStats::compute(&data);
-        let ct = crate::compressed::CompressedTensor::from_tensor(data.as_owned().unwrap())
-            .expect("compressible");
         assert_eq!(ct.statistics(), owned);
-        let compressed = TensorData::Compressed(ct);
-        assert_eq!(TensorStats::compute(&compressed), owned);
+        assert_eq!(TensorStats::compute(&TensorData::Compressed(ct)), owned);
     }
 
     #[test]

@@ -1,42 +1,33 @@
-//! Read-only cursors over fibertree storage: [`FiberView`],
-//! [`PayloadView`], and the representation-erasing [`TensorData`].
+//! Read-only cursors over compressed (CSF) storage: [`FiberView`] and
+//! [`PayloadView`], plus [`TensorData`], the input type that accepts a
+//! tensor in either representation.
 //!
-//! A `FiberView` is a cheap `Copy` cursor onto one fiber, regardless of
-//! whether that fiber lives in an owned [`Fiber`] tree or in a
+//! A `FiberView` is a cheap `Copy` cursor onto one fiber of a
 //! [`CompressedTensor`]'s flat arrays. The streaming co-iteration layer
 //! ([`crate::iterate`]) and the simulator's engine drive these cursors
-//! end-to-end, so the hot path neither clones subtrees nor cares which
-//! representation a tensor arrived in.
+//! end-to-end, so the hot path never clones a subtree. Owned [`Tensor`]s
+//! are the builder and the test oracle; an evaluation compresses them
+//! once, at its boundary, before any cursor reads them.
 
 use std::cmp::Ordering;
 
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
-use crate::fiber::{Fiber, Payload};
 use crate::tensor::Tensor;
 
-/// A read-only cursor onto one fiber of either representation.
+/// A read-only cursor onto one fiber of a compressed tensor: the elements
+/// `[start, end)` of one level's flat arrays.
 ///
-/// Positions index the fiber's elements in coordinate order, exactly like
-/// [`Fiber::elements`]. All accessors are `O(1)` or a binary search
-/// (except [`FiberView::leaf_count`] — see its docs); none allocate
-/// except [`FiberView::coord_at`] on tuple coordinates.
+/// Positions index the fiber's elements in coordinate order. All
+/// accessors are `O(1)`, a binary search, or (for
+/// [`FiberView::leaf_count`]) `O(depth)`; none allocate except
+/// [`FiberView::coord_at`] on tuple coordinates.
 #[derive(Clone, Copy, Debug)]
-pub enum FiberView<'a> {
-    /// A fiber of an owned tree.
-    Owned(&'a Fiber),
-    /// A fiber of a compressed tensor: the elements
-    /// `coords[level][start..end]`.
-    Compressed {
-        /// The backing compressed tensor.
-        tree: &'a CompressedTensor,
-        /// The rank (level) this fiber sits at.
-        level: usize,
-        /// First element position (inclusive) in the level's flat arrays.
-        start: usize,
-        /// Last element position (exclusive).
-        end: usize,
-    },
+pub struct FiberView<'a> {
+    tree: &'a CompressedTensor,
+    level: usize,
+    start: usize,
+    end: usize,
 }
 
 /// The coordinates of one compressed point fiber, in the width its level
@@ -85,20 +76,17 @@ pub enum PayloadView<'a> {
     Fiber(FiberView<'a>),
 }
 
-/// A borrowed-or-inline coordinate, for comparisons that must not
-/// allocate: owned fibers lend `&Coord` (possibly a tuple), compressed
-/// fibers produce inline points and pairs, and read deeper tuples in place
-/// from the level's component stores.
+/// An inline coordinate read from compressed storage, for comparisons
+/// that must not allocate: points and pairs inline, deeper tuples read in
+/// place from the level's component stores.
 #[derive(Clone, Copy, Debug)]
 pub enum CoordKey<'a> {
-    /// A coordinate borrowed from an owned fiber.
-    Borrowed(&'a Coord),
-    /// An inline point coordinate from a compressed fiber.
+    /// A point coordinate.
     Point(u64),
-    /// An inline pair coordinate from a compressed flattened rank.
+    /// A pair coordinate from a flattened rank.
     Pair(u64, u64),
-    /// A tuple of three or more components on a compressed flattened
-    /// rank, read in place.
+    /// A tuple of three or more components on a flattened rank, read in
+    /// place.
     Tuple(TupleKey<'a>),
 }
 
@@ -134,26 +122,23 @@ impl std::fmt::Debug for TupleKey<'_> {
 }
 
 impl<'a> CoordKey<'a> {
-    /// Number of components of an inline key (1 for points, 0 for
-    /// borrowed coordinates, which have no inline words).
+    /// Number of components (1 for points).
     #[inline]
-    fn inline_arity(&self) -> usize {
+    fn arity(&self) -> usize {
         match self {
-            CoordKey::Borrowed(_) => 0,
             CoordKey::Point(_) => 1,
             CoordKey::Pair(..) => 2,
             CoordKey::Tuple(t) => t.arity(),
         }
     }
 
-    /// Component `i` of an inline key.
+    /// Component `i` (`i < arity`).
     #[inline]
-    fn inline_word(&self, i: usize) -> u64 {
+    fn word(&self, i: usize) -> u64 {
         match *self {
             CoordKey::Point(p) => p,
             CoordKey::Pair(a, b) => [a, b][i],
             CoordKey::Tuple(t) => t.get(i),
-            CoordKey::Borrowed(_) => unreachable!("borrowed keys have no inline words"),
         }
     }
 
@@ -164,15 +149,12 @@ impl<'a> CoordKey<'a> {
         match (self, other) {
             (CoordKey::Point(a), CoordKey::Point(b)) => a.cmp(b),
             (CoordKey::Pair(a, b), CoordKey::Pair(c, d)) => (a, b).cmp(&(c, d)),
-            (CoordKey::Borrowed(a), CoordKey::Borrowed(b)) => a.cmp(b),
-            (CoordKey::Borrowed(a), _) => other.cmp_coord(a).reverse(),
-            (_, CoordKey::Borrowed(b)) => self.cmp_coord(b),
             (CoordKey::Point(_), _) => Ordering::Less,
             (_, CoordKey::Point(_)) => Ordering::Greater,
             _ => {
-                let (n, m) = (self.inline_arity(), other.inline_arity());
+                let (n, m) = (self.arity(), other.arity());
                 for i in 0..n.min(m) {
-                    match self.inline_word(i).cmp(&other.inline_word(i)) {
+                    match self.word(i).cmp(&other.word(i)) {
                         Ordering::Equal => {}
                         o => return o,
                     }
@@ -185,16 +167,15 @@ impl<'a> CoordKey<'a> {
     /// Comparison against a materialized coordinate.
     #[inline]
     pub fn cmp_coord(&self, other: &Coord) -> Ordering {
-        let n = match self {
-            CoordKey::Borrowed(a) => return (*a).cmp(other),
-            CoordKey::Point(a) => return Coord::Point(*a).cmp(other),
-            _ => self.inline_arity(),
-        };
+        if let CoordKey::Point(a) = self {
+            return Coord::Point(*a).cmp(other);
+        }
+        let n = self.arity();
         match other {
             Coord::Point(_) => Ordering::Greater,
             Coord::Tuple(cs) => {
                 for (i, theirs) in cs.iter().enumerate().take(n) {
-                    match Coord::Point(self.inline_word(i)).cmp(theirs) {
+                    match Coord::Point(self.word(i)).cmp(theirs) {
                         Ordering::Equal => {}
                         o => return o,
                     }
@@ -209,7 +190,6 @@ impl<'a> CoordKey<'a> {
     pub fn as_point(&self) -> Option<u64> {
         match self {
             CoordKey::Point(p) => Some(*p),
-            CoordKey::Borrowed(c) => c.as_point(),
             CoordKey::Pair(..) | CoordKey::Tuple(_) => None,
         }
     }
@@ -221,21 +201,14 @@ impl<'a> CoordKey<'a> {
     pub fn component(&self, i: usize) -> Option<CoordKey<'a>> {
         match *self {
             CoordKey::Point(_) => (i == 0).then_some(*self),
-            CoordKey::Pair(a, b) => match i {
-                0 => Some(CoordKey::Point(a)),
-                1 => Some(CoordKey::Point(b)),
-                _ => None,
-            },
-            CoordKey::Tuple(t) => (i < t.arity()).then(|| CoordKey::Point(t.get(i))),
-            CoordKey::Borrowed(c) => c.component(i).map(CoordKey::Borrowed),
+            _ => (i < self.arity()).then(|| CoordKey::Point(self.word(i))),
         }
     }
 
-    /// Materializes the coordinate (clones tuples, copies points).
+    /// Materializes the coordinate (copies points, builds tuples).
     #[inline]
     pub fn to_coord(&self) -> Coord {
         match self {
-            CoordKey::Borrowed(c) => (*c).clone(),
             CoordKey::Point(p) => Coord::Point(*p),
             CoordKey::Pair(a, b) => Coord::pair(*a, *b),
             CoordKey::Tuple(t) => {
@@ -246,28 +219,10 @@ impl<'a> CoordKey<'a> {
 }
 
 impl<'a> FiberView<'a> {
-    /// A cursor onto a compressed tensor's root fiber (`None` for
-    /// scalars).
-    pub fn of_compressed(tree: &'a CompressedTensor) -> Option<FiberView<'a>> {
-        if tree.order() == 0 {
-            None
-        } else {
-            Some(FiberView::Compressed {
-                tree,
-                level: 0,
-                start: 0,
-                end: tree.level_len(0),
-            })
-        }
-    }
-
     /// Number of (present) elements in the fiber.
     #[inline]
     pub fn occupancy(&self) -> usize {
-        match self {
-            FiberView::Owned(f) => f.occupancy(),
-            FiberView::Compressed { start, end, .. } => end - start,
-        }
+        self.end - self.start
     }
 
     /// Whether the fiber has no elements.
@@ -277,10 +232,7 @@ impl<'a> FiberView<'a> {
 
     /// The fiber's shape (legal coordinate space).
     pub fn shape(&self) -> Shape {
-        match self {
-            FiberView::Owned(f) => f.shape().clone(),
-            FiberView::Compressed { tree, level, .. } => tree.rank_shapes()[*level].clone(),
-        }
+        self.tree.rank_shapes()[self.level].clone()
     }
 
     /// The coordinate at `pos`, materialized.
@@ -291,104 +243,49 @@ impl<'a> FiberView<'a> {
     /// The coordinate at `pos` as an allocation-free comparison key.
     #[inline]
     pub fn coord_key_at(&self, pos: usize) -> CoordKey<'a> {
-        match self {
-            FiberView::Owned(f) => CoordKey::Borrowed(&f.elements()[pos].coord),
-            FiberView::Compressed {
-                tree, level, start, ..
-            } => tree.coord_key(*level, start + pos),
-        }
+        self.tree.coord_key(self.level, self.start + pos)
     }
 
     /// The payload at `pos`.
     #[inline]
     pub fn payload_at(&self, pos: usize) -> PayloadView<'a> {
-        match self {
-            FiberView::Owned(f) => PayloadView::of(&f.elements()[pos].payload),
-            FiberView::Compressed {
-                tree, level, start, ..
-            } => {
-                let p = start + pos;
-                if level + 1 == tree.order() {
-                    PayloadView::Val(tree.value_at(p))
-                } else {
-                    let (cs, ce) = tree.child_range(*level, p);
-                    PayloadView::Fiber(FiberView::Compressed {
-                        tree,
-                        level: level + 1,
-                        start: cs,
-                        end: ce,
-                    })
-                }
-            }
+        let p = self.start + pos;
+        if self.level + 1 == self.tree.order() {
+            PayloadView::Val(self.tree.value_at(p))
+        } else {
+            let (start, end) = self.tree.child_range(self.level, p);
+            PayloadView::Fiber(FiberView {
+                tree: self.tree,
+                level: self.level + 1,
+                start,
+                end,
+            })
         }
     }
 
     /// Where the element at `pos` lives in compressed storage: its level
-    /// and its absolute position in that level's flat arrays (`None` for
-    /// owned fibers). The pair names one element of the tensor, the same
-    /// for every cursor onto it, so the simulator's channels index their
-    /// per-element state by it.
+    /// and its absolute position in that level's flat arrays. The pair
+    /// names one element of the tensor, the same for every cursor onto
+    /// it, so the simulator's channels index their per-element state by
+    /// it.
     #[inline]
-    pub fn csf_position(&self, pos: usize) -> Option<(usize, usize)> {
-        match self {
-            FiberView::Owned(_) => None,
-            FiberView::Compressed { level, start, .. } => Some((*level, start + pos)),
-        }
+    pub fn csf_position(&self, pos: usize) -> (usize, usize) {
+        (self.level, self.start + pos)
     }
 
-    /// The fiber's coordinates as one raw integer run, when it is a point
-    /// level of compressed storage (`None` for owned fibers and tuple
-    /// levels). Co-iteration scans and merges such runs by direct integer
-    /// compares.
+    /// The fiber's coordinates as one raw integer run, when its level
+    /// holds point coordinates (`None` for tuple levels). Co-iteration
+    /// scans and merges such runs by direct integer compares.
     #[inline]
     pub fn point_run(&self) -> Option<PointRun<'a>> {
-        match self {
-            FiberView::Owned(_) => None,
-            FiberView::Compressed {
-                tree,
-                level,
-                start,
-                end,
-            } => tree.point_run(*level, *start, *end),
-        }
-    }
-
-    /// Binary-searches for `coord`, returning its position if present.
-    pub fn position(&self, coord: &Coord) -> Option<usize> {
-        match self {
-            FiberView::Owned(f) => f.position(coord),
-            FiberView::Compressed {
-                tree,
-                level,
-                start,
-                end,
-            } => tree
-                .position_in(*level, *start, *end, &CoordKey::Borrowed(coord))
-                .map(|p| p - start),
-        }
+        self.tree.point_run(self.level, self.start, self.end)
     }
 
     /// Binary-searches for a comparison key, returning its position.
     pub fn position_of_key(&self, key: &CoordKey<'_>) -> Option<usize> {
-        match self {
-            FiberView::Owned(f) => f
-                .elements()
-                .binary_search_by(|e| key.cmp_coord(&e.coord).reverse())
-                .ok(),
-            FiberView::Compressed {
-                tree,
-                level,
-                start,
-                end,
-            } => tree
-                .position_in(*level, *start, *end, key)
-                .map(|p| p - start),
-        }
-    }
-
-    /// Looks up the payload stored at `coord`.
-    pub fn get(&self, coord: &Coord) -> Option<PayloadView<'a>> {
-        self.position(coord).map(|p| self.payload_at(p))
+        self.tree
+            .position_in(self.level, self.start, self.end, key)
+            .map(|p| p - self.start)
     }
 
     /// Iterates `(coordinate, payload)` pairs in coordinate order.
@@ -399,20 +296,11 @@ impl<'a> FiberView<'a> {
         }
     }
 
-    /// Number of scalar leaves beneath this fiber (`O(subtree)` for
-    /// owned trees, `O(depth)` for compressed storage — a range's
-    /// children are a contiguous range, so each rank is two segment
-    /// lookups).
+    /// Number of scalar leaves beneath this fiber, in `O(depth)`: a
+    /// range's children are a contiguous range, so each rank is two
+    /// segment lookups.
     pub fn leaf_count(&self) -> usize {
-        match self {
-            FiberView::Owned(f) => f.leaf_count(),
-            FiberView::Compressed {
-                tree,
-                level,
-                start,
-                end,
-            } => tree.leaf_count_in(*level, *start, *end),
-        }
+        self.tree.leaf_count_in(self.level, self.start, self.end)
     }
 }
 
@@ -437,14 +325,6 @@ impl<'a> Iterator for FiberViewIter<'a> {
 }
 
 impl<'a> PayloadView<'a> {
-    /// Wraps a borrowed owned-tree payload.
-    pub fn of(p: &'a Payload) -> Self {
-        match p {
-            Payload::Val(v) => PayloadView::Val(*v),
-            Payload::Fiber(f) => PayloadView::Fiber(FiberView::Owned(f)),
-        }
-    }
-
     /// The scalar value if this is a leaf payload.
     pub fn as_val(&self) -> Option<f64> {
         match self {
@@ -462,13 +342,136 @@ impl<'a> PayloadView<'a> {
     }
 }
 
-/// A tensor in either representation, presented uniformly.
+impl CompressedTensor {
+    /// A cursor onto the root payload: the root fiber, or the value of a
+    /// scalar.
+    pub fn root_view(&self) -> PayloadView<'_> {
+        match self.root_fiber_view() {
+            Some(f) => PayloadView::Fiber(f),
+            None => PayloadView::Val(self.values()[0]),
+        }
+    }
+
+    /// A cursor onto the root fiber (`None` for scalars).
+    pub fn root_fiber_view(&self) -> Option<FiberView<'_>> {
+        (self.order() > 0).then(|| FiberView {
+            tree: self,
+            level: 0,
+            start: 0,
+            end: self.level_len(0),
+        })
+    }
+
+    /// Stable FNV-1a content hash: name, rank labels, shapes, and every
+    /// nonzero leaf (coordinates tagged, values by bit pattern).
+    ///
+    /// The hash depends on content only — two tensors holding the same
+    /// nonzero leaves hash equally however they were built — so it can
+    /// key shared caches (the `PreparedInputs` stage of the evaluation
+    /// pipeline). Costs two walks over the stored coordinates (one counts
+    /// the nonzero leaves, one hashes them), read in place without
+    /// building a path per leaf; hash once and reuse the key.
+    pub fn content_hash(&self) -> u64 {
+        fn absorb(state: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *state ^= u64::from(b);
+                *state = state.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn absorb_u64(state: &mut u64, v: u64) {
+            absorb(state, &v.to_le_bytes());
+        }
+        fn absorb_str(state: &mut u64, s: &str) {
+            absorb_u64(state, s.len() as u64);
+            absorb(state, s.as_bytes());
+        }
+        fn absorb_shape(state: &mut u64, shape: &Shape) {
+            match shape {
+                Shape::Interval(n) => {
+                    absorb_u64(state, 0);
+                    absorb_u64(state, *n);
+                }
+                Shape::Tuple(parts) => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, parts.len() as u64);
+                    for p in parts {
+                        absorb_shape(state, p);
+                    }
+                }
+            }
+        }
+        fn absorb_point(state: &mut u64, p: u64) {
+            absorb_u64(state, 0);
+            absorb_u64(state, p);
+        }
+        // The same bytes a materialized `Coord` path would absorb:
+        // compressed tuples are flat tuples of points.
+        fn absorb_key(state: &mut u64, key: &CoordKey<'_>) {
+            match key {
+                CoordKey::Point(p) => absorb_point(state, *p),
+                _ => {
+                    absorb_u64(state, 1);
+                    absorb_u64(state, key.arity() as u64);
+                    for c in 0..key.arity() {
+                        absorb_point(state, key.word(c));
+                    }
+                }
+            }
+        }
+        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+        absorb_str(&mut state, "tensor-content-v1");
+        absorb_str(&mut state, self.name());
+        absorb_u64(&mut state, self.order() as u64);
+        for rank in self.rank_ids() {
+            absorb_str(&mut state, rank);
+        }
+        for shape in self.rank_shapes() {
+            absorb_shape(&mut state, shape);
+        }
+        let mut path = Vec::with_capacity(self.order());
+        let mut leaves = 0u64;
+        for_each_leaf(self.root_view(), &mut path, &mut |_, _| leaves += 1);
+        absorb_u64(&mut state, leaves);
+        for_each_leaf(self.root_view(), &mut path, &mut |path, value| {
+            absorb_u64(&mut state, path.len() as u64);
+            for key in path {
+                absorb_key(&mut state, key);
+            }
+            absorb_u64(&mut state, value.to_bits());
+        });
+        state
+    }
+}
+
+/// Calls `f(path, value)` for every nonzero leaf under `node`, in
+/// lexicographic order, with the path lent as in-place keys instead of
+/// cloned per leaf.
+fn for_each_leaf<'a>(
+    node: PayloadView<'a>,
+    path: &mut Vec<CoordKey<'a>>,
+    f: &mut impl FnMut(&[CoordKey<'a>], f64),
+) {
+    match node {
+        PayloadView::Val(v) => {
+            if v != 0.0 {
+                f(path, v);
+            }
+        }
+        PayloadView::Fiber(fiber) => {
+            for pos in 0..fiber.occupancy() {
+                path.push(fiber.coord_key_at(pos));
+                for_each_leaf(fiber.payload_at(pos), path, f);
+                path.pop();
+            }
+        }
+    }
+}
+
+/// A tensor handed to an evaluation, in either representation.
 ///
-/// The simulator takes its inputs as `TensorData`: owned trees when the
-/// workload is small or needs in-place construction, compressed storage
-/// when it is large and read-only. [`TensorData::root_view`] hands the
-/// engine a cursor either way; everything the engine builds (transformed
-/// inputs, outputs) is compressed.
+/// This is an input type only: nothing reads an owned tree through a
+/// cursor. The simulator compresses an owned input once, at its API
+/// boundary, and every output it builds is compressed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorData {
     /// An owned fibertree.
@@ -530,38 +533,6 @@ impl TensorData {
         }
     }
 
-    /// A cursor onto the root payload.
-    pub fn root_view(&self) -> PayloadView<'_> {
-        match self {
-            TensorData::Owned(t) => PayloadView::of(t.root()),
-            TensorData::Compressed(c) => {
-                if c.order() == 0 {
-                    PayloadView::Val(c.values()[0])
-                } else {
-                    PayloadView::Fiber(FiberView::Compressed {
-                        tree: c,
-                        level: 0,
-                        start: 0,
-                        end: c.level_len(0),
-                    })
-                }
-            }
-        }
-    }
-
-    /// The root fiber view, if this is not a scalar.
-    pub fn root_fiber_view(&self) -> Option<FiberView<'_>> {
-        self.root_view().as_fiber()
-    }
-
-    /// Borrows the owned tensor, if this is the owned representation.
-    pub fn as_owned(&self) -> Option<&Tensor> {
-        match self {
-            TensorData::Owned(t) => Some(t),
-            TensorData::Compressed(_) => None,
-        }
-    }
-
     /// Looks up the value at a point, in either representation.
     pub fn get(&self, point: &[u64]) -> Option<f64> {
         match self {
@@ -614,130 +585,6 @@ impl TensorData {
     pub fn is_compressed(&self) -> bool {
         matches!(self, TensorData::Compressed(_))
     }
-
-    /// Stable FNV-1a content hash: name, rank labels, shapes, and every
-    /// nonzero leaf (coordinates tagged, values by bit pattern).
-    ///
-    /// The hash is representation-independent — an owned tensor and its
-    /// compressed form hash equally — so it can key shared caches (the
-    /// `PreparedInputs` stage of the evaluation pipeline) no matter which
-    /// storage a tensor arrived in. Costs two walks over the stored
-    /// coordinates (one counts the nonzero leaves, one hashes them), read
-    /// in place without building a path per leaf; hash once and reuse the
-    /// key.
-    pub fn content_hash(&self) -> u64 {
-        fn absorb(state: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *state ^= u64::from(b);
-                *state = state.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        fn absorb_u64(state: &mut u64, v: u64) {
-            absorb(state, &v.to_le_bytes());
-        }
-        fn absorb_str(state: &mut u64, s: &str) {
-            absorb_u64(state, s.len() as u64);
-            absorb(state, s.as_bytes());
-        }
-        fn absorb_shape(state: &mut u64, shape: &Shape) {
-            match shape {
-                Shape::Interval(n) => {
-                    absorb_u64(state, 0);
-                    absorb_u64(state, *n);
-                }
-                Shape::Tuple(parts) => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, parts.len() as u64);
-                    for p in parts {
-                        absorb_shape(state, p);
-                    }
-                }
-            }
-        }
-        fn absorb_coord(state: &mut u64, coord: &Coord) {
-            match coord {
-                Coord::Point(p) => absorb_point(state, *p),
-                Coord::Tuple(parts) => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, parts.len() as u64);
-                    for p in parts {
-                        absorb_coord(state, p);
-                    }
-                }
-            }
-        }
-        fn absorb_point(state: &mut u64, p: u64) {
-            absorb_u64(state, 0);
-            absorb_u64(state, p);
-        }
-        // The same bytes as `absorb_coord(key.to_coord())`: compressed
-        // tuples are flat tuples of points.
-        fn absorb_key(state: &mut u64, key: &CoordKey<'_>) {
-            match key {
-                CoordKey::Borrowed(c) => absorb_coord(state, c),
-                CoordKey::Point(p) => absorb_point(state, *p),
-                CoordKey::Pair(a, b) => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, 2);
-                    absorb_point(state, *a);
-                    absorb_point(state, *b);
-                }
-                CoordKey::Tuple(t) => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, t.arity() as u64);
-                    for c in 0..t.arity() {
-                        absorb_point(state, t.get(c));
-                    }
-                }
-            }
-        }
-        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-        absorb_str(&mut state, "tensor-content-v1");
-        absorb_str(&mut state, self.name());
-        absorb_u64(&mut state, self.order() as u64);
-        for rank in self.rank_ids() {
-            absorb_str(&mut state, rank);
-        }
-        for shape in self.rank_shapes() {
-            absorb_shape(&mut state, shape);
-        }
-        let mut path = Vec::with_capacity(self.order());
-        let mut leaves = 0u64;
-        for_each_leaf(self.root_view(), &mut path, &mut |_, _| leaves += 1);
-        absorb_u64(&mut state, leaves);
-        for_each_leaf(self.root_view(), &mut path, &mut |path, value| {
-            absorb_u64(&mut state, path.len() as u64);
-            for key in path {
-                absorb_key(&mut state, key);
-            }
-            absorb_u64(&mut state, value.to_bits());
-        });
-        state
-    }
-}
-
-/// Calls `f(path, value)` for every nonzero leaf under `node`, in
-/// lexicographic order — the walk behind [`TensorData::leaves`], with the
-/// path lent as in-place keys instead of cloned per leaf.
-fn for_each_leaf<'a>(
-    node: PayloadView<'a>,
-    path: &mut Vec<CoordKey<'a>>,
-    f: &mut impl FnMut(&[CoordKey<'a>], f64),
-) {
-    match node {
-        PayloadView::Val(v) => {
-            if v != 0.0 {
-                f(path, v);
-            }
-        }
-        PayloadView::Fiber(fiber) => {
-            for pos in 0..fiber.occupancy() {
-                path.push(fiber.coord_key_at(pos));
-                for_each_leaf(fiber.payload_at(pos), path, f);
-                path.pop();
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for TensorData {
@@ -764,57 +611,73 @@ impl From<CompressedTensor> for TensorData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::fig1_matrix_a;
+    use crate::fiber::{Fiber, Payload};
+    use crate::tensor::{fig1_matrix_a, TensorBuilder};
 
-    fn both_views() -> (TensorData, TensorData) {
+    fn fig1() -> (Tensor, CompressedTensor) {
         let t = fig1_matrix_a();
         let c = CompressedTensor::from_tensor(&t).unwrap();
-        (TensorData::Owned(t), TensorData::Compressed(c))
+        (t, c)
+    }
+
+    /// Every `(coord, payload)` of a compressed fiber, checked element by
+    /// element against the owned fiber it was built from.
+    fn assert_matches_owned(view: FiberView<'_>, owned: &Fiber) {
+        assert_eq!(view.occupancy(), owned.occupancy());
+        assert_eq!(view.shape(), *owned.shape());
+        for (pos, e) in owned.elements().iter().enumerate() {
+            assert_eq!(view.coord_at(pos), e.coord);
+            match (view.payload_at(pos), &e.payload) {
+                (PayloadView::Val(v), Payload::Val(w)) => assert_eq!(v, *w),
+                (PayloadView::Fiber(f), Payload::Fiber(g)) => assert_matches_owned(f, g),
+                (got, want) => panic!("payload kinds differ: {got:?} vs {want:?}"),
+            }
+        }
     }
 
     #[test]
     fn views_agree_across_representations() {
-        let (o, c) = both_views();
-        let (fo, fc) = (o.root_fiber_view().unwrap(), c.root_fiber_view().unwrap());
-        assert_eq!(fo.occupancy(), fc.occupancy());
-        for pos in 0..fo.occupancy() {
-            assert_eq!(fo.coord_at(pos), fc.coord_at(pos));
-            let (po, pc) = (fo.payload_at(pos), fc.payload_at(pos));
-            let (ko, kc) = (po.as_fiber().unwrap(), pc.as_fiber().unwrap());
-            let leaves_o: Vec<(Coord, f64)> =
-                ko.iter().map(|(c, p)| (c, p.as_val().unwrap())).collect();
-            let leaves_c: Vec<(Coord, f64)> =
-                kc.iter().map(|(c, p)| (c, p.as_val().unwrap())).collect();
-            assert_eq!(leaves_o, leaves_c);
-        }
+        let (t, c) = fig1();
+        assert_matches_owned(c.root_fiber_view().unwrap(), t.root_fiber().unwrap());
+        let iterated: Vec<Coord> = c
+            .root_fiber_view()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k)
+            .collect();
+        let want: Vec<Coord> = t
+            .root_fiber()
+            .unwrap()
+            .iter()
+            .map(|e| e.coord.clone())
+            .collect();
+        assert_eq!(iterated, want);
     }
 
     #[test]
     fn position_and_get_binary_search_both_representations() {
-        let (o, c) = both_views();
-        for data in [&o, &c] {
-            let root = data.root_fiber_view().unwrap();
-            assert_eq!(root.position(&Coord::Point(2)), Some(1));
-            assert_eq!(root.position(&Coord::Point(1)), None);
-            let k = root.get(&Coord::Point(2)).unwrap().as_fiber().unwrap();
-            assert_eq!(k.get(&Coord::Point(1)).unwrap().as_val(), Some(4.0));
-        }
+        let (_, c) = fig1();
+        let root = c.root_fiber_view().unwrap();
+        assert_eq!(root.position_of_key(&CoordKey::Point(2)), Some(1));
+        assert_eq!(root.position_of_key(&CoordKey::Point(1)), None);
+        let k = root.payload_at(1).as_fiber().unwrap();
+        let p = k.position_of_key(&CoordKey::Point(1)).unwrap();
+        assert_eq!(k.payload_at(p).as_val(), Some(4.0));
     }
 
     #[test]
     fn csf_positions_name_each_element_once() {
-        let (o, c) = both_views();
-        assert_eq!(o.root_fiber_view().unwrap().csf_position(0), None);
+        let (_, c) = fig1();
         // Every element of every level, reached through its parent's
         // cursor, has its own (level, position), and positions count the
         // level's flat arrays in order.
         let root = c.root_fiber_view().unwrap();
         let mut seen = Vec::new();
         for p in 0..root.occupancy() {
-            seen.push(root.csf_position(p).unwrap());
+            seen.push(root.csf_position(p));
             let child = root.payload_at(p).as_fiber().unwrap();
             for q in 0..child.occupancy() {
-                seen.push(child.csf_position(q).unwrap());
+                seen.push(child.csf_position(q));
             }
         }
         let mut want = vec![(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (1, 3)];
@@ -830,8 +693,7 @@ mod tests {
 
     #[test]
     fn point_runs_expose_compressed_point_levels_only() {
-        let (o, c) = both_views();
-        assert!(o.root_fiber_view().unwrap().point_run().is_none());
+        let (_, c) = fig1();
         let root = c.root_fiber_view().unwrap();
         let run = root.point_run().unwrap();
         assert!(matches!(run, PointRun::U32(_)));
@@ -843,30 +705,34 @@ mod tests {
         );
         let flat = CompressedTensor::from_tensor(&fig1_matrix_a().flatten_rank("M", "MK").unwrap())
             .unwrap();
-        assert!(FiberView::of_compressed(&flat)
-            .unwrap()
-            .point_run()
-            .is_none());
+        assert!(flat.root_fiber_view().unwrap().point_run().is_none());
     }
 
     #[test]
     fn coord_keys_order_like_coords() {
-        let tuple = Coord::pair(1, 2);
-        let key = CoordKey::Borrowed(&tuple);
-        assert_eq!(
-            key.cmp_key(&CoordKey::Point(9)),
-            std::cmp::Ordering::Greater
-        );
-        assert_eq!(
-            CoordKey::Point(3).cmp_key(&CoordKey::Point(7)),
-            std::cmp::Ordering::Less
-        );
+        let keys = [
+            CoordKey::Point(3),
+            CoordKey::Point(7),
+            CoordKey::Pair(0, 9),
+            CoordKey::Pair(1, 2),
+        ];
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.cmp_key(b), a.to_coord().cmp(&b.to_coord()));
+                assert_eq!(a.cmp_coord(&b.to_coord()), a.to_coord().cmp(&b.to_coord()));
+            }
+        }
         assert_eq!(CoordKey::Point(3).to_coord(), Coord::Point(3));
+        assert_eq!(
+            CoordKey::Pair(1, 2).component(1).and_then(|k| k.as_point()),
+            Some(2)
+        );
+        assert!(CoordKey::Point(3).component(1).is_none());
     }
 
     #[test]
     fn tuple_keys_order_and_search_like_coords() {
-        let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[3, 3, 3])
+        let t = TensorBuilder::new("T", &["A", "B", "C"], &[3, 3, 3])
             .entry(&[0, 2, 1], 1.0)
             .entry(&[1, 0, 2], 2.0)
             .entry(&[1, 1, 0], 3.0)
@@ -876,7 +742,7 @@ mod tests {
             .unwrap()
             .flatten_rank("AB", "ABC")
             .unwrap();
-        let c = TensorData::Compressed(CompressedTensor::from_tensor(&t).unwrap());
+        let c = CompressedTensor::from_tensor(&t).unwrap();
         let root = c.root_fiber_view().unwrap();
         let coords: Vec<Coord> = t
             .root_fiber()
@@ -893,7 +759,6 @@ mod tests {
                 ci.component(2).and_then(Coord::as_point)
             );
             assert!(key.component(3).is_none());
-            assert_eq!(root.position(ci), Some(i));
             assert_eq!(root.position_of_key(&key), Some(i));
             for (j, cj) in coords.iter().enumerate() {
                 assert_eq!(key.cmp_key(&root.coord_key_at(j)), ci.cmp(cj));
@@ -903,35 +768,25 @@ mod tests {
                 key.cmp_key(&CoordKey::Pair(9, 9)),
                 ci.cmp(&Coord::pair(9, 9))
             );
-            assert_eq!(
-                key.cmp_key(&CoordKey::Point(0)),
-                std::cmp::Ordering::Greater
-            );
+            assert_eq!(key.cmp_key(&CoordKey::Point(0)), Ordering::Greater);
         }
-        assert_eq!(root.position(&Coord::pair(0, 2)), None);
+        assert_eq!(root.position_of_key(&CoordKey::Pair(0, 2)), None);
     }
 
     #[test]
     fn leaf_counts_match() {
-        let (o, c) = both_views();
-        assert_eq!(
-            o.root_fiber_view().unwrap().leaf_count(),
-            c.root_fiber_view().unwrap().leaf_count()
-        );
-        assert_eq!(o.nnz(), c.nnz());
+        let (t, c) = fig1();
+        let root = c.root_fiber_view().unwrap();
+        assert_eq!(root.leaf_count(), t.nnz());
+        for (pos, e) in t.root_fiber().unwrap().elements().iter().enumerate() {
+            let want = e.payload.as_fiber().unwrap().leaf_count();
+            assert_eq!(root.payload_at(pos).as_fiber().unwrap().leaf_count(), want);
+        }
     }
 
-    #[test]
-    fn content_hash_is_representation_independent() {
-        let (o, c) = both_views();
-        assert_eq!(o.content_hash(), c.content_hash());
-        // And deterministic across calls.
-        assert_eq!(o.content_hash(), o.content_hash());
-    }
-
-    /// The formula `content_hash` streams, computed from materialized
-    /// [`TensorData::leaves`] paths.
-    fn content_hash_from_leaves(t: &TensorData) -> u64 {
+    /// The content-hash formula, computed from an owned tensor's
+    /// materialized [`Tensor::leaves`] paths.
+    fn content_hash_from_leaves(t: &Tensor) -> u64 {
         fn absorb_u64(state: &mut u64, v: u64) {
             for b in v.to_le_bytes() {
                 *state ^= u64::from(b);
@@ -979,7 +834,7 @@ mod tests {
         t.rank_shapes()
             .iter()
             .for_each(|s| absorb_shape(&mut state, s));
-        let leaves = t.leaves();
+        let leaves: Vec<_> = t.leaves().into_iter().filter(|(_, v)| *v != 0.0).collect();
         absorb_u64(&mut state, leaves.len() as u64);
         for (path, value) in &leaves {
             absorb_u64(&mut state, path.len() as u64);
@@ -991,7 +846,6 @@ mod tests {
 
     #[test]
     fn content_hash_streams_the_leaves_formula() {
-        use crate::builder::CompressedBuilder;
         let t = Tensor::from_entries(
             "T",
             &["K", "M", "N"],
@@ -1006,56 +860,46 @@ mod tests {
         )
         .unwrap();
         let c = CompressedTensor::from_tensor(&t).unwrap();
-        let pair_o = t.flatten_rank("K", "KM").unwrap();
-        let pair_c = c.flatten_rank("K", "KM").unwrap();
-        let triple_o = pair_o.flatten_rank("KM", "KMN").unwrap();
-        let triple_c = pair_c.flatten_rank("KM", "KMN").unwrap();
-        // Explicit zeros survive a streaming build but are not leaves.
-        let mut b = CompressedBuilder::new(
-            "Z",
-            vec!["I".into(), "J".into()],
-            vec![Shape::Interval(4), Shape::Interval(4)],
-        )
-        .unwrap();
+        let pair = t.flatten_rank("K", "KM").unwrap();
+        let triple = pair.flatten_rank("KM", "KMN").unwrap();
+        // Explicit zeros survive `from_tensor` but are not leaves.
+        let mut zeros = Tensor::from_entries("Z", &["I", "J"], &[4, 4], vec![]).unwrap();
         for (p, v) in [([0, 1], 2.0), ([0, 2], 0.0), ([3, 3], -1.0)] {
-            b.push_point(&p, v).unwrap();
+            zeros.set(&p, v);
         }
-        let zeros = b.finish();
         let scalar = Tensor::from_entries("S", &[], &[], vec![(vec![], 3.0)]).unwrap();
-        let cases: Vec<TensorData> = vec![
-            t.into(),
-            c.into(),
-            pair_o.into(),
-            pair_c.into(),
-            triple_o.into(),
-            triple_c.into(),
-            zeros.into(),
-            CompressedTensor::from_tensor(&scalar).unwrap().into(),
-            scalar.into(),
-        ];
-        for data in &cases {
+        for owned in [&t, &pair, &triple, &zeros, &scalar] {
+            let compressed = CompressedTensor::from_tensor(owned).unwrap();
             assert_eq!(
-                data.content_hash(),
-                content_hash_from_leaves(data),
+                compressed.content_hash(),
+                content_hash_from_leaves(owned),
                 "{}",
-                data.name()
+                owned.name()
             );
         }
-        // Flattened forms hash alike across representations too.
-        assert_eq!(cases[2].content_hash(), cases[3].content_hash());
-        assert_eq!(cases[4].content_hash(), cases[5].content_hash());
+        // Built on CSF directly, flattened forms hash as the owned oracle.
+        let pair_c = c.flatten_rank("K", "KM").unwrap();
+        assert_eq!(pair_c.content_hash(), content_hash_from_leaves(&pair));
+        let triple_c = pair_c.flatten_rank("KM", "KMN").unwrap();
+        assert_eq!(triple_c.content_hash(), content_hash_from_leaves(&triple));
+    }
+
+    /// Compressing an owned tree and building from its entries hash alike,
+    /// and hashing is deterministic across calls.
+    #[test]
+    fn content_hash_is_representation_independent() {
+        let (t, c) = fig1();
+        let from_entries =
+            CompressedTensor::from_entries(t.name(), &["M", "K"], &[4, 3], t.entries()).unwrap();
+        assert_eq!(from_entries.content_hash(), c.content_hash());
+        assert_eq!(c.content_hash(), content_hash_from_leaves(&t));
+        assert_eq!(c.content_hash(), c.content_hash());
     }
 
     #[test]
     fn content_hash_is_content_sensitive() {
-        use crate::tensor::TensorBuilder;
         let base = |name: &str, coord: u64, val: f64| {
-            TensorData::Owned(
-                TensorBuilder::new(name, &["I"], &[8])
-                    .entry(&[coord], val)
-                    .build()
-                    .unwrap(),
-            )
+            CompressedTensor::from_entries(name, &["I"], &[8], vec![(vec![coord], val)]).unwrap()
         };
         let t = base("T", 1, 2.0);
         assert_ne!(t.content_hash(), base("U", 1, 2.0).content_hash());

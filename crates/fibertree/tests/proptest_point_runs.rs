@@ -3,17 +3,17 @@
 //! integer runs, and must give exactly what the generic cascade gives —
 //! the same coordinates, the same per-fiber positions, and the same
 //! `matches` and `comparisons` — under every policy, over `u32` and `u64`
-//! coordinate stores.
+//! coordinate stores. Rows are also checked against a `BTreeMap` oracle
+//! of each side's coordinates.
 //!
-//! The cascade is reached two ways, both by shape: through owned fibers
-//! holding the same coordinates, and through a bounded stream over the
-//! compressed fibers whose window covers every coordinate.
+//! The cascade is reached by shape: a bounded stream over the same
+//! fibers whose window covers every coordinate.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{CoIterStats, IntersectStream};
-use teaal_fibertree::{
-    CompressedTensor, Coord, Fiber, FiberView, IntersectPolicy, PointRun, Shape, TensorData,
-};
+use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, PointRun};
 
 const POLICIES: [IntersectPolicy; 4] = [
     IntersectPolicy::TwoFinger,
@@ -92,24 +92,28 @@ impl Side {
         }
     }
 
-    fn compressed(&self) -> TensorData {
+    fn compressed(&self) -> CompressedTensor {
         let entries = self.coords.iter().map(|&c| (vec![c], 1.0)).collect();
-        TensorData::Compressed(
-            CompressedTensor::from_entries("F", &["K"], &[self.extent()], entries)
-                .expect("coordinates are in shape"),
-        )
-    }
-
-    fn owned(&self) -> Fiber {
-        Fiber::from_pairs(
-            Shape::Interval(self.extent()),
-            self.coords.iter().map(|&c| (c, 1.0)),
-        )
-        .expect("coordinates are sorted and in shape")
+        CompressedTensor::from_entries("F", &["K"], &[self.extent()], entries)
+            .expect("coordinates are in shape")
     }
 }
 
 type Rows = Vec<(Coord, Vec<usize>)>;
+
+/// The oracle: every coordinate all `sides` hold, with its position in
+/// each.
+fn oracle(sides: &[&Side]) -> Rows {
+    let pos: Vec<BTreeMap<u64, usize>> = sides
+        .iter()
+        .map(|s| s.coords.iter().enumerate().map(|(i, &c)| (c, i)).collect())
+        .collect();
+    pos[0]
+        .keys()
+        .filter(|c| pos.iter().all(|m| m.contains_key(c)))
+        .map(|c| (Coord::Point(*c), pos.iter().map(|m| m[c]).collect()))
+        .collect()
+}
 
 /// Drains a stream through its buffer-filling API.
 fn drain(s: &mut IntersectStream<'_>) -> (Rows, CoIterStats) {
@@ -141,27 +145,25 @@ proptest! {
     #[test]
     fn point_runs_match_the_generic_cascade((a, b) in arb_sides()) {
         let (da, db) = (a.compressed(), b.compressed());
-        let (fa, fb) = (a.owned(), b.owned());
         let runs = [
             da.root_fiber_view().expect("1-tensor"),
             db.root_fiber_view().expect("1-tensor"),
         ];
-        for (view, side) in runs.iter().zip([&a, &b]) {
-            // The compressed fibers take the run kernels...
+        let sides = [&a, &b];
+        for (view, side) in runs.iter().zip(sides) {
+            // Unbounded, the fibers take the run kernels.
             match view.point_run() {
                 Some(PointRun::U64(r)) => prop_assert!(side.wide && r.len() == side.coords.len()),
                 Some(PointRun::U32(r)) => prop_assert!(!side.wide && r.len() == side.coords.len()),
                 None => prop_assert!(false, "a compressed point fiber has a run"),
             }
         }
-        // ...the owned ones the cascade.
-        let owned = [FiberView::Owned(&fa), FiberView::Owned(&fb)];
         for policy in POLICIES {
             for pick in [&[0usize][..], &[1], &[0, 1], &[1, 0]] {
                 let fibers: Vec<FiberView<'_>> = pick.iter().map(|&i| runs[i]).collect();
-                let oracle: Vec<FiberView<'_>> = pick.iter().map(|&i| owned[i]).collect();
+                let picked: Vec<&Side> = pick.iter().map(|&i| sides[i]).collect();
                 let got = run(&fibers, policy, None);
-                prop_assert_eq!(&got, &run(&oracle, policy, None), "{:?} {:?} vs owned", policy, pick);
+                prop_assert_eq!(&got.0, &oracle(&picked), "{:?} {:?} vs oracle", policy, pick);
                 prop_assert_eq!(
                     &got,
                     &run(&fibers, policy, Some((0, u64::MAX))),
@@ -208,15 +210,12 @@ fn mixed_width_pairs_match_the_cascade() {
         wide: true,
     };
     let (dn, dw) = (narrow.compressed(), wide.compressed());
-    let (fn_, fw) = (narrow.owned(), wide.owned());
     let (vn, vw) = (dn.root_fiber_view().unwrap(), dw.root_fiber_view().unwrap());
     for policy in POLICIES {
-        for (runs, owned) in [
-            ([vn, vw], [FiberView::Owned(&fn_), FiberView::Owned(&fw)]),
-            ([vw, vn], [FiberView::Owned(&fw), FiberView::Owned(&fn_)]),
-        ] {
+        for (runs, sides) in [([vn, vw], [&narrow, &wide]), ([vw, vn], [&wide, &narrow])] {
             let got = run(&runs, policy, None);
-            assert_eq!(got, run(&owned, policy, None), "{policy:?}");
+            assert_eq!(got, run(&runs, policy, Some((0, u64::MAX))), "{policy:?}");
+            assert_eq!(got.0, oracle(&sides), "{policy:?}");
             assert_eq!(got.0.len(), 6);
         }
     }

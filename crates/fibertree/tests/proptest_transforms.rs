@@ -5,9 +5,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use teaal_fibertree::iterate::{intersect2, intersect_many, union_many};
+use teaal_fibertree::iterate::{intersect2_stream, intersect_stream, union_stream};
 use teaal_fibertree::partition::{occupancy_boundaries, split_by_boundaries, SplitKind};
-use teaal_fibertree::{Fiber, IntersectPolicy, Shape, Tensor};
+use teaal_fibertree::{CompressedTensor, Fiber, FiberView, IntersectPolicy, Shape, Tensor};
 
 fn arb_matrix() -> impl Strategy<Value = Tensor> {
     // Up to 40 entries in a 16x12 matrix.
@@ -67,6 +67,20 @@ fn content(t: &Tensor) -> BTreeMap<Vec<(char, u64)>, f64> {
             (key, v)
         })
         .collect()
+}
+
+/// The compressed form of a one-rank fiber, which the co-iteration
+/// streams read.
+fn csf(f: &Fiber) -> CompressedTensor {
+    let entries = f
+        .iter()
+        .map(|e| (vec![e.coord.as_point().expect("points")], 1.0))
+        .collect();
+    CompressedTensor::from_entries("F", &["K"], &[f.shape().extent()], entries).expect("in shape")
+}
+
+fn view(t: &CompressedTensor) -> FiberView<'_> {
+    t.root_fiber_view().expect("1-tensor")
 }
 
 proptest! {
@@ -160,11 +174,12 @@ proptest! {
             IntersectPolicy::LeaderFollower { leader: 1 },
             IntersectPolicy::SkipAhead,
         ] {
-            let (m, stats) = intersect2(&a, &b, policy);
+            let (ta, tb) = (csf(&a), csf(&b));
+            let mut s = intersect2_stream(view(&ta), view(&tb), policy);
             let got: Vec<u64> =
-                m.iter().map(|(c, _, _)| c.as_point().expect("points")).collect();
+                s.by_ref().map(|(c, _, _)| c.as_point().expect("points")).collect();
             prop_assert_eq!(&got, &want, "{:?}", policy);
-            prop_assert_eq!(stats.matches as usize, want.len());
+            prop_assert_eq!(s.stats().matches as usize, want.len());
         }
     }
 
@@ -175,9 +190,10 @@ proptest! {
         let cb: BTreeSet<u64> =
             b.iter().map(|e| e.coord.as_point().expect("points")).collect();
         let want: Vec<u64> = ca.union(&cb).copied().collect();
-        let (u, _) = union_many(&[&a, &b]);
-        let got: Vec<u64> =
-            u.iter().map(|(c, _)| c.as_point().expect("points")).collect();
+        let (ta, tb) = (csf(&a), csf(&b));
+        let got: Vec<u64> = union_stream(&[view(&ta), view(&tb)])
+            .map(|(c, _)| c.as_point().expect("points"))
+            .collect();
         prop_assert_eq!(got, want);
     }
 
@@ -187,13 +203,16 @@ proptest! {
         b in arb_fiber(),
         c in arb_fiber(),
     ) {
-        let (m_abc, _) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        let (m_cba, _) = intersect_many(&[&c, &b, &a], IntersectPolicy::TwoFinger);
-        let ca: Vec<u64> =
-            m_abc.iter().map(|(x, _)| x.as_point().expect("points")).collect();
-        let cc: Vec<u64> =
-            m_cba.iter().map(|(x, _)| x.as_point().expect("points")).collect();
-        prop_assert_eq!(ca, cc);
+        let (ta, tb, tc) = (csf(&a), csf(&b), csf(&c));
+        let coords = |views: &[FiberView<'_>]| -> Vec<u64> {
+            intersect_stream(views, IntersectPolicy::TwoFinger)
+                .map(|(x, _)| x.as_point().expect("points"))
+                .collect()
+        };
+        prop_assert_eq!(
+            coords(&[view(&ta), view(&tb), view(&tc)]),
+            coords(&[view(&tc), view(&tb), view(&ta)])
+        );
     }
 
     #[test]

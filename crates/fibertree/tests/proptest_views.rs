@@ -1,16 +1,19 @@
-//! Property-based tests for the dual storage representations: owned
-//! fibertrees and compressed (CSF) storage must be observationally
-//! identical — same entries after a round-trip, same match streams, and
-//! the same [`CoIterStats`] under every intersection policy.
+//! Property-based tests for compressed (CSF) cursors and co-iteration
+//! streams, checked against independent oracles built from the owned
+//! construction of the same content: matches, positions and union rows
+//! against `BTreeMap`s of each fiber's `Tensor::entries()`, and the
+//! charged [`CoIterStats`] against the eager pairwise composition the
+//! cascade promises, against a count of live fibers (union), and between
+//! the raw-run kernels and the bounded cascade.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{
-    intersect2, intersect2_stream, intersect_many, intersect_stream, union_many, union_stream,
-    CoIterStats, IntersectStream, UnionStream,
+    intersect2_stream, intersect_stream, union_stream, CoIterStats, IntersectStream, UnionMatch,
+    UnionStream,
 };
-use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, PayloadView, Tensor};
 
 /// Up to 50 entries in an 8×8×8 3-tensor, as raw COO.
 fn arb_coo3() -> impl Strategy<Value = Vec<(Vec<u64>, f64)>> {
@@ -23,8 +26,9 @@ fn arb_coo3() -> impl Strategy<Value = Vec<(Vec<u64>, f64)>> {
     )
 }
 
-/// A sparse coordinate set for one fiber, as a 1-rank tensor in both
-/// representations (same content, independent constructions).
+/// A sparse coordinate set for one fiber, as a 1-rank tensor built twice
+/// (same content, independent constructions): the owned tree is the
+/// oracle's source, the compressed one is what the streams read.
 fn arb_vector_pair() -> impl Strategy<Value = (Tensor, CompressedTensor)> {
     proptest::collection::btree_set(0u64..200, 0..50).prop_map(|coords| {
         let entries: Vec<(Vec<u64>, f64)> = coords
@@ -37,11 +41,101 @@ fn arb_vector_pair() -> impl Strategy<Value = (Tensor, CompressedTensor)> {
     })
 }
 
-const POLICIES: [IntersectPolicy; 3] = [
+const POLICIES: [IntersectPolicy; 4] = [
     IntersectPolicy::TwoFinger,
     IntersectPolicy::LeaderFollower { leader: 0 },
+    IntersectPolicy::LeaderFollower { leader: 1 },
     IntersectPolicy::SkipAhead,
 ];
+
+fn view(c: &CompressedTensor) -> FiberView<'_> {
+    c.root_fiber_view().expect("1-tensor")
+}
+
+/// The oracle's view of one fiber: coordinate → position, from the owned
+/// tensor's entries.
+fn positions(t: &Tensor) -> BTreeMap<u64, usize> {
+    t.entries()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (p, _))| (p[0], i))
+        .collect()
+}
+
+/// Every coordinate all fibers hold, with its position in each.
+fn oracle_intersection(ts: &[&Tensor]) -> Vec<(Coord, Vec<usize>)> {
+    let pos: Vec<_> = ts.iter().map(|t| positions(t)).collect();
+    pos[0]
+        .keys()
+        .filter(|c| pos.iter().all(|m| m.contains_key(c)))
+        .map(|c| (Coord::Point(*c), pos.iter().map(|m| m[c]).collect()))
+        .collect()
+}
+
+/// Every coordinate any fiber holds, with its position where present.
+fn oracle_union(ts: &[&Tensor]) -> Vec<UnionMatch> {
+    let pos: Vec<_> = ts.iter().map(|t| positions(t)).collect();
+    let all: BTreeSet<u64> = pos.iter().flat_map(|m| m.keys().copied()).collect();
+    all.into_iter()
+        .map(|c| {
+            (
+                Coord::Point(c),
+                pos.iter().map(|m| m.get(&c).copied()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// The union's charge: one comparison per fiber still live (holding a
+/// coordinate at or above the emitted one) per emitted coordinate.
+fn oracle_union_stats(ts: &[&Tensor]) -> CoIterStats {
+    let pos: Vec<_> = ts.iter().map(|t| positions(t)).collect();
+    let rows = oracle_union(ts);
+    let comparisons = rows
+        .iter()
+        .map(|(c, _)| {
+            let c = c.as_point().expect("points");
+            pos.iter()
+                .filter(|m| m.keys().next_back().is_some_and(|&last| last >= c))
+                .count() as u64
+        })
+        .sum();
+    CoIterStats {
+        comparisons,
+        matches: rows.len() as u64,
+    }
+}
+
+/// What the cascade charges: the eager pairwise composition, each stage
+/// a two-input unit over the previous stage's complete output. Stages
+/// probe under leader-follower (the upstream leads) and merge otherwise.
+fn oracle_cascade_stats(ts: &[&Tensor], policy: IntersectPolicy) -> CoIterStats {
+    let stage = match policy {
+        IntersectPolicy::LeaderFollower { .. } => IntersectPolicy::LeaderFollower { leader: 0 },
+        _ => IntersectPolicy::TwoFinger,
+    };
+    let mut upstream: Vec<u64> = positions(ts[0]).into_keys().collect();
+    let mut comparisons = 0;
+    for t in &ts[1..] {
+        let left = vector(&upstream);
+        let right = vector(&positions(t).into_keys().collect::<Vec<_>>());
+        let mut s = intersect2_stream(view(&left), view(&right), stage);
+        upstream = s
+            .by_ref()
+            .map(|(c, _, _)| c.as_point().expect("points"))
+            .collect();
+        comparisons += s.stats().comparisons;
+    }
+    CoIterStats {
+        comparisons,
+        matches: upstream.len() as u64,
+    }
+}
+
+fn vector(coords: &[u64]) -> CompressedTensor {
+    let entries = coords.iter().map(|&c| (vec![c], 1.0)).collect();
+    CompressedTensor::from_entries("V", &["K"], &[200], entries).expect("in shape")
+}
 
 /// Drains an intersection through its buffer-filling API.
 fn drain_intersect(s: &mut IntersectStream<'_>) -> Vec<(Coord, Vec<usize>)> {
@@ -53,7 +147,7 @@ fn drain_intersect(s: &mut IntersectStream<'_>) -> Vec<(Coord, Vec<usize>)> {
 }
 
 /// Drains a union through its buffer-filling API.
-fn drain_union(s: &mut UnionStream<'_>) -> Vec<(Coord, Vec<Option<usize>>)> {
+fn drain_union(s: &mut UnionStream<'_>) -> Vec<UnionMatch> {
     let mut rows = Vec::new();
     while let Some(key) = s.advance() {
         rows.push((key.to_coord(), s.positions().to_vec()));
@@ -63,7 +157,7 @@ fn drain_union(s: &mut UnionStream<'_>) -> Vec<(Coord, Vec<Option<usize>>)> {
 
 /// Consecutive `[lo, hi)` windows covering the coordinate space `[0, 200)`
 /// of [`arb_vector_pair`], cut at `cuts`.
-fn windows(cuts: &std::collections::BTreeSet<u64>) -> Vec<(u64, u64)> {
+fn windows(cuts: &BTreeSet<u64>) -> Vec<(u64, u64)> {
     let mut bounds = vec![0u64];
     bounds.extend(cuts.iter().copied().filter(|&c| c > 0 && c < 200));
     bounds.push(200);
@@ -78,8 +172,8 @@ fn sum_stats(a: &CoIterStats, b: &CoIterStats) -> CoIterStats {
 }
 
 proptest! {
-    /// `from_entries → compress → iterate` returns the same entries as
-    /// the owned construction, and decompression is lossless.
+    /// `from_entries` and compressing the owned construction land on the
+    /// identical arrays, and decompression is lossless.
     #[test]
     fn owned_compressed_roundtrip_equality(entries in arb_coo3()) {
         let t = Tensor::from_entries("T", &["M", "K", "N"], &[8, 8, 8], entries.clone())
@@ -90,104 +184,72 @@ proptest! {
         prop_assert_eq!(c.nnz(), t.nnz());
         prop_assert_eq!(c.rank_stats(), t.rank_stats());
         prop_assert_eq!(&c.to_tensor(), &t);
-        // Compressing the owned tree lands on the identical arrays.
         prop_assert_eq!(&CompressedTensor::from_tensor(&t).expect("points only"), &c);
     }
 
-    /// Two-input intersection: match stream and stats agree across
-    /// representations (and mixed pairs) for every policy.
+    /// Two-input intersection: the match stream equals the oracle under
+    /// every policy, and the two-input unit charges what the cascade
+    /// stage it models charges.
     #[test]
     fn intersect2_is_representation_independent(
         (oa, ca) in arb_vector_pair(),
         (ob, cb) in arb_vector_pair(),
     ) {
-        let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        let (va, vb) = (
-            da.root_fiber_view().expect("1-tensor"),
-            db.root_fiber_view().expect("1-tensor"),
-        );
+        let want = oracle_intersection(&[&oa, &ob]);
         for policy in POLICIES {
-            let (mo, so) = intersect2(
-                oa.root_fiber().expect("1-tensor"),
-                ob.root_fiber().expect("1-tensor"),
+            let mut s = intersect2_stream(view(&ca), view(&cb), policy);
+            let rows: Vec<_> = s.by_ref().map(|(c, i, j)| (c, vec![i, j])).collect();
+            prop_assert_eq!(&rows, &want, "{:?}", policy);
+            prop_assert_eq!(s.stats().matches, want.len() as u64, "{:?}", policy);
+            if matches!(
                 policy,
-            );
-            // Compressed × compressed.
-            let mut s = intersect2_stream(va, vb, policy);
-            let mc: Vec<_> = s.by_ref().collect();
-            prop_assert_eq!(&mc, &mo, "{:?}", policy);
-            prop_assert_eq!(s.stats(), so.clone(), "{:?}", policy);
-            // Mixed: owned leader, compressed follower.
-            let mut s = intersect2_stream(
-                FiberView::Owned(oa.root_fiber().expect("1-tensor")),
-                vb,
-                policy,
-            );
-            let mm: Vec<_> = s.by_ref().collect();
-            prop_assert_eq!(&mm, &mo, "mixed {:?}", policy);
-            prop_assert_eq!(s.stats(), so, "mixed {:?}", policy);
+                IntersectPolicy::TwoFinger | IntersectPolicy::LeaderFollower { leader: 0 }
+            ) {
+                let mut cascade = intersect_stream(&[view(&ca), view(&cb)], policy);
+                cascade.by_ref().for_each(drop);
+                prop_assert_eq!(s.stats(), cascade.stats(), "{:?}", policy);
+            }
         }
     }
 
-    /// Multi-input intersection cascades charge identical stats lazily
-    /// and eagerly, in both representations.
+    /// A fresh multi-input intersection over three fibers yields the
+    /// oracle's rows and charges the eager pairwise composition.
     #[test]
     fn intersect_many_is_representation_independent(
         (oa, ca) in arb_vector_pair(),
         (ob, cb) in arb_vector_pair(),
         (oc, cc) in arb_vector_pair(),
     ) {
-        let datas = [
-            TensorData::Compressed(ca),
-            TensorData::Compressed(cb),
-            TensorData::Compressed(cc),
-        ];
-        let views: Vec<FiberView<'_>> = datas
-            .iter()
-            .map(|d| d.root_fiber_view().expect("1-tensor"))
-            .collect();
+        let owned = [&oa, &ob, &oc];
+        let views = [view(&ca), view(&cb), view(&cc)];
         for policy in POLICIES {
-            let (mo, so) = intersect_many(
-                &[
-                    oa.root_fiber().expect("1-tensor"),
-                    ob.root_fiber().expect("1-tensor"),
-                    oc.root_fiber().expect("1-tensor"),
-                ],
-                policy,
-            );
             let mut s = intersect_stream(&views, policy);
-            let mc: Vec<_> = s.by_ref().collect();
-            prop_assert_eq!(mc, mo, "{:?}", policy);
-            prop_assert_eq!(s.stats(), so, "{:?}", policy);
+            let rows: Vec<_> = s.by_ref().collect();
+            prop_assert_eq!(rows, oracle_intersection(&owned), "{:?}", policy);
+            prop_assert_eq!(s.stats(), oracle_cascade_stats(&owned, policy), "{:?}", policy);
         }
     }
 
-    /// Union: rows and stats agree across representations.
+    /// A fresh two-fiber union yields the oracle's rows and charge.
     #[test]
     fn union_is_representation_independent(
         (oa, ca) in arb_vector_pair(),
         (ob, cb) in arb_vector_pair(),
     ) {
-        let (uo, so) = union_many(&[
-            oa.root_fiber().expect("1-tensor"),
-            ob.root_fiber().expect("1-tensor"),
-        ]);
-        let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        let mut s = union_stream(&[
-            da.root_fiber_view().expect("1-tensor"),
-            db.root_fiber_view().expect("1-tensor"),
-        ]);
-        let uc: Vec<_> = s.by_ref().collect();
-        prop_assert_eq!(uc, uo);
-        prop_assert_eq!(s.stats(), so);
+        let mut s = union_stream(&[view(&ca), view(&cb)]);
+        let rows: Vec<_> = s.by_ref().collect();
+        prop_assert_eq!(rows, oracle_union(&[&oa, &ob]));
+        prop_assert_eq!(s.stats(), oracle_union_stats(&[&oa, &ob]));
     }
 
     /// The buffer-filling intersection — one stream re-armed for every
-    /// case, as the engine reuses one per loop level — yields the eager
-    /// cascade's coordinates, positions and stats, unbounded over one to
-    /// three fibers and bounded (one to two fibers) over any split of the
-    /// coordinate space, whose per-shard stats sum to the unbounded
-    /// totals.
+    /// case, as the engine reuses one per loop level — yields the oracle's
+    /// coordinates and positions over one to three fibers and charges the
+    /// eager pairwise composition. Bounded (one or two fibers, always the
+    /// cascade) over any split of the coordinate space, the shards'
+    /// rows concatenate to the oracle's and their stats sum to the
+    /// unbounded totals, which for one or two fibers come from the
+    /// raw-run kernels.
     #[test]
     fn reused_intersect_streams_match_the_eager_cascade(
         (oa, ca) in arb_vector_pair(),
@@ -195,50 +257,36 @@ proptest! {
         (oc, cc) in arb_vector_pair(),
         cuts in proptest::collection::btree_set(0u64..200, 0..4),
     ) {
-        let datas = [
-            TensorData::Compressed(ca),
-            TensorData::Compressed(cb),
-            TensorData::Compressed(cc),
-        ];
-        let owned = [&oa, &ob, &oc].map(|t| t.root_fiber().expect("1-tensor"));
-        let compressed: Vec<FiberView<'_>> = datas
-            .iter()
-            .map(|d| d.root_fiber_view().expect("1-tensor"))
-            .collect();
-        let mixed = [FiberView::Owned(owned[0]), compressed[1], FiberView::Owned(owned[2])];
+        let owned = [&oa, &ob, &oc];
+        let views = [view(&ca), view(&cb), view(&cc)];
         let mut s = IntersectStream::default();
-        for policy in [
-            IntersectPolicy::TwoFinger,
-            IntersectPolicy::LeaderFollower { leader: 0 },
-            IntersectPolicy::LeaderFollower { leader: 1 },
-            IntersectPolicy::SkipAhead,
-        ] {
+        for policy in POLICIES {
             for n in 1..=3 {
-                let (rows, stats) = intersect_many(&owned[..n], policy);
-                for views in [&compressed[..n], &mixed[..n]] {
-                    s.restart(views, policy, None);
-                    prop_assert_eq!(&drain_intersect(&mut s), &rows, "{:?} n={}", policy, n);
-                    prop_assert_eq!(s.stats(), stats.clone(), "{:?} n={}", policy, n);
-                    if n > 2 {
-                        continue;
-                    }
-                    let mut shard_rows = Vec::new();
-                    let mut shard_stats = CoIterStats::default();
-                    for (lo, hi) in windows(&cuts) {
-                        s.restart(views, policy, Some((lo, hi)));
-                        shard_rows.extend(drain_intersect(&mut s));
-                        shard_stats = sum_stats(&shard_stats, &s.stats());
-                    }
-                    prop_assert_eq!(&shard_rows, &rows, "{:?} n={} cuts={:?}", policy, n, cuts);
-                    prop_assert_eq!(&shard_stats, &stats, "{:?} n={} cuts={:?}", policy, n, cuts);
+                let rows = oracle_intersection(&owned[..n]);
+                let stats = oracle_cascade_stats(&owned[..n], policy);
+                s.restart(&views[..n], policy, None);
+                prop_assert_eq!(&drain_intersect(&mut s), &rows, "{:?} n={}", policy, n);
+                prop_assert_eq!(s.stats(), stats.clone(), "{:?} n={}", policy, n);
+                if n > 2 {
+                    continue;
                 }
+                let mut shard_rows = Vec::new();
+                let mut shard_stats = CoIterStats::default();
+                for (lo, hi) in windows(&cuts) {
+                    s.restart(&views[..n], policy, Some((lo, hi)));
+                    shard_rows.extend(drain_intersect(&mut s));
+                    shard_stats = sum_stats(&shard_stats, &s.stats());
+                }
+                prop_assert_eq!(&shard_rows, &rows, "{:?} n={} cuts={:?}", policy, n, cuts);
+                prop_assert_eq!(&shard_stats, &stats, "{:?} n={} cuts={:?}", policy, n, cuts);
             }
         }
     }
 
-    /// The buffer-filling union matches the eager union, unbounded and
-    /// bounded, for one to three fibers; per-shard stats sum to the
-    /// unbounded totals.
+    /// The buffer-filling union yields the oracle's rows and charges one
+    /// comparison per live fiber per coordinate, unbounded and bounded,
+    /// for one to three fibers; per-shard stats sum to the unbounded
+    /// totals.
     #[test]
     fn reused_union_streams_match_the_eager_union(
         (oa, ca) in arb_vector_pair(),
@@ -246,93 +294,80 @@ proptest! {
         (oc, cc) in arb_vector_pair(),
         cuts in proptest::collection::btree_set(0u64..200, 0..4),
     ) {
-        let datas = [
-            TensorData::Compressed(ca),
-            TensorData::Compressed(cb),
-            TensorData::Compressed(cc),
-        ];
-        let owned = [&oa, &ob, &oc].map(|t| t.root_fiber().expect("1-tensor"));
-        let compressed: Vec<FiberView<'_>> = datas
-            .iter()
-            .map(|d| d.root_fiber_view().expect("1-tensor"))
-            .collect();
-        let mixed = [compressed[0], FiberView::Owned(owned[1]), compressed[2]];
+        let owned = [&oa, &ob, &oc];
+        let views = [view(&ca), view(&cb), view(&cc)];
         let mut s = UnionStream::default();
         for n in 1..=3 {
-            let (rows, stats) = union_many(&owned[..n]);
-            for views in [&compressed[..n], &mixed[..n]] {
-                s.restart(views, None);
-                prop_assert_eq!(&drain_union(&mut s), &rows, "n={}", n);
-                prop_assert_eq!(s.stats(), stats.clone(), "n={}", n);
-                let mut shard_rows = Vec::new();
-                let mut shard_stats = CoIterStats::default();
-                for (lo, hi) in windows(&cuts) {
-                    s.restart(views, Some((lo, hi)));
-                    shard_rows.extend(drain_union(&mut s));
-                    shard_stats = sum_stats(&shard_stats, &s.stats());
-                }
-                prop_assert_eq!(&shard_rows, &rows, "n={} cuts={:?}", n, cuts);
-                prop_assert_eq!(&shard_stats, &stats, "n={} cuts={:?}", n, cuts);
+            let rows = oracle_union(&owned[..n]);
+            let stats = oracle_union_stats(&owned[..n]);
+            s.restart(&views[..n], None);
+            prop_assert_eq!(&drain_union(&mut s), &rows, "n={}", n);
+            prop_assert_eq!(s.stats(), stats.clone(), "n={}", n);
+            let mut shard_rows = Vec::new();
+            let mut shard_stats = CoIterStats::default();
+            for (lo, hi) in windows(&cuts) {
+                s.restart(&views[..n], Some((lo, hi)));
+                shard_rows.extend(drain_union(&mut s));
+                shard_stats = sum_stats(&shard_stats, &s.stats());
             }
+            prop_assert_eq!(&shard_rows, &rows, "n={} cuts={:?}", n, cuts);
+            prop_assert_eq!(&shard_stats, &stats, "n={} cuts={:?}", n, cuts);
         }
     }
 
     /// Hierarchical cursors: walking a 3-tensor leaf-by-leaf through
-    /// views visits identical coordinates and values either way.
+    /// views visits exactly the owned construction's entries.
     #[test]
     fn hierarchical_view_walks_agree(entries in arb_coo3()) {
         let t = Tensor::from_entries("T", &["M", "K", "N"], &[8, 8, 8], entries.clone())
             .expect("in shape");
         let c = CompressedTensor::from_entries("T", &["M", "K", "N"], &[8, 8, 8], entries)
             .expect("in shape");
-        let (dt, dc) = (TensorData::Owned(t), TensorData::Compressed(c));
-        fn leaves(d: &TensorData) -> BTreeMap<Vec<u64>, f64> {
-            let mut out = BTreeMap::new();
-            fn walk(v: FiberView<'_>, path: &mut Vec<u64>, out: &mut BTreeMap<Vec<u64>, f64>) {
-                for pos in 0..v.occupancy() {
-                    path.push(v.coord_at(pos).as_point().expect("points"));
-                    match v.payload_at(pos) {
-                        teaal_fibertree::PayloadView::Val(x) => {
-                            out.insert(path.clone(), x);
-                        }
-                        teaal_fibertree::PayloadView::Fiber(child) => walk(child, path, out),
+        fn walk(v: FiberView<'_>, path: &mut Vec<u64>, out: &mut BTreeMap<Vec<u64>, f64>) {
+            for pos in 0..v.occupancy() {
+                path.push(v.coord_at(pos).as_point().expect("points"));
+                match v.payload_at(pos) {
+                    PayloadView::Val(x) => {
+                        out.insert(path.clone(), x);
                     }
-                    path.pop();
+                    PayloadView::Fiber(child) => walk(child, path, out),
                 }
+                path.pop();
             }
-            if let Some(root) = d.root_fiber_view() {
-                walk(root, &mut Vec::new(), &mut out);
-            }
-            out
         }
-        prop_assert_eq!(leaves(&dt), leaves(&dc));
+        let mut got = BTreeMap::new();
+        if let Some(root) = c.root_fiber_view() {
+            walk(root, &mut Vec::new(), &mut got);
+        }
+        let want: BTreeMap<Vec<u64>, f64> = t.entries().into_iter().collect();
+        prop_assert_eq!(got, want);
     }
 }
 
-/// The eager `LeaderFollower { leader: 1 }` variant has an asymmetric
-/// swap path; pin it separately with plain cases (proptest above covers
-/// leader 0 and the symmetric policies).
+/// The two-input `LeaderFollower { leader: 1 }` unit walks the second
+/// fiber and probes the first; pin its swapped positions and its charge
+/// (one probe per element of the leader) with plain cases.
 #[test]
 fn leader_one_swaps_positions_identically() {
-    let entries_a: Vec<(Vec<u64>, f64)> =
-        [1u64, 4, 9, 30].iter().map(|&c| (vec![c], 1.0)).collect();
-    let entries_b: Vec<(Vec<u64>, f64)> = [4u64, 9, 10].iter().map(|&c| (vec![c], 2.0)).collect();
-    let oa = Tensor::from_entries("A", &["K"], &[64], entries_a.clone()).unwrap();
-    let ob = Tensor::from_entries("B", &["K"], &[64], entries_b.clone()).unwrap();
-    let ca = TensorData::Compressed(
-        CompressedTensor::from_entries("A", &["K"], &[64], entries_a).unwrap(),
-    );
-    let cb = TensorData::Compressed(
-        CompressedTensor::from_entries("B", &["K"], &[64], entries_b).unwrap(),
-    );
+    let entries = |coords: &[u64]| -> Vec<(Vec<u64>, f64)> {
+        coords.iter().map(|&c| (vec![c], 1.0)).collect()
+    };
+    let (a, b) = (entries(&[1, 4, 9, 30]), entries(&[4, 9, 10]));
+    let oa = Tensor::from_entries("A", &["K"], &[64], a.clone()).unwrap();
+    let ob = Tensor::from_entries("B", &["K"], &[64], b.clone()).unwrap();
+    let ca = CompressedTensor::from_entries("A", &["K"], &[64], a).unwrap();
+    let cb = CompressedTensor::from_entries("B", &["K"], &[64], b).unwrap();
     let policy = IntersectPolicy::LeaderFollower { leader: 1 };
-    let (mo, so) = intersect2(oa.root_fiber().unwrap(), ob.root_fiber().unwrap(), policy);
-    let mut s = intersect2_stream(
-        ca.root_fiber_view().unwrap(),
-        cb.root_fiber_view().unwrap(),
-        policy,
+    let mut s = intersect2_stream(view(&ca), view(&cb), policy);
+    let rows: Vec<_> = s.by_ref().map(|(c, i, j)| (c, vec![i, j])).collect();
+    assert_eq!(rows, oracle_intersection(&[&oa, &ob]));
+    assert_eq!(
+        s.stats(),
+        CoIterStats {
+            comparisons: 3,
+            matches: 2
+        }
     );
-    let mc: Vec<_> = s.by_ref().collect();
-    assert_eq!(mc, mo);
-    assert_eq!(s.stats(), so);
+    let cascade: Vec<_> = intersect_stream(&[view(&ca), view(&cb)], policy).collect();
+    assert_eq!(cascade, rows);
 }

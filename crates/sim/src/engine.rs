@@ -7,11 +7,10 @@
 //! unioning additive ones, projecting flattened coordinates, resolving
 //! affine indices — while streaming every access into [`Instruments`].
 //!
-//! The nest walks CSF ([`CompressedTensor`]) only, through [`FiberView`]
-//! cursors: untransformed compressed inputs are borrowed, never cloned,
-//! and an owned input is compressed once ([`crate::Simulator::run_data`]
-//! does it once per run, so a direct caller of [`Engine::execute_data`]
-//! is the only one who pays it per execution). Each loop level consumes a
+//! The engine takes CSF ([`CompressedTensor`]) inputs only — the
+//! [`crate::Simulator`] compresses owned inputs once, at its API boundary
+//! — and walks them through [`FiberView`] cursors: untransformed inputs
+//! are borrowed, never cloned. Each loop level consumes a
 //! lazy intersection/union stream instead of materializing a match list;
 //! an intersection of one or two point levels scans or merges their raw
 //! coordinate runs ([`teaal_fibertree::PointRun`]) by integer compares.
@@ -54,7 +53,7 @@ use teaal_fibertree::iterate::{IntersectStream, UnionStream};
 use teaal_fibertree::partition::SplitKind;
 use teaal_fibertree::{
     telemetry, BoundaryRecord, CompressedBuilder, CompressedTensor, Coord, CoordKey, FiberView,
-    IntersectPolicy, MergeRecord, PayloadView, Shape, TensorData, TransformCache, TransformedView,
+    IntersectPolicy, MergeRecord, PayloadView, Shape, TransformCache, TransformedView,
 };
 
 use crate::counters::{
@@ -87,18 +86,18 @@ pub struct Engine<'p> {
 /// One prepared input: either the untransformed tensor borrowed straight
 /// from the environment, a freshly transformed tensor this execution
 /// owns, or a shared transformed view out of the pipeline's
-/// [`TransformCache`]. The nest walk only ever needs `&TensorData`.
+/// [`TransformCache`].
 enum PreparedInput<'t> {
-    Borrowed(&'t TensorData),
-    Owned(TensorData),
+    Borrowed(&'t CompressedTensor),
+    Transformed(CompressedTensor),
     Shared(Arc<TransformedView>),
 }
 
 impl PreparedInput<'_> {
-    fn data(&self) -> &TensorData {
+    fn data(&self) -> &CompressedTensor {
         match self {
             PreparedInput::Borrowed(t) => t,
-            PreparedInput::Owned(t) => t,
+            PreparedInput::Transformed(t) => t,
             PreparedInput::Shared(v) => &v.tensor,
         }
     }
@@ -548,7 +547,7 @@ impl<'p> Engine<'p> {
     /// Executes the plan, assembling the output in CSF storage.
     ///
     /// `inputs` must contain every input tensor (cascade inputs and
-    /// already-produced intermediates) in either representation;
+    /// already-produced intermediates), all CSF;
     /// `instruments` receives the access stream; `boundaries` carries
     /// leader partition boundaries across tensors. The accumulated output
     /// drains through a [`CompressedBuilder`]: `O(output nnz)`
@@ -561,12 +560,12 @@ impl<'p> Engine<'p> {
     /// than a tensor's working order ([`SimError::PhantomRank`]).
     pub fn execute_data<'t>(
         &self,
-        inputs: &BTreeMap<String, &'t TensorData>,
+        inputs: &BTreeMap<String, &'t CompressedTensor>,
         instruments: &mut Instruments,
         boundaries: &mut BoundaryCache,
     ) -> Result<CompressedTensor, SimError> {
         // 1. Transform inputs per plan (leaders first — plan order).
-        // Untransformed compressed inputs are borrowed rather than cloned
+        // Untransformed inputs are borrowed rather than cloned
         // — the graph driver re-executes cascades every superstep against
         // the same multi-million-entry compressed adjacency. Transform
         // chains run on CSF arrays. With a [`TransformCache`] attached,
@@ -579,7 +578,7 @@ impl<'p> Engine<'p> {
             if let Some(token) = &self.cancel {
                 token.checkpoint()?;
             }
-            let input: &TensorData =
+            let input: &CompressedTensor =
                 inputs
                     .get(&tp.tensor)
                     .copied()
@@ -604,18 +603,11 @@ impl<'p> Engine<'p> {
                         let view =
                             self.run_transform_chain(input, tp, needs_swizzle, boundaries)?;
                         apply_view_effects(&view, instruments, boundaries);
-                        PreparedInput::Owned(view.tensor)
+                        PreparedInput::Transformed(view.tensor)
                     }
                 }
             } else {
-                match input {
-                    TensorData::Compressed(_) => PreparedInput::Borrowed(input),
-                    // `Simulator::run_data` compresses owned inputs once
-                    // per run; a direct caller pays it per execution.
-                    TensorData::Owned(t) => PreparedInput::Owned(TensorData::Compressed(
-                        CompressedTensor::from_tensor(t)?,
-                    )),
-                }
+                PreparedInput::Borrowed(input)
             };
             tensors.push(t);
         }
@@ -1050,13 +1042,12 @@ impl<'p> Engine<'p> {
     /// [`SimError::MissingBoundaries`]).
     ///
     /// The key covers everything [`Engine::run_transform_chain`] reads:
-    /// the input's content hash (representation-independent, like the
-    /// chain's CSF result), the plan's initial order and steps, the
+    /// the input's content hash, the plan's initial order and steps, the
     /// online-swizzle flag (it decides merge recording), and — for
     /// followers resolved from `outer` — the exact boundary lists.
     fn transform_key(
         &self,
-        input: &TensorData,
+        input: &CompressedTensor,
         tp: &TensorPlan,
         needs_swizzle: bool,
         outer: &BoundaryCache,
@@ -1097,12 +1088,9 @@ impl<'p> Engine<'p> {
     /// returned [`TransformedView`] so a cache hit can replay them
     /// ([`apply_view_effects`]) instead of re-running the chain. Counts
     /// one real execution in [`telemetry::transform_exec_count`].
-    ///
-    /// The chain runs on CSF arrays; an owned input is compressed once
-    /// first, so the result is CSF whichever representation arrived.
     fn run_transform_chain(
         &self,
-        input: &TensorData,
+        input: &CompressedTensor,
         tp: &TensorPlan,
         needs_swizzle: bool,
         outer: &BoundaryCache,
@@ -1113,22 +1101,14 @@ impl<'p> Engine<'p> {
         let mut published: Vec<BoundaryRecord> = Vec::new();
         // Followers see outer leaders plus any this chain publishes.
         let mut local: BoundaryCache = outer.clone();
-        let compressed;
-        let input = match input {
-            TensorData::Compressed(c) => c,
-            TensorData::Owned(t) => {
-                compressed = CompressedTensor::from_tensor(t)?;
-                &compressed
-            }
-        };
-        let tensor = TensorData::Compressed(self.transform_compressed(
+        let tensor = self.transform_compressed(
             input,
             tp,
             needs_swizzle,
             &mut merges,
             &mut local,
             &mut published,
-        )?);
+        )?;
         Ok(TransformedView {
             tensor,
             merges: merges
@@ -1311,7 +1291,7 @@ fn record_merge_groups(t: &CompressedTensor, new_order: &[String], merges: &mut 
     if prefix >= rank_ids.len() {
         return;
     }
-    let Some(root) = FiberView::of_compressed(t) else {
+    let Some(root) = t.root_fiber_view() else {
         return;
     };
     fn walk(
@@ -1375,7 +1355,7 @@ impl<'e, 'p> Exec<'e, 'p> {
             .collect();
         let mut walk = Walk::new(inst, names);
         for (ch, ti) in walk.chans.iter_mut().zip(&names.chan_tensor) {
-            if let Some(TensorData::Compressed(c)) = ti.map(|ti| tensors[ti].data()) {
+            if let Some(c) = ti.map(|ti| tensors[ti].data()) {
                 let lens: Vec<usize> = (0..c.order()).map(|l| c.level_len(l)).collect();
                 ch.bind_levels(&lens);
             }
@@ -1601,9 +1581,7 @@ impl<'e, 'p> Exec<'e, 'p> {
     ) {
         if let Some(t) = &self.names.touches[ai][li] {
             walk.reads[t.read] += 1;
-            let (level, pos) = fiber
-                .csf_position(p)
-                .expect("the walk reads compressed inputs only");
+            let (level, pos) = fiber.csf_position(p);
             walk.chans[t.chan].touch(&t.slot, level, pos, payload);
         }
     }

@@ -32,7 +32,7 @@
 //! uniform and independent across ranks, value cancellation (`is_zero`)
 //! is ignored, spatial work is assumed balanced across PEs, and
 //! follower-split boundaries are approximated from the leader's chunk
-//! count. `explore_fast` compensates with a safety margin before the
+//! count. `explore_fast_with_context` compensates with a safety margin before the
 //! engine verifies the survivors.
 
 use std::collections::BTreeMap;
@@ -41,31 +41,12 @@ use std::sync::Arc;
 use teaal_core::einsum::Rhs;
 use teaal_core::ir::{Descent, EinsumPlan, PlanStep, TensorPlan};
 use teaal_fibertree::stats::{StatsCache, TensorStats};
-use teaal_fibertree::{IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{IntersectPolicy, TensorData};
 
 use crate::counters::{ChannelCfg, EstimatedChannel, EstimatedCounts};
 use crate::error::SimError;
 use crate::model::Simulator;
 use crate::report::SimReport;
-
-/// Estimates a full cascade report for owned input tensors.
-///
-/// Convenience wrapper over [`estimate_data`]; statistics are computed
-/// fresh (use [`estimate_data`] with a shared [`StatsCache`] when
-/// estimating many candidates over the same inputs).
-///
-/// # Errors
-///
-/// Returns [`SimError::MissingTensor`] / [`SimError::MissingExtent`] under
-/// the same conditions as an engine run.
-pub fn estimate(sim: &Simulator, inputs: &[Tensor]) -> Result<SimReport, SimError> {
-    let datas: Vec<TensorData> = inputs
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
-    let refs: Vec<&TensorData> = datas.iter().collect();
-    estimate_data(sim, &refs, &StatsCache::new())
-}
 
 /// Estimates a full cascade report, memoizing per-tensor statistics in
 /// `cache` (one O(nnz) pass per distinct tensor, shared across all
@@ -1157,7 +1138,7 @@ fn estimate_channel(
 mod tests {
     use super::*;
     use teaal_core::TeaalSpec;
-    use teaal_fibertree::TensorBuilder;
+    use teaal_fibertree::{Tensor, TensorBuilder};
 
     fn base_spec() -> TeaalSpec {
         TeaalSpec::parse(concat!(
@@ -1188,6 +1169,9 @@ mod tests {
     fn estimate_tracks_measured_ranking_on_small_spmspm() {
         let spec = base_spec();
         let ins = inputs();
+        let data: Vec<TensorData> = ins.iter().cloned().map(TensorData::Owned).collect();
+        let refs: Vec<&TensorData> = data.iter().collect();
+        let stats = StatsCache::new();
         let mut rows = Vec::new();
         for order in [
             ["M", "N", "K"],
@@ -1203,7 +1187,7 @@ mod tests {
                 .insert("Z".into(), order.iter().map(|r| r.to_string()).collect());
             let sim = Simulator::new(s).unwrap();
             let measured = sim.run(&ins).unwrap();
-            let estimated = estimate(&sim, &ins).unwrap();
+            let estimated = estimate_data(&sim, &refs, &stats).unwrap();
             rows.push((order, measured, estimated));
         }
         for (order, m, e) in &rows {

@@ -12,10 +12,10 @@
 //! Two search modes share one candidate universe (permutations in Heap
 //! order, skipping orders that fail to lower):
 //!
-//! - [`explore_loop_orders`] — the oracle: run every candidate through
-//!   the executable engine on real tensors.
-//! - [`explore_fast`] — the two-phase fast path: score every candidate
-//!   with the analytical estimator ([`crate::estimate()`]), keep the top-K
+//! - [`explore_loop_orders_with_context`] — the oracle: run every
+//!   candidate through the executable engine on real tensors.
+//! - [`explore_fast_with_context`] — the two-phase fast path: score every
+//!   candidate with the analytical estimator ([`estimate_data`]), keep the top-K
 //!   within a safety margin of the estimated best, and run only those
 //!   survivors through the engine, re-ranked by exact results. Per
 //!   candidate the estimator is O(plan size) instead of O(nnz), so large
@@ -27,12 +27,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
-use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
+use teaal_fibertree::{Tensor, TensorData};
 
 use crate::error::SimError;
 use crate::estimate::estimate_data;
 use crate::limits::{CancelToken, EvalLimits};
-use crate::model::Simulator;
+use crate::model::{compress, Simulator};
 use crate::ops::OpTable;
 use crate::pipeline::EvalContext;
 use crate::report::SimReport;
@@ -95,7 +95,7 @@ impl Candidate {
     }
 }
 
-/// Configuration for the two-phase [`explore_fast`] search.
+/// Configuration for the two-phase [`explore_fast_with_context`] search.
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
     /// What to optimize (both phases rank by this).
@@ -137,7 +137,7 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Result of a two-phase [`explore_fast`] search.
+/// Result of a two-phase [`explore_fast_with_context`] search.
 #[derive(Clone, Debug)]
 pub struct ExploreOutcome {
     /// Engine-verified survivors, re-ranked by *measured* objective
@@ -164,24 +164,7 @@ pub struct ExploreOutcome {
 /// budget, so a small `max_candidates` still returns that many valid
 /// mappings when they exist later in permutation order.
 ///
-/// # Errors
-///
-/// Returns [`SimError`] if the base specification fails to lower or if
-/// every candidate fails.
-pub fn explore_loop_orders(
-    spec: &TeaalSpec,
-    einsum: &str,
-    inputs: &[Tensor],
-    ops: OpTable,
-    objective: Objective,
-    max_candidates: usize,
-) -> Result<Vec<Candidate>, SimError> {
-    explore_loop_orders_with_threads(spec, einsum, inputs, ops, objective, max_candidates, 1)
-}
-
-/// [`explore_loop_orders`] with candidate evaluation fanned out across up
-/// to `threads` scoped workers.
-///
+/// Candidate evaluation fans out across up to `threads` scoped workers.
 /// Workers pull candidates from a shared work-stealing queue (an atomic
 /// next-candidate index), so a slow mapping no longer stalls a whole
 /// chunk of fast ones. Successes still count in permutation order until
@@ -190,39 +173,15 @@ pub fn explore_loop_orders(
 /// simulation itself runs sequentially (the fan-out is across mappings,
 /// not within one).
 ///
-/// # Errors
-///
-/// As [`explore_loop_orders`].
-pub fn explore_loop_orders_with_threads(
-    spec: &TeaalSpec,
-    einsum: &str,
-    inputs: &[Tensor],
-    ops: OpTable,
-    objective: Objective,
-    max_candidates: usize,
-    threads: usize,
-) -> Result<Vec<Candidate>, SimError> {
-    explore_loop_orders_with_context(
-        spec,
-        einsum,
-        inputs,
-        ops,
-        objective,
-        max_candidates,
-        threads,
-        None,
-    )
-}
-
-/// [`explore_loop_orders_with_threads`] with an optional shared
-/// [`EvalContext`]: candidate specs compile through the context's plan
-/// cache and every engine run shares the transform cache, so the search
-/// never re-transforms an input it has already prepared. Results are
-/// bit-identical with or without a context.
+/// With a shared [`EvalContext`], candidate specs compile through the
+/// context's plan cache and every engine run shares the transform cache,
+/// so the search never re-transforms an input it has already prepared.
+/// Results are bit-identical with or without a context.
 ///
 /// # Errors
 ///
-/// As [`explore_loop_orders`].
+/// Returns [`SimError`] if the base specification fails to lower or if
+/// every candidate fails.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_loop_orders_with_context(
     spec: &TeaalSpec,
@@ -281,31 +240,17 @@ pub fn explore_loop_orders_with_context(
 /// catalog specs the default margin keeps the true winner (pinned by
 /// integration tests); widen it for adversarial value distributions.
 ///
-/// # Errors
-///
-/// As [`explore_loop_orders`], plus the same error when every survivor
-/// fails to execute.
-pub fn explore_fast(
-    spec: &TeaalSpec,
-    einsum: &str,
-    inputs: &[Tensor],
-    ops: OpTable,
-    config: &ExploreConfig,
-) -> Result<ExploreOutcome, SimError> {
-    explore_fast_with_context(spec, einsum, inputs, ops, config, None)
-}
-
-/// [`explore_fast`] with an optional shared [`EvalContext`]: the
-/// estimation sweep reads per-tensor statistics from the context's
-/// [`StatsCache`], candidate specs compile through the plan cache, and
-/// the verification phase shares the transform cache — a warm context
-/// re-runs the whole search with zero redundant input transforms (pinned
-/// by the `pipeline_cache` suite). Results are bit-identical with or
-/// without a context.
+/// With a shared [`EvalContext`], the estimation sweep reads per-tensor
+/// statistics from the context's [`StatsCache`], candidate specs compile
+/// through the plan cache, and the verification phase shares the
+/// transform cache — a warm context re-runs the whole search with zero
+/// redundant input transforms (pinned by the `pipeline_cache` suite).
+/// Results are bit-identical with or without a context.
 ///
 /// # Errors
 ///
-/// As [`explore_fast`].
+/// As [`explore_loop_orders_with_context`], plus the same error when
+/// every survivor fails to execute.
 pub fn explore_fast_with_context(
     spec: &TeaalSpec,
     einsum: &str,
@@ -454,11 +399,11 @@ pub fn explore_fast_with_context(
 }
 
 /// The search inputs, compressed once: every candidate of a search borrows
-/// them instead of cloning owned trees per run.
+/// them instead of compressing owned trees per run.
 fn compressed_inputs(inputs: &[Tensor]) -> Result<Vec<TensorData>, SimError> {
     inputs
         .iter()
-        .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
+        .map(|t| compress(t).map(TensorData::Compressed))
         .collect()
 }
 
@@ -643,13 +588,15 @@ mod tests {
 
     #[test]
     fn explores_all_six_permutations_of_three_ranks() {
-        let results = explore_loop_orders(
+        let results = explore_loop_orders_with_context(
             &base_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(results.len(), 6);
@@ -667,13 +614,15 @@ mod tests {
 
     #[test]
     fn candidate_cap_is_respected() {
-        let results = explore_loop_orders(
+        let results = explore_loop_orders_with_context(
             &base_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Traffic,
             2,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(results.len(), 2);
@@ -681,22 +630,26 @@ mod tests {
 
     #[test]
     fn objectives_rank_differently_when_models_disagree() {
-        let by_time = explore_loop_orders(
+        let by_time = explore_loop_orders_with_context(
             &base_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
-        let by_traffic = explore_loop_orders(
+        let by_traffic = explore_loop_orders_with_context(
             &base_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Traffic,
             720,
+            1,
+            None,
         )
         .unwrap();
         // Same candidate set either way.
@@ -738,13 +691,15 @@ mod tests {
         // lower, and more lowerable ones after. A budget of 10 must
         // return 10 evaluated candidates — the buggy accounting charged
         // the failures against the budget and returned only 8.
-        let results = explore_loop_orders(
+        let results = explore_loop_orders_with_context(
             &partitioning_constrained_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Time,
             10,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -753,13 +708,15 @@ mod tests {
             "failing candidates must be skipped, not charged against max_candidates"
         );
         // Exhaustively, exactly the 12 valid permutations come back.
-        let all = explore_loop_orders(
+        let all = explore_loop_orders_with_context(
             &partitioning_constrained_spec(),
             "Z",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(all.len(), 12);
@@ -771,17 +728,19 @@ mod tests {
         // candidate set, scores, or ranking — including when the budget
         // cuts off mid-chunk.
         for budget in [2usize, 10, 720] {
-            let seq = explore_loop_orders(
+            let seq = explore_loop_orders_with_context(
                 &partitioning_constrained_spec(),
                 "Z",
                 &inputs(),
                 OpTable::arithmetic(),
                 Objective::Time,
                 budget,
+                1,
+                None,
             )
             .unwrap();
             for threads in [2usize, 4] {
-                let par = explore_loop_orders_with_threads(
+                let par = explore_loop_orders_with_context(
                     &partitioning_constrained_spec(),
                     "Z",
                     &inputs(),
@@ -789,6 +748,7 @@ mod tests {
                     Objective::Time,
                     budget,
                     threads,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(seq.len(), par.len());
@@ -804,13 +764,15 @@ mod tests {
 
     #[test]
     fn unknown_einsum_is_an_error() {
-        let err = explore_loop_orders(
+        let err = explore_loop_orders_with_context(
             &base_spec(),
             "Q",
             &inputs(),
             OpTable::arithmetic(),
             Objective::Time,
             10,
+            1,
+            None,
         );
         assert!(err.is_err());
     }
@@ -821,13 +783,15 @@ mod tests {
         let spec = base_spec();
         let ins = inputs();
         let mut reference: Option<teaal_fibertree::TensorData> = None;
-        let results = explore_loop_orders(
+        let results = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
         for c in &results {
@@ -879,21 +843,24 @@ mod fast_tests {
     fn fast_search_agrees_with_exhaustive_top1() {
         let spec = base_spec();
         let ins = inputs();
-        let exhaustive = explore_loop_orders(
+        let exhaustive = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
-        let fast = explore_fast(
+        let fast = explore_fast_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             &ExploreConfig::default(),
+            None,
         )
         .unwrap();
         assert!(fast.engine_evals < exhaustive.len());
@@ -905,7 +872,7 @@ mod fast_tests {
 
     #[test]
     fn fast_search_reports_eval_counts() {
-        let fast = explore_fast(
+        let fast = explore_fast_with_context(
             &base_spec(),
             "Z",
             &inputs(),
@@ -914,6 +881,7 @@ mod fast_tests {
                 top_k: 2,
                 ..ExploreConfig::default()
             },
+            None,
         )
         .unwrap();
         assert!(fast.engine_evals <= 2);
@@ -926,15 +894,16 @@ mod fast_tests {
     fn fast_search_is_deterministic_across_threads() {
         let spec = base_spec();
         let ins = inputs();
-        let seq = explore_fast(
+        let seq = explore_fast_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             &ExploreConfig::default(),
+            None,
         )
         .unwrap();
-        let par = explore_fast(
+        let par = explore_fast_with_context(
             &spec,
             "Z",
             &ins,
@@ -943,6 +912,7 @@ mod fast_tests {
                 threads: 4,
                 ..ExploreConfig::default()
             },
+            None,
         )
         .unwrap();
         assert_eq!(seq.candidates.len(), par.candidates.len());

@@ -32,13 +32,13 @@ pub use counters::{ChannelCfg, Instruments, MergeGroup, OutputChannel, TensorCha
 pub use energy::{ActionCounts, EnergyTable};
 pub use engine::Engine;
 pub use error::SimError;
-pub use estimate::{estimate, estimate_data, estimate_with_stats};
+pub use estimate::{estimate_data, estimate_with_stats};
 pub use explore::{
-    explore_fast, explore_fast_with_context, explore_loop_orders, explore_loop_orders_with_context,
-    explore_loop_orders_with_threads, Candidate, ExploreConfig, ExploreOutcome, Objective,
+    explore_fast_with_context, explore_loop_orders_with_context, Candidate, ExploreConfig,
+    ExploreOutcome, Objective,
 };
 pub use limits::{BudgetKind, CancelToken, EvalLimits, Progress};
-pub use model::{default_threads, Simulator};
+pub use model::{compress, default_threads, Simulator};
 pub use ops::OpTable;
 pub use pipeline::EvalContext;
 pub use report::{BlockStats, EinsumStats, SimReport, TensorTraffic};

@@ -17,6 +17,7 @@
 //! and enables whole-report caching ([`Simulator::run_data_cached`]) —
 //! without changing any result bit.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -88,6 +89,32 @@ pub fn default_threads() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
+}
+
+/// Compresses an owned tensor into the CSF storage every evaluation
+/// reads: the evaluation path's one owned→CSF conversion. The
+/// [`Simulator`] entry points call it once per owned input per call;
+/// callers that evaluate one dataset many times (`teaal batch` and
+/// `serve`, the mapper search) call it once up front.
+///
+/// # Errors
+///
+/// Returns [`SimError::Fibertree`] when a rank shape has no compressed
+/// form.
+pub fn compress(t: &Tensor) -> Result<CompressedTensor, SimError> {
+    Ok(CompressedTensor::from_tensor(t)?)
+}
+
+/// The inputs as CSF: compressed inputs borrowed, owned ones
+/// [`compress`]ed.
+fn csf_inputs<'a>(inputs: &[&'a TensorData]) -> Result<Vec<Cow<'a, CompressedTensor>>, SimError> {
+    inputs
+        .iter()
+        .map(|t| match t {
+            TensorData::Compressed(c) => Ok(Cow::Borrowed(c)),
+            TensorData::Owned(t) => compress(t).map(Cow::Owned),
+        })
+        .collect()
 }
 
 impl Simulator {
@@ -246,19 +273,15 @@ impl Simulator {
     /// Runs the cascade on the given input tensors (matched by name).
     ///
     /// Convenience wrapper over [`Simulator::run_data`] for owned
-    /// tensors; each input is compressed once, straight from the borrowed
-    /// tree, into the CSF storage the walk reads.
+    /// tensors; each input is [`compress`]ed once, straight from the
+    /// borrowed tree, into the CSF storage the walk reads.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when inputs are missing or execution fails.
     pub fn run(&self, inputs: &[Tensor]) -> Result<SimReport, SimError> {
-        let data = inputs
-            .iter()
-            .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
-            .collect::<Result<Vec<TensorData>, SimError>>()?;
-        let refs: Vec<&TensorData> = data.iter().collect();
-        self.run_data(&refs)
+        let data = inputs.iter().map(compress).collect::<Result<Vec<_>, _>>()?;
+        self.run_impl(&data.iter().collect::<Vec<_>>())
     }
 
     /// Runs the cascade on borrowed inputs in either representation.
@@ -267,8 +290,8 @@ impl Simulator {
     /// tensor (a graph adjacency, a SuiteSparse-scale matrix) can be
     /// reused across many runs — the graph driver re-executes its cascade
     /// every superstep against the same [`TensorData`]. The nest walk
-    /// reads CSF only, so an owned input is compressed once per call and
-    /// shared by every Einsum of the cascade. Outputs (and therefore
+    /// reads CSF only, so an owned input is [`compress`]ed once per call
+    /// and shared by every Einsum of the cascade. Outputs (and therefore
     /// intermediates) are always CSF, assembled through a streaming
     /// [`CompressedBuilder`](teaal_fibertree::CompressedBuilder), and every
     /// input transform chain runs on CSF arrays. Results are
@@ -280,7 +303,8 @@ impl Simulator {
     ///
     /// Returns [`SimError`] when inputs are missing or execution fails.
     pub fn run_data(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
-        self.run_impl(inputs)
+        let csf = csf_inputs(inputs)?;
+        self.run_impl(&csf.iter().map(|c| &**c).collect::<Vec<_>>())
     }
 
     /// [`Simulator::run_data`] behind the report cache: with a context
@@ -292,8 +316,9 @@ impl Simulator {
     /// The cache key deliberately excludes the thread count — parallel
     /// execution is pinned bit-identical to sequential, so any `n` may
     /// serve any other's report. Keying hashes every input's content
-    /// (one O(nnz) walk per input per call), so this entry point is for
-    /// request-level reuse (`teaal batch`, services), not inner loops.
+    /// (one O(nnz) walk per input per call, after an owned input is
+    /// compressed), so this entry point is for request-level reuse
+    /// (`teaal batch`, services), not inner loops.
     ///
     /// # Errors
     ///
@@ -302,11 +327,13 @@ impl Simulator {
         let Some(ctx) = self.context.clone() else {
             return self.run_data(inputs).map(Arc::new);
         };
-        let key = self.report_key(inputs);
+        let csf = csf_inputs(inputs)?;
+        let csf: Vec<&CompressedTensor> = csf.iter().map(|c| &**c).collect();
+        let key = self.report_key(&csf);
         if let Some(report) = ctx.cached_report(key) {
             return Ok(report);
         }
-        let report = self.run_data(inputs)?;
+        let report = self.run_impl(&csf)?;
         Ok(ctx.store_report(key, Arc::new(report)))
     }
 
@@ -324,7 +351,7 @@ impl Simulator {
     /// under: plan hash, operator-table identity, extent overrides,
     /// energy table bits, and every input's content hash (name-sorted —
     /// input order never affects results).
-    fn report_key(&self, inputs: &[&TensorData]) -> u64 {
+    fn report_key(&self, inputs: &[&CompressedTensor]) -> u64 {
         let mut h = teaal_core::canon::Fnv1a::new();
         h.write_str("sim-report-v1");
         h.write_u64(self.compiled.spec_hash());
@@ -361,24 +388,10 @@ impl Simulator {
         h.finish()
     }
 
-    fn run_impl(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
+    fn run_impl(&self, inputs: &[&CompressedTensor]) -> Result<SimReport, SimError> {
         if let (Some(bytes), Some(ctx)) = (self.limits.max_resident_cache_bytes, &self.context) {
             ctx.set_max_cache_bytes(bytes);
         }
-        let compressed = inputs
-            .iter()
-            .filter_map(|t| t.as_owned())
-            .map(|t| Ok(TensorData::Compressed(CompressedTensor::from_tensor(t)?)))
-            .collect::<Result<Vec<TensorData>, SimError>>()?;
-        let mut owned = compressed.iter();
-        let inputs: Vec<&TensorData> = inputs
-            .iter()
-            .map(|&t| match t {
-                TensorData::Owned(_) => owned.next().expect("one copy per owned input"),
-                TensorData::Compressed(_) => t,
-            })
-            .collect();
-        let inputs = inputs.as_slice();
         let plans = self.compiled.plans();
         // Rank extents from input shapes plus overrides.
         let mut base_extents: BTreeMap<String, u64> = BTreeMap::new();
@@ -400,7 +413,7 @@ impl Simulator {
         // to the sequential schedule.
         let n = plans.len();
         let deps = self.plan_dependencies(&base_extents);
-        let mut outputs: Vec<Option<TensorData>> = (0..n).map(|_| None).collect();
+        let mut outputs: Vec<Option<CompressedTensor>> = (0..n).map(|_| None).collect();
         let mut stats: Vec<Option<EinsumStats>> = (0..n).map(|_| None).collect();
         let mut remaining = n;
         while remaining > 0 {
@@ -414,7 +427,7 @@ impl Simulator {
                 .collect();
             debug_assert!(!wave.is_empty(), "intra-cascade dependencies are acyclic");
 
-            let run_one = |i: usize| -> Result<(Instruments, TensorData), SimError> {
+            let run_one = |i: usize| -> Result<(Instruments, CompressedTensor), SimError> {
                 let plan = &plans[i];
                 // Extents as the sequential run would know them here:
                 // base extents plus those learned from earlier outputs,
@@ -440,17 +453,18 @@ impl Simulator {
                 let mut boundaries = BoundaryCache::new();
                 // Later entries shadow earlier ones, so intermediates win
                 // over same-named inputs (as the cascade requires).
-                let env: BTreeMap<String, &TensorData> = inputs
+                let env: BTreeMap<String, &CompressedTensor> = inputs
                     .iter()
                     .copied()
                     .chain(outputs[..i].iter().flatten())
                     .map(|t| (t.name().to_string(), t))
                     .collect();
                 let out = engine.execute_data(&env, &mut instruments, &mut boundaries)?;
-                Ok((instruments, TensorData::Compressed(out)))
+                Ok((instruments, out))
             };
 
-            let results: Vec<Result<(Instruments, TensorData), SimError>> = if self.threads > 1
+            let results: Vec<Result<(Instruments, CompressedTensor), SimError>> = if self.threads
+                > 1
                 && wave.len() > 1
             {
                 std::thread::scope(|s| {
@@ -504,7 +518,9 @@ impl Simulator {
             report
                 .einsums
                 .push(stats[i].take().expect("stats follow outputs"));
-            report.outputs.insert(output.name().to_string(), output);
+            report
+                .outputs
+                .insert(output.name().to_string(), TensorData::Compressed(output));
         }
 
         self.analyze_time(&mut report)?;
@@ -555,7 +571,7 @@ impl Simulator {
         &self,
         plan: &EinsumPlan,
         instruments: &Instruments,
-        output: &TensorData,
+        output: &CompressedTensor,
     ) -> EinsumStats {
         let spec = self.compiled.spec();
         let name = plan.equation.name().to_string();
@@ -570,7 +586,11 @@ impl Simulator {
         let output_write_bytes = if self.on_chip_set().contains(&name) || output_pinned {
             0
         } else {
-            out_fmt.footprint_bytes_data(output)
+            out_fmt.footprint_from_parts(
+                output.rank_ids(),
+                output.rank_shapes(),
+                &output.rank_stats(),
+            )
         };
 
         let mut traffic = Vec::new();

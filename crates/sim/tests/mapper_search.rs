@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::Tensor;
-use teaal_sim::{explore_fast, explore_loop_orders, ExploreConfig, Objective, OpTable};
+use teaal_sim::{
+    explore_fast_with_context, explore_loop_orders_with_context, ExploreConfig, Objective, OpTable,
+};
 use teaal_workloads::genmat;
 
 /// Inputs sized so every catalog spec's partitioning lowers and the
@@ -39,20 +41,22 @@ fn pruned_search_matches_exhaustive_top1_on_all_catalog_specs() {
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
         let budget = budget_for(label);
-        let exhaustive = explore_loop_orders(
+        let exhaustive = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             budget,
+            1,
+            None,
         )
         .unwrap_or_else(|e| panic!("{label}: exhaustive search failed: {e}"));
         let cfg = ExploreConfig {
             budget,
             ..ExploreConfig::default()
         };
-        let fast = explore_fast(&spec, "Z", &ins, OpTable::arithmetic(), &cfg)
+        let fast = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None)
             .unwrap_or_else(|e| panic!("{label}: pruned search failed: {e}"));
 
         assert_eq!(
@@ -93,21 +97,24 @@ fn pruned_search_holds_across_seeds_on_gamma() {
     let spec = TeaalSpec::parse(teaal_fixtures::GAMMA_EM).unwrap();
     for seed in [11u64, 23, 40] {
         let ins = inputs(seed);
-        let exhaustive = explore_loop_orders(
+        let exhaustive = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
-        let fast = explore_fast(
+        let fast = explore_fast_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             &ExploreConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -150,17 +157,19 @@ proptest! {
         let a = genmat::uniform("A", &["K", "M"], 32, 32, nnz_a, seed);
         let b = genmat::uniform("B", &["K", "N"], 32, 32, nnz_b, seed + 1);
         let ins = vec![a, b];
-        let exhaustive = explore_loop_orders(
+        let exhaustive = explore_loop_orders_with_context(
             &spec,
             "Z",
             &ins,
             OpTable::arithmetic(),
             Objective::Time,
             720,
+            1,
+            None,
         )
         .unwrap();
         let cfg = ExploreConfig::default();
-        let fast = explore_fast(&spec, "Z", &ins, OpTable::arithmetic(), &cfg).unwrap();
+        let fast = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap();
         let best = exhaustive[0].seconds;
         let chosen = fast.candidates[0].seconds;
         prop_assert!(

@@ -8,7 +8,7 @@
 //! - a warm-cache evaluation is **bit-identical** to a cold-cache one
 //!   (instruments, time/energy, outputs) on every SpMSpM catalog spec,
 //!   sequentially and with `--threads 4`;
-//! - a warm-cache `explore_fast` on Gamma performs **zero** redundant
+//! - a warm-cache `explore_fast_with_context` on Gamma performs **zero** redundant
 //!   input transforms (per-instance transform-cache counters);
 //! - compiled plans and reports are shared as `Arc`s, not recomputed.
 
@@ -18,8 +18,7 @@ use proptest::prelude::*;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::{Tensor, TensorData};
 use teaal_sim::{
-    explore_fast, explore_fast_with_context, EvalContext, ExploreConfig, OpTable, SimReport,
-    Simulator,
+    explore_fast_with_context, EvalContext, ExploreConfig, OpTable, SimReport, Simulator,
 };
 use teaal_workloads::genmat;
 
@@ -43,7 +42,10 @@ fn fingerprint(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) 
         report
             .outputs
             .iter()
-            .map(|(name, t)| (name.clone(), t.content_hash()))
+            .map(|(name, t)| match t {
+                TensorData::Compressed(c) => (name.clone(), c.content_hash()),
+                TensorData::Owned(_) => panic!("output {name} is not CSF"),
+            })
             .collect(),
     )
 }
@@ -134,7 +136,8 @@ fn warm_explore_fast_on_gamma_performs_zero_redundant_transforms() {
     let cfg = ExploreConfig::default();
 
     // Reference outcome without any caching.
-    let plain = explore_fast(&spec, "Z", &ins, OpTable::arithmetic(), &cfg).unwrap();
+    let plain =
+        explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap();
 
     let ctx = EvalContext::new();
     let cold = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, Some(&ctx))

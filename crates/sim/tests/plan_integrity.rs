@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use teaal_core::TeaalSpec;
-use teaal_fibertree::{IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, IntersectPolicy, TensorData};
 use teaal_sim::engine::BoundaryCache;
 use teaal_sim::{Engine, Instruments, OpTable, SimError, Simulator};
 
@@ -25,22 +25,22 @@ fn spmspm_spec() -> TeaalSpec {
     .unwrap()
 }
 
-fn inputs() -> (TensorData, TensorData) {
-    let a = Tensor::from_entries(
+fn inputs() -> (CompressedTensor, CompressedTensor) {
+    let a = CompressedTensor::from_entries(
         "A",
         &["K", "M"],
         &[4, 4],
         vec![(vec![0, 1], 1.0), (vec![2, 3], 2.0)],
     )
     .unwrap();
-    let b = Tensor::from_entries(
+    let b = CompressedTensor::from_entries(
         "B",
         &["K", "N"],
         &[4, 4],
         vec![(vec![0, 0], 3.0), (vec![2, 2], 4.0)],
     )
     .unwrap();
-    (TensorData::Owned(a), TensorData::Owned(b))
+    (a, b)
 }
 
 #[test]
@@ -66,7 +66,8 @@ fn descending_past_the_working_order_is_a_phantom_rank_error() {
         extents,
     );
     let (a, b) = inputs();
-    let env: BTreeMap<String, &TensorData> = [("A".to_string(), &a), ("B".to_string(), &b)].into();
+    let env: BTreeMap<String, &CompressedTensor> =
+        [("A".to_string(), &a), ("B".to_string(), &b)].into();
     let mut instruments = Instruments::default();
     let mut boundaries = BoundaryCache::new();
 
@@ -100,6 +101,7 @@ fn descending_past_the_working_order_is_a_phantom_rank_error() {
 fn intact_plans_still_execute() {
     let sim = Simulator::new(spmspm_spec()).unwrap();
     let (a, b) = inputs();
+    let (a, b) = (TensorData::from(a), TensorData::from(b));
     let report = sim.run_data(&[&a, &b]).unwrap();
     assert_eq!(report.final_output().unwrap().get(&[1, 0]), Some(3.0));
     assert_eq!(report.final_output().unwrap().get(&[3, 2]), Some(8.0));

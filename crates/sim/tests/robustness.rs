@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use teaal_core::{failpoint, TeaalSpec};
-use teaal_fibertree::{telemetry, Tensor};
+use teaal_fibertree::{telemetry, Tensor, TensorData};
 use teaal_sim::{BudgetKind, CancelToken, EvalContext, EvalLimits, SimError, SimReport, Simulator};
 use teaal_workloads::genmat;
 
@@ -82,7 +82,10 @@ fn fingerprint(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) 
         report
             .outputs
             .iter()
-            .map(|(name, t)| (name.clone(), t.content_hash()))
+            .map(|(name, t)| match t {
+                TensorData::Compressed(c) => (name.clone(), c.content_hash()),
+                TensorData::Owned(_) => panic!("output {name} is not CSF"),
+            })
             .collect(),
     )
 }

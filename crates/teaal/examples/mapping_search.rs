@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example mapping_search`
 
 use teaal::prelude::*;
-use teaal::sim::{explore_loop_orders, Objective};
+use teaal::sim::{explore_loop_orders_with_context, Objective};
 use teaal::workloads::genmat;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,13 +36,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = genmat::power_law("A", &["K", "M"], 256, 256, 3000, 1.8, 96, 1);
     let b = genmat::power_law("B", &["K", "N"], 256, 256, 3000, 1.8, 96, 2);
 
-    let candidates = explore_loop_orders(
+    let candidates = explore_loop_orders_with_context(
         &spec,
         "Z",
         &[a, b],
         OpTable::arithmetic(),
         Objective::Time,
         720,
+        1,
+        None,
     )?;
 
     println!(

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use teaal_core::TeaalSpec;
-use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
+use teaal_fibertree::{Tensor, TensorData};
 use teaal_sim::{CancelToken, EvalContext, OpTable, SimError};
 
 /// The failure classes a request can end in, shared verbatim between
@@ -202,7 +202,8 @@ pub struct RequestOverrides {
     pub ops: Option<OpTable>,
 }
 
-/// Compresses a loaded dataset once, consuming the owned trees: the
+/// Compresses a loaded dataset once through the simulator's boundary
+/// conversion ([`teaal_sim::compress`]), consuming the owned trees: the
 /// shared dataset of `teaal batch` and `teaal serve` is held in CSF
 /// only, and every request borrows it.
 ///
@@ -213,7 +214,7 @@ pub fn compress_dataset(tensors: Vec<Tensor>) -> Result<Vec<TensorData>, String>
     tensors
         .into_iter()
         .map(|t| {
-            CompressedTensor::from_tensor(&t)
+            teaal_sim::compress(&t)
                 .map(TensorData::Compressed)
                 .map_err(|e| format!("tensor {}: {e}", t.name()))
         })
