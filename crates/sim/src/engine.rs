@@ -547,7 +547,7 @@ impl<'p> Engine<'p> {
     /// Executes the plan, assembling the output in CSF storage.
     ///
     /// `inputs` must contain every input tensor (cascade inputs and
-    /// already-produced intermediates), all CSF;
+    /// already-produced intermediates);
     /// `instruments` receives the access stream; `boundaries` carries
     /// leader partition boundaries across tensors. The accumulated output
     /// drains through a [`CompressedBuilder`]: `O(output nnz)`
