@@ -38,6 +38,14 @@ pub enum IntersectPolicy {
     },
     /// Galloping/skip-ahead: pointers advance by exponentially probing,
     /// modelling ExTensor-style skip-ahead intersection.
+    ///
+    /// Only the two-input unit ([`intersect2_stream`]) gallops. The
+    /// engine's [`IntersectStream`] charges skip-ahead as a two-finger
+    /// merge: its `restart` probes only under leader-follower. The
+    /// analytical estimator (`teaal_sim::estimate`) charges a gallop,
+    /// `cmin · (1 + log2(1 + cmax / cmin))` per fiber pair, so ExTensor's
+    /// estimated and measured intersection counts disagree by
+    /// construction.
     SkipAhead,
 }
 

@@ -147,13 +147,10 @@ pub enum SplitKind {
     /// Equal-occupancy groups of the given size, boundaries computed on the
     /// fiber itself (the tensor is its own leader).
     UniformOccupancy(usize),
-    /// Boundaries supplied externally (follower side of leader-follower);
-    /// one boundary list per fiber at the target depth, in depth-first
-    /// traversal order. A single list is broadcast to all fibers.
-    Boundaries(Vec<Vec<Coord>>),
-    /// Boundaries keyed by the coordinate path above the target rank, so
-    /// followers stay aligned with the leader even when one of them is
-    /// missing entire fibers.
+    /// Boundaries supplied externally (follower side of leader-follower),
+    /// keyed by the coordinate path above the target rank, so followers
+    /// stay aligned with the leader even when one of them is missing
+    /// entire fibers.
     BoundariesByPath(std::collections::BTreeMap<Vec<Coord>, Vec<Coord>>),
 }
 
@@ -192,39 +189,17 @@ impl Tensor {
         rank_ids.splice(d..=d, [upper_name.to_string(), lower_name.to_string()]);
         shapes.splice(d..=d, [rank_shape.clone(), rank_shape]);
 
-        let mut fiber_index = 0usize;
         let mut path = Vec::new();
         let root = match self.root() {
             Payload::Val(v) => Payload::Val(*v),
-            Payload::Fiber(f) => {
-                Payload::Fiber(partition_at(f, d, &kind, &mut fiber_index, &mut path)?)
-            }
+            Payload::Fiber(f) => Payload::Fiber(partition_at(f, d, &kind, &mut path)?),
         };
         Ok(Tensor::from_parts(self.name(), rank_ids, shapes, root))
     }
 
-    /// Computes per-fiber occupancy boundaries at the given rank, in
-    /// depth-first traversal order — the leader side of leader-follower
-    /// partitioning across tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the rank is unknown or `size == 0`.
-    pub fn occupancy_boundaries_at(
-        &self,
-        rank: &str,
-        size: usize,
-    ) -> Result<Vec<Vec<Coord>>, FibertreeError> {
-        let d = self.rank_index(rank)?;
-        let mut out = Vec::new();
-        if let Payload::Fiber(f) = self.root() {
-            collect_boundaries(f, d, size, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Like [`Tensor::occupancy_boundaries_at`], but keyed by the
-    /// coordinate path above the target rank so followers can align with a
+    /// Computes per-fiber occupancy boundaries at the given rank, keyed by
+    /// the coordinate path above it — the leader side of leader-follower
+    /// partitioning across tensors. The key lets followers align with a
     /// leader that is missing some fibers.
     ///
     /// # Errors
@@ -295,14 +270,9 @@ impl CompressedTensor {
         let mut current = vec![0u64; arity];
         let mut base = vec![0u64; arity];
 
-        self.walk_fibers(d, &mut |idx, path: &[Coord], s, e| {
+        self.walk_fibers(d, &mut |path: &[Coord], s, e| {
             let by_path_bounds;
             let bounds: Option<&[Coord]> = match &kind {
-                SplitKind::Boundaries(per_fiber) => Some(if per_fiber.len() == 1 {
-                    &per_fiber[0]
-                } else {
-                    per_fiber.get(idx).ok_or(FibertreeError::ZeroPartition)?
-                }),
                 SplitKind::BoundariesByPath(by_path) => {
                     // The leader has no fiber here: every element opens its
                     // own group at its first coordinate (an empty boundary
@@ -325,7 +295,7 @@ impl CompressedTensor {
                             old.raw_into(p, &mut base);
                         }
                     }
-                    SplitKind::Boundaries(_) | SplitKind::BoundariesByPath(_) => {
+                    SplitKind::BoundariesByPath(_) => {
                         let bounds = bounds.expect("boundary kinds carry bounds");
                         let key = old.key(p);
                         while bi < bounds.len() && !key.cmp_coord(&bounds[bi]).is_lt() {
@@ -390,7 +360,7 @@ impl CompressedTensor {
         }
         let d = self.rank_index(rank)?;
         let mut out = std::collections::BTreeMap::new();
-        self.walk_fibers(d, &mut |_, path, s, e| {
+        self.walk_fibers(d, &mut |path, s, e| {
             let bounds: Vec<Coord> = (s..e)
                 .step_by(size)
                 .map(|p| self.coord_at_level(d, p))
@@ -401,14 +371,13 @@ impl CompressedTensor {
         Ok(out)
     }
 
-    /// Visits every fiber at `level` in depth-first order with its index,
-    /// ancestor coordinate path, and element range.
+    /// Visits every fiber at `level` in depth-first order with its
+    /// ancestor coordinate path and element range.
     pub(crate) fn walk_fibers(
         &self,
         level: usize,
-        visit: &mut impl FnMut(usize, &[Coord], usize, usize) -> Result<(), FibertreeError>,
+        visit: &mut impl FnMut(&[Coord], usize, usize) -> Result<(), FibertreeError>,
     ) -> Result<(), FibertreeError> {
-        #[allow(clippy::too_many_arguments)] // internal recursion carrying cursors
         fn rec(
             c: &CompressedTensor,
             cur: usize,
@@ -416,18 +385,15 @@ impl CompressedTensor {
             e: usize,
             target: usize,
             path: &mut Vec<Coord>,
-            idx: &mut usize,
-            visit: &mut impl FnMut(usize, &[Coord], usize, usize) -> Result<(), FibertreeError>,
+            visit: &mut impl FnMut(&[Coord], usize, usize) -> Result<(), FibertreeError>,
         ) -> Result<(), FibertreeError> {
             if cur == target {
-                let i = *idx;
-                *idx += 1;
-                return visit(i, path, s, e);
+                return visit(path, s, e);
             }
             for p in s..e {
                 path.push(c.coord_at_level(cur, p));
                 let (cs, ce) = c.child_range(cur, p);
-                rec(c, cur + 1, cs, ce, target, path, idx, visit)?;
+                rec(c, cur + 1, cs, ce, target, path, visit)?;
                 path.pop();
             }
             Ok(())
@@ -436,17 +402,7 @@ impl CompressedTensor {
             return Ok(());
         }
         let mut path = Vec::new();
-        let mut idx = 0usize;
-        rec(
-            self,
-            0,
-            0,
-            self.level_len(0),
-            level,
-            &mut path,
-            &mut idx,
-            visit,
-        )
+        rec(self, 0, 0, self.level_len(0), level, &mut path, visit)
     }
 }
 
@@ -492,45 +448,16 @@ fn collect_boundaries_by_path(
     Ok(())
 }
 
-fn collect_boundaries(
-    f: &Fiber,
-    depth: usize,
-    size: usize,
-    out: &mut Vec<Vec<Coord>>,
-) -> Result<(), FibertreeError> {
-    if depth == 0 {
-        out.push(occupancy_boundaries(f, size)?);
-        return Ok(());
-    }
-    for e in f.iter() {
-        if let Payload::Fiber(child) = &e.payload {
-            collect_boundaries(child, depth - 1, size, out)?;
-        }
-    }
-    Ok(())
-}
-
 fn partition_at(
     f: &Fiber,
     depth: usize,
     kind: &SplitKind,
-    fiber_index: &mut usize,
     path: &mut Vec<Coord>,
 ) -> Result<Fiber, FibertreeError> {
     if depth == 0 {
-        let idx = *fiber_index;
-        *fiber_index += 1;
         return match kind {
             SplitKind::UniformShape(chunk) => split_uniform_shape(f, *chunk),
             SplitKind::UniformOccupancy(size) => split_uniform_occupancy(f, *size),
-            SplitKind::Boundaries(per_fiber) => {
-                let bounds = if per_fiber.len() == 1 {
-                    &per_fiber[0]
-                } else {
-                    per_fiber.get(idx).ok_or(FibertreeError::ZeroPartition)?
-                };
-                Ok(split_by_boundaries(f, bounds))
-            }
             SplitKind::BoundariesByPath(by_path) => match by_path.get(path.as_slice()) {
                 Some(bounds) => Ok(split_by_boundaries(f, bounds)),
                 // The leader has no fiber here: keep everything in one
@@ -543,7 +470,7 @@ fn partition_at(
     for e in f.iter() {
         let child = e.payload.as_fiber().expect("interior payloads are fibers");
         path.push(e.coord.clone());
-        let part = partition_at(child, depth - 1, kind, fiber_index, path)?;
+        let part = partition_at(child, depth - 1, kind, path)?;
         path.pop();
         out.append(e.coord.clone(), part)
             .expect("coordinate order unchanged above the partitioned rank");
@@ -659,14 +586,5 @@ mod tests {
             .map(|e| e.payload.as_fiber().unwrap().occupancy())
             .collect();
         assert_eq!(parts_per_row, vec![1, 2]);
-    }
-
-    #[test]
-    fn tensor_boundaries_traversal_order() {
-        let a = fig1_matrix_a();
-        let bounds = a.occupancy_boundaries_at("K", 2).unwrap();
-        assert_eq!(bounds.len(), 2); // one list per K fiber
-        assert_eq!(bounds[0], vec![Coord::Point(2)]);
-        assert_eq!(bounds[1], vec![Coord::Point(0), Coord::Point(2)]);
     }
 }

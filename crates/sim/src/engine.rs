@@ -42,6 +42,13 @@
 //! geometrically); the drain sorts slot ids once and pushes borrowed key
 //! slices straight into the [`CompressedBuilder`]. A concordant walk
 //! streams, carrying the one pending key's value and epoch.
+//!
+//! With [`Engine::with_threads`] above one, an eligible plan splits its
+//! top loop rank into coordinate ranges (shards) that run on the shared
+//! worker pool ([`crate::par`]). Each shard forks its own [`Instruments`]
+//! from the caller's, and the shards merge in coordinate order, so the
+//! result is bit-identical to the sequential walk. A panicking shard
+//! rolls the instruments back, and the plan reruns sequentially.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -59,9 +66,10 @@ use teaal_fibertree::{
 use crate::counters::{
     ComputeCounter, Instruments, MergeGroup, OutputChannel, RankSlot, TensorChannel,
 };
-use crate::error::{panic_message, SimError};
+use crate::error::SimError;
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
+use crate::par;
 use crate::table::{KeyTable, OutTable};
 
 /// Boundary lists published by occupancy-partition leaders, keyed by
@@ -534,9 +542,10 @@ impl<'p> Engine<'p> {
     /// Sets the worker count for shard-parallel execution (default 1).
     ///
     /// With `n > 1`, eligible plans partition their top loop rank into up
-    /// to `n` coordinate ranges executed on scoped threads and merged
-    /// deterministically — instruments and outputs are bit-identical to
-    /// the sequential run (pinned by the `parallel_sharding` suite).
+    /// to `n` coordinate ranges executed on the worker pool
+    /// ([`crate::par`]) and merged deterministically — instruments and
+    /// outputs are bit-identical to the sequential run (pinned by the
+    /// `parallel_sharding` suite).
     /// Plans the shard-exactness analysis cannot prove simply run
     /// sequentially; `n` is a cap, never a requirement.
     pub fn with_threads(mut self, n: usize) -> Self {
@@ -630,7 +639,7 @@ impl<'p> Engine<'p> {
 
         // 3. Walk the nest — shard-parallel when the exactness analysis
         // allows it, sequentially otherwise. A panicking shard worker is
-        // isolated (`catch_unwind`), the partially-absorbed instruments
+        // isolated by the worker pool, the partially-absorbed instruments
         // are rolled back to this pre-shard snapshot, and the plan is
         // retried once sequentially — degradation, not failure.
         let concordant = self.output_concordant();
@@ -882,9 +891,9 @@ impl<'p> Engine<'p> {
         })
     }
 
-    /// Runs the planned shards on scoped threads and merges their
-    /// instruments and outputs deterministically, in shard (coordinate)
-    /// order.
+    /// Runs the planned shards on the worker pool ([`crate::par`]) and
+    /// merges their instruments and outputs deterministically, in shard
+    /// (coordinate) order.
     fn execute_sharded(
         &self,
         exec: &Exec<'_, 'p>,
@@ -895,61 +904,21 @@ impl<'p> Engine<'p> {
         let stream_out = shard_plan.stream_out;
         let is_take = exec.take_which.is_some();
         let record_first_space = !shard_plan.disjoint && !is_take;
-        let forks: Vec<Instruments> = shard_plan
-            .ranges
-            .iter()
-            .map(|_| {
-                instruments
-                    .fork_shard(|name, _| shard_plan.log_fills.get(name).copied().unwrap_or(false))
-            })
-            .collect();
-
-        type ShardOut = (OutAcc, FirstSpace, Instruments);
-        let worker_out: Vec<Result<ShardOut, SimError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_plan
-                .ranges
-                .iter()
-                .zip(forks)
-                .map(|(&(lo, hi), mut si)| {
-                    scope.spawn(move || {
-                        // Panic isolation: a panicking shard must not tear
-                        // down the evaluation — it converts to a structured
-                        // error and the caller retries sequentially.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || -> Result<ShardOut, SimError> {
-                                if let Err(m) = teaal_core::failpoint::hit("engine.shard") {
-                                    return Err(SimError::Fibertree(m));
-                                }
-                                let shard_exec = Exec {
-                                    top_bounds: Some((lo, hi)),
-                                    record_first_space,
-                                    ..exec.clone()
-                                };
-                                let out = self.output_acc(stream_out)?;
-                                let (out, first_space) = shard_exec.run(tensors, &mut si, out)?;
-                                Ok((out, first_space, si))
-                            },
-                        ))
-                        .unwrap_or_else(|payload| {
-                            Err(SimError::WorkerPanic {
-                                site: "shard".into(),
-                                message: panic_message(&payload),
-                            })
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(SimError::WorkerPanic {
-                            site: "shard".into(),
-                            message: panic_message(&payload),
-                        })
-                    })
-                })
-                .collect()
+        let parent: &Instruments = instruments;
+        // A panicking shard comes back as its own error; the caller
+        // retries the plan sequentially.
+        let worker_out = par::map(&shard_plan.ranges, self.threads, |&(lo, hi)| {
+            teaal_core::failpoint::hit("engine.shard").map_err(SimError::Fibertree)?;
+            let mut si = parent
+                .fork_shard(|name, _| shard_plan.log_fills.get(name).copied().unwrap_or(false));
+            let shard_exec = Exec {
+                top_bounds: Some((lo, hi)),
+                record_first_space,
+                ..exec.clone()
+            };
+            let out = self.output_acc(stream_out)?;
+            let (out, first_space) = shard_exec.run(tensors, &mut si, out)?;
+            Ok((out, first_space, si))
         });
 
         // Merge, strictly in shard order.
@@ -966,7 +935,12 @@ impl<'p> Engine<'p> {
         let mut seen_keys: BTreeSet<Vec<u64>> = BTreeSet::new();
         let mut top_offset = 0u64;
         for res in worker_out {
-            let (out, first_space, mut si) = res?;
+            let (out, first_space, mut si) = res.unwrap_or_else(|message| {
+                Err(SimError::WorkerPanic {
+                    site: "shard".into(),
+                    message,
+                })
+            })?;
             // Space ids carry the top rank's position index, which
             // restarts at zero in every shard: shift by the positions
             // consumed so far.

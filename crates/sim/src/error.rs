@@ -74,12 +74,12 @@ pub enum SimError {
         /// The component whose time is NaN or infinite.
         component: String,
     },
-    /// A worker thread panicked; the panic was isolated with
-    /// `catch_unwind` and converted to this structured error instead of
-    /// tearing down the process.
+    /// A worker panicked; the worker pool ([`crate::par`]) isolated the
+    /// panic, and it became this structured error instead of tearing down
+    /// the process.
     WorkerPanic {
-        /// Which fan-out the worker belonged to (e.g. `"shard"`,
-        /// `"wave"`).
+        /// Which fan-out the worker belonged to (`"shard"`, `"wave"` or
+        /// `"request"`).
         site: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -157,8 +157,10 @@ impl From<teaal_core::SpecError> for SimError {
 }
 
 /// Renders a `catch_unwind` payload as text: panics carry `&str` or
-/// `String` messages in practice; anything else gets a placeholder.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// `String` messages in practice; anything else gets a placeholder. The
+/// one panic-payload renderer: the worker pool ([`crate::par`]) and
+/// `teaal`'s request isolation both use it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

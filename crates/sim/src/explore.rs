@@ -20,10 +20,15 @@
 //!   survivors through the engine, re-ranked by exact results. Per
 //!   candidate the estimator is O(plan size) instead of O(nnz), so large
 //!   search spaces cost a handful of engine runs instead of hundreds.
+//!
+//! Both modes build candidate simulators and engine-verify candidates the
+//! same way (one `Search` per call), and both fan engine runs out on the
+//! shared worker pool ([`crate::par`]) in rounds that evaluate exactly the
+//! successes still missing, so any thread count returns the sequential
+//! result.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
@@ -34,6 +39,7 @@ use crate::estimate::estimate_data;
 use crate::limits::{CancelToken, EvalLimits};
 use crate::model::{compress, Simulator};
 use crate::ops::OpTable;
+use crate::par;
 use crate::pipeline::EvalContext;
 use crate::report::SimReport;
 
@@ -164,14 +170,14 @@ pub struct ExploreOutcome {
 /// budget, so a small `max_candidates` still returns that many valid
 /// mappings when they exist later in permutation order.
 ///
-/// Candidate evaluation fans out across up to `threads` scoped workers.
-/// Workers pull candidates from a shared work-stealing queue (an atomic
-/// next-candidate index), so a slow mapping no longer stalls a whole
-/// chunk of fast ones. Successes still count in permutation order until
-/// the budget fills, so the returned set — and its ranking — is identical
-/// to the sequential exploration for any thread count. Each candidate
-/// simulation itself runs sequentially (the fan-out is across mappings,
-/// not within one).
+/// Candidate evaluation fans out across up to `threads` workers of the
+/// shared pool ([`crate::par`]), in rounds: each round evaluates exactly
+/// as many next candidates, in permutation order, as successes are still
+/// missing. The returned set — and its ranking — is identical to the
+/// sequential exploration for any thread count, and no candidate past the
+/// sequential stopping point is evaluated. Each candidate simulation
+/// itself runs sequentially (the fan-out is across mappings, not within
+/// one).
 ///
 /// With a shared [`EvalContext`], candidate specs compile through the
 /// context's plan cache and every engine run shares the transform cache,
@@ -196,25 +202,19 @@ pub fn explore_loop_orders_with_context(
     let orders = candidate_orders(spec, einsum)?;
     let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
+    let search = Search {
+        spec,
+        einsum,
+        ops,
+        inputs: &refs,
+        context,
+    };
 
     // A candidate that fails to lower is skipped, not charged against the
     // budget (counting failures used to starve the budget and return
     // fewer valid mappings than exist). Spacetime entries may reference
     // ranks by name; they stay valid because the rank *set* is unchanged.
-    let eval = |candidate: &[String]| -> Option<Candidate> {
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.to_vec());
-        let sim = match context {
-            Some(ctx) => ctx.simulator(&s).ok()?,
-            None => Simulator::new(s).ok()?,
-        };
-        let report = sim.with_ops(ops).with_threads(1).run_data(&refs).ok()?;
-        Some(candidate_from(candidate.to_vec(), &report))
-    };
-
-    let mut results = evaluate_candidates(&orders, max_candidates, threads, &eval);
+    let mut results = search.verify_until(&orders, max_candidates, threads, None)?;
     if results.is_empty() {
         return Err(SimError::Spec(teaal_core::SpecError::Validation {
             context: format!("einsum {einsum}"),
@@ -271,6 +271,13 @@ pub fn explore_fast_with_context(
     // Both phases borrow one compressed copy of the inputs.
     let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
+    let search = Search {
+        spec,
+        einsum,
+        ops,
+        inputs: &refs,
+        context,
+    };
     let local_stats;
     let cache: &StatsCache = match context {
         Some(ctx) => ctx.stats(),
@@ -290,23 +297,8 @@ pub fn explore_fast_with_context(
         if let Some(t) = &token {
             t.checkpoint()?;
         }
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.clone());
-        let sim = match context {
-            Some(ctx) => {
-                let Ok(sim) = ctx.simulator(&s) else {
-                    continue;
-                };
-                sim
-            }
-            None => {
-                let Ok(sim) = Simulator::new(s) else {
-                    continue;
-                };
-                sim
-            }
+        let Some(sim) = search.simulator(candidate) else {
+            continue;
         };
         estimator_evals += 1;
         let Ok(report) = estimate_data(&sim, &refs, cache) else {
@@ -332,56 +324,9 @@ pub fn explore_fast_with_context(
         .map(|c| c.loop_order.clone())
         .collect();
 
-    // A budget/deadline/cancel trip inside a candidate must abort the
-    // whole search with that structured error, not silently skip the
-    // candidate; the closure parks it here for the caller to propagate.
-    let aborted: Mutex<Option<SimError>> = Mutex::new(None);
-    let eval = |candidate: &[String]| -> Option<Candidate> {
-        if let Some(t) = &token {
-            if let Err(e) = t.checkpoint() {
-                aborted
-                    .lock()
-                    .expect("abort slot poisoned")
-                    .get_or_insert(e);
-                return None;
-            }
-        }
-        if teaal_core::failpoint::hit("explore.candidate").is_err() {
-            return None;
-        }
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.to_vec());
-        let sim = match context {
-            Some(ctx) => ctx.simulator(&s).ok()?,
-            None => Simulator::new(s).ok()?,
-        };
-        let mut sim = sim.with_ops(ops).with_threads(1);
-        if let Some(t) = &token {
-            sim = sim.with_cancel(t.clone());
-        }
-        match sim.run_data(&refs) {
-            Ok(report) => Some(candidate_from(candidate.to_vec(), &report)),
-            Err(
-                e @ (SimError::DeadlineExceeded { .. }
-                | SimError::BudgetExceeded { .. }
-                | SimError::Cancelled { .. }),
-            ) => {
-                aborted
-                    .lock()
-                    .expect("abort slot poisoned")
-                    .get_or_insert(e);
-                None
-            }
-            Err(_) => None,
-        }
-    };
     let engine_evals = survivors.len();
-    let mut candidates = evaluate_candidates(&survivors, survivors.len(), config.threads, &eval);
-    if let Some(e) = aborted.into_inner().expect("abort slot poisoned") {
-        return Err(e);
-    }
+    let mut candidates =
+        search.verify_until(&survivors, survivors.len(), config.threads, token.as_ref())?;
     if candidates.is_empty() {
         return Err(SimError::Spec(teaal_core::SpecError::Validation {
             context: format!("einsum {einsum}"),
@@ -442,103 +387,96 @@ fn sort_by_score(results: &mut [Candidate], objective: Objective) {
     });
 }
 
-/// Evaluates `orders` in index order until `max_successes` candidates
-/// succeed, fanning the work across up to `threads` workers that claim
-/// candidates from a shared atomic queue (work stealing — no static
-/// chunking, so one slow candidate never idles the other workers).
-///
-/// Deterministic for any thread count: results are collected in index
-/// order, and early stopping triggers only when the *contiguous
-/// completed prefix* already contains `max_successes` successes — exactly
-/// the sequential stopping point. Work claimed past that point is wasted,
-/// never observed.
-fn evaluate_candidates(
-    orders: &[Vec<String>],
-    max_successes: usize,
-    threads: usize,
-    eval: &(impl Fn(&[String]) -> Option<Candidate> + Sync),
-) -> Vec<Candidate> {
-    let threads = threads.max(1).min(orders.len().max(1));
-    let slots: Vec<OnceLock<Option<Candidate>>> =
-        (0..orders.len()).map(|_| OnceLock::new()).collect();
-    // Panic isolation: a candidate whose evaluation panics is skipped
-    // (slot = None) instead of tearing down the search or poisoning the
-    // worker pool.
-    let eval_isolated = |order: &[String]| -> Option<Candidate> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(order))).unwrap_or(None)
-    };
+/// What every candidate of one search shares: everything but the loop
+/// order.
+struct Search<'a> {
+    spec: &'a TeaalSpec,
+    einsum: &'a str,
+    ops: OpTable,
+    inputs: &'a [&'a TensorData],
+    context: Option<&'a Arc<EvalContext>>,
+}
 
-    if threads <= 1 {
-        let mut results = Vec::new();
-        for (i, order) in orders.iter().enumerate() {
-            let _ = slots[i].set(eval_isolated(order));
-            if let Some(Some(c)) = slots[i].get() {
-                results.push(c.clone());
-                if results.len() >= max_successes {
-                    break;
-                }
-            }
+impl Search<'_> {
+    /// The simulator for one candidate loop order, compiled through the
+    /// context's plan cache when there is one; `None` when the order fails
+    /// to lower.
+    fn simulator(&self, order: &[String]) -> Option<Simulator> {
+        let mut s = self.spec.clone();
+        s.mapping
+            .loop_order
+            .insert(self.einsum.to_string(), order.to_vec());
+        match self.context {
+            Some(ctx) => ctx.simulator(&s).ok(),
+            None => Simulator::new(s).ok(),
         }
-        return results;
     }
 
-    // Watermark = length of the contiguous prefix of evaluated slots;
-    // successes counts within that prefix only.
-    struct Progress {
-        watermark: usize,
-        successes: usize,
-    }
-    let progress = Mutex::new(Progress {
-        watermark: 0,
-        successes: 0,
-    });
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= orders.len() {
-                    break;
-                }
-                let result = eval_isolated(&orders[i]);
-                let _ = slots[i].set(result);
-                let mut p = progress.lock().expect("explore progress poisoned");
-                while p.watermark < orders.len() {
-                    let Some(done) = slots[p.watermark].get() else {
-                        break;
-                    };
-                    if done.is_some() {
-                        p.successes += 1;
-                    }
-                    p.watermark += 1;
-                    if p.successes >= max_successes {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
+    /// Runs one candidate through the engine, sequentially (the fan-out
+    /// is across candidates, not within one). `Ok(None)` skips a
+    /// candidate that fails to lower or execute. A budget, deadline or
+    /// cancel trip of the search-wide `token` is `Err`: it aborts the
+    /// whole search instead of silently skipping the candidate.
+    fn verify(
+        &self,
+        order: &[String],
+        token: Option<&CancelToken>,
+    ) -> Result<Option<Candidate>, SimError> {
+        if let Some(t) = token {
+            t.checkpoint()?;
         }
-    });
-
-    // Collect in index order — identical to the sequential walk.
-    let mut results = Vec::new();
-    for slot in &slots {
-        let Some(done) = slot.get() else {
-            break;
+        if teaal_core::failpoint::hit("explore.candidate").is_err() {
+            return Ok(None);
+        }
+        let Some(sim) = self.simulator(order) else {
+            return Ok(None);
         };
-        if let Some(c) = done {
-            results.push(c.clone());
-            if results.len() >= max_successes {
-                break;
-            }
+        let mut sim = sim.with_ops(self.ops).with_threads(1);
+        if let Some(t) = token {
+            sim = sim.with_cancel(t.clone());
+        }
+        match sim.run_data(self.inputs) {
+            Ok(report) => Ok(Some(candidate_from(order.to_vec(), &report))),
+            Err(
+                e @ (SimError::DeadlineExceeded { .. }
+                | SimError::BudgetExceeded { .. }
+                | SimError::Cancelled { .. }),
+            ) => Err(e),
+            Err(_) => Ok(None),
         }
     }
-    results
+
+    /// Engine-verifies `orders` in index order until `max_successes` (at
+    /// least one) candidates succeed, in rounds on the worker pool
+    /// ([`crate::par`]): each round verifies exactly as many next
+    /// candidates as successes are still missing. No candidate past the
+    /// sequential stopping point is ever run, and the result is the
+    /// sequential one for any thread count.
+    ///
+    /// A candidate whose run panics is skipped, like one that fails to
+    /// lower. The first budget trip in index order aborts the search,
+    /// once its round has finished.
+    fn verify_until(
+        &self,
+        orders: &[Vec<String>],
+        max_successes: usize,
+        threads: usize,
+        token: Option<&CancelToken>,
+    ) -> Result<Vec<Candidate>, SimError> {
+        let want = max_successes.max(1);
+        let mut results = Vec::new();
+        let mut next = 0;
+        while results.len() < want && next < orders.len() {
+            let round = &orders[next..orders.len().min(next + want - results.len())];
+            next += round.len();
+            for res in par::map(round, threads, |order| self.verify(order, token)) {
+                if let Some(c) = res.unwrap_or(Ok(None))? {
+                    results.push(c);
+                }
+            }
+        }
+        Ok(results)
+    }
 }
 
 /// Heap's algorithm, calling `visit` for every permutation of `items`.

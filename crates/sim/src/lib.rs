@@ -23,6 +23,7 @@ pub mod explore;
 pub mod limits;
 pub mod model;
 pub mod ops;
+pub mod par;
 pub mod pipeline;
 pub mod report;
 mod table;

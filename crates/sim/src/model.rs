@@ -16,6 +16,12 @@
 //! [`TransformCache`](teaal_fibertree::TransformCache)
 //! and enables whole-report caching ([`Simulator::run_data_cached`]) —
 //! without changing any result bit.
+//!
+//! A cascade runs in dependency waves: the Einsums whose producers have
+//! all completed form a wave, and a wave fans out on the shared worker
+//! pool ([`crate::par`]), at most [`Simulator::with_threads`] Einsums at
+//! once. A panicking Einsum comes back as [`SimError::WorkerPanic`] (site
+//! `"wave"`), on one thread or many.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -30,9 +36,10 @@ use crate::compile::CompiledPlan;
 use crate::counters::Instruments;
 use crate::energy::{ActionCounts, EnergyTable};
 use crate::engine::{BoundaryCache, Engine};
-use crate::error::{panic_message, SimError};
+use crate::error::SimError;
 use crate::limits::{CancelToken, EvalLimits};
 use crate::ops::OpTable;
+use crate::par;
 use crate::pipeline::EvalContext;
 use crate::report::{passes_for, BlockStats, EinsumStats, SimReport, TensorTraffic};
 
@@ -194,9 +201,10 @@ impl Simulator {
     /// Sets the worker cap for parallel execution (default:
     /// [`default_threads`]).
     ///
-    /// With `n > 1`, independent Einsums of a cascade run concurrently
-    /// and each eligible Einsum shards its top loop rank across up to `n`
-    /// scoped threads ([`Engine::with_threads`]). Reports stay
+    /// With `n > 1`, independent Einsums of a cascade run concurrently,
+    /// at most `n` at a time on the worker pool ([`crate::par`]), and
+    /// each eligible Einsum shards its top loop rank across up to `n`
+    /// workers ([`Engine::with_threads`]). Reports stay
     /// bit-identical to `n = 1` — the merge is deterministic and the
     /// shard-exactness analysis falls back to sequential execution
     /// whenever it cannot prove equality.
@@ -407,10 +415,10 @@ impl Simulator {
         // Execute the cascade in dependency waves: every Einsum whose
         // producers (data, write-after-write, and learned-extent
         // dependencies) have completed runs concurrently with the rest of
-        // its wave. Each Einsum sees exactly the environment and extents
-        // its sequential position would — outputs and learned extents of
-        // plans *before* it, in plan order — so reports are bit-identical
-        // to the sequential schedule.
+        // its wave, at most `threads` at once. Each Einsum sees exactly
+        // the environment and extents its sequential position would —
+        // outputs and learned extents of plans *before* it, in plan order
+        // — so reports are bit-identical to the sequential schedule.
         let n = plans.len();
         let deps = self.plan_dependencies(&base_extents);
         let mut outputs: Vec<Option<CompressedTensor>> = (0..n).map(|_| None).collect();
@@ -463,49 +471,17 @@ impl Simulator {
                 Ok((instruments, out))
             };
 
-            let results: Vec<Result<(Instruments, CompressedTensor), SimError>> = if self.threads
-                > 1
-                && wave.len() > 1
-            {
-                std::thread::scope(|s| {
-                    let run_one = &run_one;
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&i| {
-                            s.spawn(move || {
-                                // Panic isolation: a panicking wave
-                                // worker becomes a structured error
-                                // instead of tearing down the run.
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_one(i)
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(SimError::WorkerPanic {
-                                        site: "wave".into(),
-                                        message: panic_message(&payload),
-                                    })
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                Err(SimError::WorkerPanic {
-                                    site: "wave".into(),
-                                    message: panic_message(&payload),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-            } else {
-                wave.iter().map(|&i| run_one(i)).collect()
-            };
+            // At most `threads` Einsums of the wave run at once; a
+            // panicking one becomes that Einsum's structured error.
+            let results = par::map(&wave, self.threads, |&i| run_one(i));
 
             for (&i, res) in wave.iter().zip(results) {
-                let (instruments, output) = res?;
+                let (instruments, output) = res.unwrap_or_else(|message| {
+                    Err(SimError::WorkerPanic {
+                        site: "wave".into(),
+                        message,
+                    })
+                })?;
                 stats[i] = Some(self.collect_stats(&plans[i], &instruments, &output));
                 outputs[i] = Some(output);
                 remaining -= 1;

@@ -228,3 +228,45 @@ fn inexact_overlap_reductions_still_match_sequential() {
         .unwrap();
     assert_reports_identical("gustavson/overlap-arithmetic", &seq, &par);
 }
+
+/// Three Einsums that read only the inputs (one dependency wave), then
+/// one that reads two of their outputs (a second wave).
+const INDEPENDENT_WAVE: &str = concat!(
+    "einsum:\n",
+    "  declaration:\n",
+    "    A: [K, M]\n",
+    "    B: [K, N]\n",
+    "    X: [M, N]\n",
+    "    Y: [M]\n",
+    "    W: [N]\n",
+    "    V: [M, N]\n",
+    "  expressions:\n",
+    "    - X[m, n] = A[k, m] * B[k, n]\n",
+    "    - Y[m] = A[k, m]\n",
+    "    - W[n] = B[k, n]\n",
+    "    - V[m, n] = X[m, n] * Y[m]\n",
+);
+
+/// Wave parallelism: the independent Einsums of a cascade run
+/// concurrently, at most `threads` at once, and the report — every
+/// instrument counter and every output — is the sequential one.
+#[test]
+fn independent_einsums_are_thread_count_invariant() {
+    let (a, b) = inputs();
+    let spec = TeaalSpec::parse(INDEPENDENT_WAVE).unwrap();
+    let run_with = |threads: usize| {
+        Simulator::new(spec.clone())
+            .unwrap()
+            .with_threads(threads)
+            .run(&[a.clone(), b.clone()])
+            .unwrap()
+    };
+    let seq = run_with(1);
+    assert_eq!(seq.einsums.len(), 4);
+    for name in ["X", "Y", "W", "V"] {
+        assert!(seq.outputs[name].nnz() > 0, "{name} is empty");
+    }
+    for threads in [2usize, 4] {
+        assert_reports_identical(&format!("wave x{threads}"), &seq, &run_with(threads));
+    }
+}

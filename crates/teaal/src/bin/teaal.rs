@@ -73,8 +73,7 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use teaal::fibertree::telemetry;
 use teaal::prelude::*;
@@ -604,13 +603,14 @@ fn run_explore(
 }
 
 /// Evaluates every batch request through the shared context — requests
-/// fan out across `threads` workers, each simulating sequentially — and
-/// prints the reports strictly in request order.
+/// fan out across `threads` workers of the simulator's pool
+/// (`teaal::sim::par`), each simulating sequentially — and prints the
+/// reports strictly in request order.
 ///
 /// Failures are isolated per request: a request that errors (or panics —
-/// the evaluation is wrapped in `catch_unwind`) renders an `error:` block
-/// under its header while the rest of the batch keeps going, and the
-/// process exits with code 2 once every request has run.
+/// the evaluation is wrapped in `teaal::request::catching`) renders an
+/// `error:` block under its header while the rest of the batch keeps
+/// going, and the process exits with code 2 once every request has run.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     ctx: &Arc<EvalContext>,
@@ -644,33 +644,19 @@ fn run_batch(
         .map_err(|f| f.contextualize(&format!("request {i} ({})", req.spec_path)))
     };
 
-    let n = requests.len();
-    let workers = threads.max(1).min(n);
-    let rendered: Vec<Result<String, EvalFailure>> = if workers <= 1 {
-        (0..n).map(run_request).collect()
-    } else {
-        let slots: Vec<OnceLock<Result<String, EvalFailure>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let _ = slots[i].set(run_request(i));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every request evaluated"))
-            .collect()
-    };
+    let indices: Vec<usize> = (0..requests.len()).collect();
+    let rendered = teaal::sim::par::map(&indices, threads, |&i| run_request(i));
 
     let mut failures = 0usize;
     for (i, out) in rendered.into_iter().enumerate() {
+        // `evaluate_request` already isolates panics; a panic outside it
+        // still fails only its own request.
+        let out = out.unwrap_or_else(|message| {
+            Err(EvalFailure::from(SimError::WorkerPanic {
+                site: "request".into(),
+                message,
+            }))
+        });
         let label = requests[i]
             .label
             .as_deref()

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::{Tensor, TensorData};
+use teaal_sim::error::panic_message;
 use teaal_sim::{CancelToken, EvalContext, OpTable, SimError};
 
 /// The failure classes a request can end in, shared verbatim between
@@ -180,14 +181,9 @@ pub fn error_block(failure: &EvalFailure) -> String {
 /// batch workers and serve workers use.
 pub fn catching<T>(f: impl FnOnce() -> Result<T, EvalFailure>) -> Result<T, EvalFailure> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
         Err(EvalFailure::new(
             ErrorCode::Panic,
-            format!("worker panicked: {msg}"),
+            format!("worker panicked: {}", panic_message(&*payload)),
         ))
     })
 }
