@@ -2,14 +2,15 @@
 //! `BENCH_fibertree.json`.
 //!
 //! Six cases. The four cursor cases time the compressed (CSF) cursors
-//! every evaluation reads; the two transform cases time both
-//! representations of identical content, since `Tensor` keeps its own
-//! transforms as the test oracle:
+//! and the intersection unit (`IntersectStream`) every evaluation runs;
+//! the two transform cases time both representations of identical
+//! content, since `Tensor` keeps its own transforms as the test oracle:
 //!
 //! 1. `leaf_stream` — DFS over every leaf of a large sparse matrix (the
 //!    full-tensor iteration every simulation performs per operand),
-//! 2. `intersect2_vectors` — two-finger co-iteration of two long sparse
-//!    vectors (the per-rank inner loop of every SpMSpM),
+//! 2. `intersect_vectors` — two-finger co-iteration of two long sparse
+//!    vectors (the per-rank inner loop of every SpMSpM), merged as raw
+//!    coordinate runs,
 //! 3. `rowwise_cointeration` — Gustavson-style traversal: intersect the
 //!    row ranks of two matrices, then co-iterate the matching row pairs,
 //! 4. `transform_swizzle_partition` — a Gamma-style transform pipeline
@@ -18,9 +19,9 @@
 //! 5. `transform_flatten_occupancy` — the Fig. 2 / SIGMA pipeline
 //!    (flatten two ranks, occupancy-partition the fused rank): owned
 //!    tuple-coordinate rebuild vs compressed segment fusion,
-//! 6. `intersect2_vectors_skewed` — galloping (skip-ahead) co-iteration
-//!    of a tiny vector against a huge one, the regime where adaptive
-//!    doubling search beats the two-finger merge.
+//! 6. `intersect_vectors_skewed` — leader-follower co-iteration of a
+//!    tiny vector leading against a huge one: each leader coordinate
+//!    probes the follower's run by binary search.
 //!
 //! A second, `parallel_scaling` group times full `Simulator` SpMSpM runs
 //! at 1 worker vs the host's parallelism, pinning the wall-clock cost of
@@ -33,17 +34,16 @@
 //! transformed-input caching.
 //!
 //! Pass `--quick` for a CI-sized run. Timings are the minimum of several
-//! repetitions of a full pass (wall clock; the stub criterion offers no
-//! statistics, and minima are the stablest point estimate available).
+//! repetitions of a full pass (wall clock; minima are the stablest point
+//! estimate available).
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use teaal_bench::leaf_sum;
 use teaal_core::TeaalSpec;
-use teaal_fibertree::iterate::{intersect2_stream, IntersectPolicy};
+use teaal_fibertree::iterate::{IntersectPolicy, IntersectStream};
 use teaal_fibertree::partition::SplitKind;
-use teaal_fibertree::{CompressedTensor, FiberView, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, Tensor, TensorData};
 use teaal_sim::Simulator;
 use teaal_workloads::genmat;
 
@@ -65,14 +65,42 @@ fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
     best.max(1)
 }
 
+/// Sums every leaf reachable from a view: the full-tensor iteration over
+/// CSF cursors.
+fn leaf_sum(v: FiberView<'_>) -> f64 {
+    let mut acc = 0.0;
+    for pos in 0..v.occupancy() {
+        match v.payload_at(pos) {
+            PayloadView::Val(x) => acc += x,
+            PayloadView::Fiber(child) => acc += leaf_sum(child),
+        }
+    }
+    acc
+}
+
+/// Intersects `fibers` the way the engine walks a loop level: re-arm the
+/// level's stream, then advance it dry. Returns the match count.
+fn intersect<'a>(
+    s: &mut IntersectStream<'a>,
+    fibers: &[FiberView<'a>],
+    policy: IntersectPolicy,
+) -> u64 {
+    s.restart(fibers, policy, None);
+    while s.advance().is_some() {}
+    s.stats().matches
+}
+
 /// Gustavson-style co-iteration: intersect the top ranks, then the
-/// matching child fibers, counting matches.
-fn rowwise(a: FiberView<'_>, b: FiberView<'_>) -> u64 {
+/// matching child fibers, counting matches. One stream per level, as in
+/// the engine.
+fn rowwise<'a>(a: FiberView<'a>, b: FiberView<'a>) -> u64 {
+    let (mut rows, mut cols) = (IntersectStream::default(), IntersectStream::default());
+    rows.restart(&[a, b], IntersectPolicy::TwoFinger, None);
     let mut matches = 0u64;
-    for (_, pa, pb) in intersect2_stream(a, b, IntersectPolicy::TwoFinger) {
-        let (ca, cb) = (a.payload_at(pa), b.payload_at(pb));
-        if let (Some(fa), Some(fb)) = (ca.as_fiber(), cb.as_fiber()) {
-            matches += intersect2_stream(fa, fb, IntersectPolicy::TwoFinger).count() as u64;
+    while rows.advance().is_some() {
+        let (pa, pb) = (rows.positions()[0], rows.positions()[1]);
+        if let (Some(fa), Some(fb)) = (a.payload_at(pa).as_fiber(), b.payload_at(pb).as_fiber()) {
+            matches += intersect(&mut cols, &[fa, fb], IntersectPolicy::TwoFinger);
         }
     }
     matches
@@ -125,11 +153,12 @@ fn main() {
     {
         let a = genmat::uniform_compressed("A", &["M", "K"], 1, vec_dim, vec_nnz, 2);
         let b = genmat::uniform_compressed("B", &["M", "K"], 1, vec_dim, vec_nnz, 3);
+        let mut s = IntersectStream::default();
         let compressed_ns = time_min(reps, || {
-            intersect2_stream(row(&a), row(&b), IntersectPolicy::TwoFinger).count()
+            intersect(&mut s, &[row(&a), row(&b)], IntersectPolicy::TwoFinger)
         });
         results.push(CaseResult {
-            case: "intersect2_vectors",
+            case: "intersect_vectors",
             detail: format!("2 x {vec_nnz} of {vec_dim}"),
             owned_ns: None,
             compressed_ns,
@@ -213,19 +242,19 @@ fn main() {
         });
     }
 
-    // Case 6: skewed-size intersection under the galloping policy — the
-    // small operand leads, and skip-ahead doubling search hops over the
-    // large operand's runs instead of scanning them.
+    // Case 6: skewed-size intersection under leader-follower — the small
+    // operand leads, and each of its coordinates binary-searches the large
+    // operand's run instead of merging past it.
     {
         let small_nnz = if quick { 400 } else { 2_000usize };
         let a = genmat::uniform_compressed("A", &["M", "K"], 1, vec_dim, small_nnz, 8);
         let b = genmat::uniform_compressed("B", &["M", "K"], 1, vec_dim, vec_nnz, 9);
-        let compressed_ns = time_min(reps, || {
-            intersect2_stream(row(&a), row(&b), IntersectPolicy::SkipAhead).count()
-        });
+        let mut s = IntersectStream::default();
+        let lead_small = IntersectPolicy::LeaderFollower { leader: 0 };
+        let compressed_ns = time_min(reps, || intersect(&mut s, &[row(&a), row(&b)], lead_small));
         results.push(CaseResult {
-            case: "intersect2_vectors_skewed",
-            detail: format!("{small_nnz} vs {vec_nnz} of {vec_dim}, skip-ahead"),
+            case: "intersect_vectors_skewed",
+            detail: format!("{small_nnz} vs {vec_nnz} of {vec_dim}, leader-follower"),
             owned_ns: None,
             compressed_ns,
         });

@@ -10,23 +10,9 @@
 
 pub mod reported;
 
-use teaal_fibertree::{FiberView, PayloadView, Tensor};
+use teaal_fibertree::Tensor;
 use teaal_sim::SimReport;
 use teaal_workloads::{by_tag, Dataset};
-
-/// Sums every leaf reachable from a view — the canonical full-tensor
-/// iteration over CSF cursors, shared by the criterion bench and the
-/// `bench_fibertree` binary so they time the same walk.
-pub fn leaf_sum(v: FiberView<'_>) -> f64 {
-    let mut acc = 0.0;
-    for pos in 0..v.occupancy() {
-        match v.payload_at(pos) {
-            PayloadView::Val(x) => acc += x,
-            PayloadView::Fiber(child) => acc += leaf_sum(child),
-        }
-    }
-    acc
-}
 
 /// Default linear scale factor for the Table 4 substitutes: dimensions
 /// and nnz are divided by this so interpreted simulation stays in seconds

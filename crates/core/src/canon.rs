@@ -3,9 +3,9 @@
 //! The staged evaluation pipeline
 //! (`SpecSource → ParsedSpec → LoweredPlan → PreparedInputs → SimReport`)
 //! keys every cached artifact by a stable content hash. This module is
-//! the root of that key scheme: a streaming FNV-1a hasher with pinned
-//! constants (the same algorithm the engine uses for output-key hashing
-//! and [`StatsCache`](teaal_fibertree::StatsCache) for fingerprints), a
+//! the root of that key scheme: the streaming FNV-1a hasher [`Fnv1a`]
+//! (defined in `teaal-fibertree`, where tensor content hashes and
+//! [`StatsCache`](teaal_fibertree::StatsCache) fingerprints use it too), a
 //! [`source_hash`] over raw YAML bytes (the `SpecSource → ParsedSpec`
 //! key), and a [`spec_hash`] over the *parsed* specification (the
 //! `ParsedSpec → LoweredPlan` key).
@@ -22,68 +22,9 @@
 //! astronomically unlikely for the handful of specs a process evaluates,
 //! and the caches they guard are process-local.
 
+pub use teaal_fibertree::Fnv1a;
+
 use crate::spec::TeaalSpec;
-
-/// Streaming FNV-1a (64-bit) hasher with the standard pinned constants.
-///
-/// Deliberately *not* `std::hash::Hasher`: `DefaultHasher`'s algorithm is
-/// unspecified and has changed across Rust releases, while cache keys and
-/// telemetry must be reproducible across toolchains.
-#[derive(Clone, Debug)]
-pub struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    /// The FNV-1a 64-bit offset basis (the hash of zero bytes).
-    pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Creates a hasher in the offset-basis state.
-    pub fn new() -> Self {
-        Fnv1a {
-            state: Self::OFFSET_BASIS,
-        }
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Absorbs a string with length framing, so `("ab", "c")` and
-    /// `("a", "bc")` hash differently.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    /// Absorbs a `u64` as its little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs an `f64` by bit pattern (`-0.0 != 0.0`, NaNs by payload):
-    /// cache keys must distinguish anything that could change a
-    /// bit-identical result.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
 
 /// Content hash of raw specification source text — the key of the
 /// `SpecSource → ParsedSpec` cache stage.

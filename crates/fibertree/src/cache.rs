@@ -203,8 +203,9 @@ impl<V> ByteLru<V> {
     }
 }
 
-/// One merge-group side effect of an online swizzle, replayed into the
-/// simulator's instruments on a cache hit.
+/// One online merge/sort job (a costed rank swizzle): what the engine
+/// records per merge group, and what a transform-cache hit replays into
+/// the simulator's instruments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeRecord {
     /// Tensor being reordered.

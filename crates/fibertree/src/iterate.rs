@@ -4,19 +4,21 @@
 //! co-iterating the operands of each loop rank. Multiplicative operands are
 //! *intersected* (a point contributes only when all operands are present);
 //! additive operands are *unioned*. The hardware that performs intersection
-//! varies across designs, so the [`IntersectPolicy`] models the three unit
+//! varies across designs, so the [`IntersectPolicy`] names the three unit
 //! types of Table 3 — two-finger, leader-follower, and skip-ahead — and
-//! reports the number of coordinate comparisons ("work") each would spend.
+//! the stream reports the number of coordinate comparisons ("work") the
+//! modelled unit spends.
 //!
 //! Co-iteration is a *streaming dataflow of coordinate cursors* (in the
-//! spirit of the Sparse Abstract Machine): [`intersect2_stream`],
-//! [`intersect_stream`], and [`union_stream`] are lazy iterators over
-//! compressed-fiber [`FiberView`] cursors that emit one match at a time,
-//! never materializing a match list; the simulator's engine consumes
-//! them directly, and collecting one into a `Vec` is the eager form. An
-//! [`IntersectStream`] over one or two point fibers reads their
-//! coordinate arrays as raw runs ([`crate::PointRun`]), as SAM's scanners
-//! and intersecters do, with the cascade's exact charging.
+//! spirit of the Sparse Abstract Machine): [`intersect_stream`] and
+//! [`union_stream`] are lazy iterators over compressed-fiber
+//! [`FiberView`] cursors that emit one match at a time, never
+//! materializing a match list; the simulator's engine consumes them
+//! directly, and collecting one into a `Vec` is the eager form.
+//! [`IntersectStream`] is the one intersection unit: it reads one or two
+//! point fibers as raw coordinate runs ([`crate::PointRun`]), as SAM's
+//! scanners and intersecters do, and joins more fibers (or tuple
+//! levels) as a cascade of two-input stages, charging both alike.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,27 +26,34 @@ use crate::coord::Coord;
 use crate::view::{CoordKey, FiberView, PointRun};
 
 /// The intersection unit type (Table 3 of the paper).
+///
+/// [`IntersectStream`] charges a two-finger merge one comparison per
+/// pointer advance and a leader-follower unit one probe per element of
+/// the leading input. Fiber 0 always leads: `restart` reads only
+/// whether the policy is leader-follower, so `LeaderFollower { leader: 1 }`
+/// charges what `leader: 0` does. The analytical estimator
+/// (`teaal_sim::estimate`) charges the occupancy of input `leader`
+/// instead, so a design that sets `leader: 1` (the graph Proposal's
+/// `FrontierIx`) is estimated and measured with different leaders.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
 pub enum IntersectPolicy {
     /// Classic merge: two pointers advance one coordinate at a time.
     #[default]
     TwoFinger,
     /// The leader's coordinates are looked up in the followers; work is
-    /// proportional to the leader's occupancy. `leader` is the operand
-    /// index.
+    /// proportional to the leader's occupancy.
     LeaderFollower {
-        /// Index of the leading operand.
+        /// Index of the leading operand (read by the estimator only; the
+        /// engine leads with fiber 0).
         leader: usize,
     },
-    /// Galloping/skip-ahead: pointers advance by exponentially probing,
-    /// modelling ExTensor-style skip-ahead intersection.
+    /// Galloping/skip-ahead, modelling ExTensor-style skip-ahead
+    /// intersection.
     ///
-    /// Only the two-input unit ([`intersect2_stream`]) gallops. The
-    /// engine's [`IntersectStream`] charges skip-ahead as a two-finger
-    /// merge: its `restart` probes only under leader-follower. The
-    /// analytical estimator (`teaal_sim::estimate`) charges a gallop,
-    /// `cmin · (1 + log2(1 + cmax / cmin))` per fiber pair, so ExTensor's
-    /// estimated and measured intersection counts disagree by
+    /// [`IntersectStream`] charges skip-ahead exactly as a two-finger
+    /// merge. The analytical estimator (`teaal_sim::estimate`) charges a
+    /// gallop, `cmin · (1 + log2(1 + cmax / cmin))` per fiber pair, so
+    /// ExTensor's estimated and measured intersection counts disagree by
     /// construction.
     SkipAhead,
 }
@@ -60,191 +69,7 @@ pub struct CoIterStats {
 }
 
 // ---------------------------------------------------------------------------
-// Two-input intersection.
-// ---------------------------------------------------------------------------
-
-/// Lazy two-input intersection over fiber cursors.
-///
-/// Yields `(coord, position in a, position in b)` one match at a time.
-/// Comparisons accrue as the stream advances; [`Intersect2Stream::stats`]
-/// is complete once the stream is drained.
-#[derive(Clone, Debug)]
-pub struct Intersect2Stream<'a> {
-    a: FiberView<'a>,
-    b: FiberView<'a>,
-    i: usize,
-    j: usize,
-    policy: IntersectPolicy,
-    stats: CoIterStats,
-}
-
-/// Starts a lazy intersection of two fiber cursors under `policy`.
-///
-/// Comparison charging per policy:
-///
-/// - two-finger: one comparison per pointer advance (≈ `|a| + |b|` worst
-///   case, less when one side exhausts early),
-/// - leader-follower: one probe per leader element,
-/// - skip-ahead: galloping probes, `O(matches · log(skip))`.
-pub fn intersect2_stream<'a>(
-    a: FiberView<'a>,
-    b: FiberView<'a>,
-    policy: IntersectPolicy,
-) -> Intersect2Stream<'a> {
-    Intersect2Stream {
-        a,
-        b,
-        i: 0,
-        j: 0,
-        policy,
-        stats: CoIterStats::default(),
-    }
-}
-
-impl Intersect2Stream<'_> {
-    /// The statistics accrued so far (complete after draining).
-    pub fn stats(&self) -> CoIterStats {
-        self.stats.clone()
-    }
-}
-
-impl Iterator for Intersect2Stream<'_> {
-    type Item = (Coord, usize, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.policy {
-            IntersectPolicy::TwoFinger => self.next_two_finger(),
-            IntersectPolicy::LeaderFollower { leader } => self.next_leader(leader == 1),
-            IntersectPolicy::SkipAhead => self.next_skip_ahead(),
-        }
-    }
-}
-
-impl Intersect2Stream<'_> {
-    fn next_two_finger(&mut self) -> Option<(Coord, usize, usize)> {
-        while self.i < self.a.occupancy() && self.j < self.b.occupancy() {
-            self.stats.comparisons += 1;
-            let ka = self.a.coord_key_at(self.i);
-            match ka.cmp_key(&self.b.coord_key_at(self.j)) {
-                std::cmp::Ordering::Equal => {
-                    let out = (ka.to_coord(), self.i, self.j);
-                    self.stats.matches += 1;
-                    self.i += 1;
-                    self.j += 1;
-                    return Some(out);
-                }
-                std::cmp::Ordering::Less => self.i += 1,
-                std::cmp::Ordering::Greater => self.j += 1,
-            }
-        }
-        None
-    }
-
-    /// Leader-follower: the stream walks the leader (`a` unless `swap`)
-    /// and probes the follower, charging one comparison per leader
-    /// element. Output positions stay `(pos in a, pos in b)`.
-    fn next_leader(&mut self, swap: bool) -> Option<(Coord, usize, usize)> {
-        let (lead, follow) = if swap {
-            (self.b, self.a)
-        } else {
-            (self.a, self.b)
-        };
-        while self.i < lead.occupancy() {
-            self.stats.comparisons += 1;
-            let key = lead.coord_key_at(self.i);
-            let pl = self.i;
-            self.i += 1;
-            if let Some(pf) = follow.position_of_key(&key) {
-                self.stats.matches += 1;
-                let out = if swap { (pf, pl) } else { (pl, pf) };
-                return Some((key.to_coord(), out.0, out.1));
-            }
-        }
-        None
-    }
-
-    fn next_skip_ahead(&mut self) -> Option<(Coord, usize, usize)> {
-        while self.i < self.a.occupancy() && self.j < self.b.occupancy() {
-            self.stats.comparisons += 1;
-            let ka = self.a.coord_key_at(self.i);
-            let kb = self.b.coord_key_at(self.j);
-            match ka.cmp_key(&kb) {
-                std::cmp::Ordering::Equal => {
-                    let out = (ka.to_coord(), self.i, self.j);
-                    self.stats.matches += 1;
-                    self.i += 1;
-                    self.j += 1;
-                    return Some(out);
-                }
-                std::cmp::Ordering::Less => {
-                    let hint = skew_step(self.a.occupancy() - self.i, self.b.occupancy() - self.j);
-                    let (ni, probes) = gallop(&self.a, self.i, &kb, hint);
-                    self.stats.comparisons += probes;
-                    self.i = ni;
-                }
-                std::cmp::Ordering::Greater => {
-                    let hint = skew_step(self.b.occupancy() - self.j, self.a.occupancy() - self.i);
-                    let (nj, probes) = gallop(&self.b, self.j, &ka, hint);
-                    self.stats.comparisons += probes;
-                    self.j = nj;
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The adaptive gallop seed: when the advancing side has `rem_self`
-/// elements left against `rem_other` on the other side, the expected
-/// skip distance is their ratio. Balanced inputs degrade to the classic
-/// step of 1.
-fn skew_step(rem_self: usize, rem_other: usize) -> usize {
-    (rem_self / rem_other.max(1)).max(1)
-}
-
-/// Gallops forward from `start` to the first position whose coordinate is
-/// `>= target`, returning `(position, probes spent)`.
-///
-/// `first_step` seeds the exponential probe. A skip-ahead unit facing a
-/// heavily skewed pair (a long fiber chasing a short one) expects jumps
-/// around `|long| / |short|`, so seeding with that ratio reaches the
-/// target in `O(log)` probes instead of warming up from 1 every time;
-/// `first_step = 1` reproduces the classic gallop.
-fn gallop(
-    fiber: &FiberView<'_>,
-    start: usize,
-    target: &CoordKey<'_>,
-    first_step: usize,
-) -> (usize, u64) {
-    let len = fiber.occupancy();
-    let mut probes = 0u64;
-    let mut step = first_step.max(1);
-    let mut lo = start;
-    let mut hi = start;
-    // Exponential probe.
-    while hi < len && fiber.coord_key_at(hi).cmp_key(target).is_lt() {
-        probes += 1;
-        lo = hi;
-        hi = (hi + step).min(len);
-        step *= 2;
-    }
-    // Binary search within (lo, hi].
-    let mut left = lo;
-    let mut right = hi;
-    while left < right {
-        probes += 1;
-        let mid = (left + right) / 2;
-        if fiber.coord_key_at(mid).cmp_key(target).is_lt() {
-            left = mid + 1;
-        } else {
-            right = mid;
-        }
-    }
-    (left, probes)
-}
-
-// ---------------------------------------------------------------------------
-// Multi-input intersection: a lazy cascade of two-input stages.
+// Intersection: raw-run kernels and a lazy cascade of two-input stages.
 // ---------------------------------------------------------------------------
 
 /// Lazy multi-input intersection: yields, per matching coordinate, the
@@ -839,64 +664,155 @@ mod tests {
             .collect()
     }
 
-    fn drain2(
-        a: &[u64],
-        b: &[u64],
+    /// The textbook two-finger merge over plain coordinates: the matches,
+    /// and one comparison per pointer advance.
+    fn two_finger(a: &[u64], b: &[u64]) -> (Vec<u64>, u64) {
+        let (mut i, mut j, mut comparisons) = (0, 0, 0);
+        let mut out = Vec::new();
+        while i < a.len() && j < b.len() {
+            comparisons += 1;
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        (out, comparisons)
+    }
+
+    /// The textbook leader-follower unit: the leader's matches, and one
+    /// probe per leader element.
+    fn leader_follower(lead: &[u64], follow: &[u64]) -> (Vec<u64>, u64) {
+        let out = lead
+            .iter()
+            .copied()
+            .filter(|c| follow.binary_search(c).is_ok())
+            .collect();
+        (out, lead.len() as u64)
+    }
+
+    /// What the engine charges: the textbook unit, stage by stage, with
+    /// fiber 0 leading and skip-ahead merging two-finger.
+    fn textbook(fibers: &[&[u64]], policy: IntersectPolicy) -> CoIterStats {
+        let mut upstream = fibers[0].to_vec();
+        let mut comparisons = 0;
+        for f in &fibers[1..] {
+            let (out, c) = match policy {
+                IntersectPolicy::LeaderFollower { .. } => leader_follower(&upstream, f),
+                _ => two_finger(&upstream, f),
+            };
+            upstream = out;
+            comparisons += c;
+        }
+        CoIterStats {
+            comparisons,
+            matches: upstream.len() as u64,
+        }
+    }
+
+    /// Drains an intersection of `fibers`: unbounded (the raw-run kernels
+    /// for one or two point fibers), or with `cascade` bounded to the
+    /// whole coordinate space, which always runs the cascade.
+    fn drain(
+        fibers: &[&[u64]],
         policy: IntersectPolicy,
-    ) -> (Vec<(Coord, usize, usize)>, CoIterStats) {
-        let (ta, tb) = (fiber(a), fiber(b));
-        let mut s = intersect2_stream(view(&ta), view(&tb), policy);
+        cascade: bool,
+    ) -> (Vec<(Coord, Vec<usize>)>, CoIterStats) {
+        let ts: Vec<CompressedTensor> = fibers.iter().map(|f| fiber(f)).collect();
+        let views: Vec<FiberView<'_>> = ts.iter().map(view).collect();
+        let mut s = IntersectStream::default();
+        s.restart(&views, policy, cascade.then_some((0, u64::MAX)));
         let rows: Vec<_> = s.by_ref().collect();
         (rows, s.stats())
     }
 
     #[test]
     fn two_finger_finds_all_matches() {
-        let (m, s) = drain2(&[1, 3, 5, 7], &[2, 3, 7, 9], IntersectPolicy::TwoFinger);
-        let coords: Vec<u64> = m.iter().map(|(c, _, _)| c.as_point().unwrap()).collect();
-        assert_eq!(coords, vec![3, 7]);
-        assert_eq!(s.matches, 2);
-        assert!(s.comparisons >= 2 && s.comparisons <= 8);
-    }
-
-    #[test]
-    fn all_policies_agree_on_matches() {
-        let a: &[u64] = &[0, 2, 4, 6, 8, 10, 50, 51, 52];
-        let b: &[u64] = &[4, 5, 6, 52, 99];
-        let want = oracle_intersection(&[a, b]);
-        let (ta, tb) = (fiber(a), fiber(b));
-        for policy in POLICIES {
-            let (rows, stats) = drain2(a, b, policy);
-            let rows: Vec<_> = rows.into_iter().map(|(c, i, j)| (c, vec![i, j])).collect();
-            assert_eq!(rows, want, "{policy:?}");
-            assert_eq!(stats.matches, want.len() as u64, "{policy:?}");
-            let cascade: Vec<_> = intersect_stream(&[view(&ta), view(&tb)], policy).collect();
-            assert_eq!(cascade, want, "{policy:?}");
+        for cascade in [false, true] {
+            let (m, s) = drain(
+                &[&[1, 3, 5, 7], &[2, 3, 7, 9]],
+                IntersectPolicy::TwoFinger,
+                cascade,
+            );
+            let coords: Vec<u64> = m.iter().map(|(c, _)| c.as_point().unwrap()).collect();
+            assert_eq!(coords, vec![3, 7]);
+            // 1<2, 3>2, 3=3, 5<7, 7=7.
+            assert_eq!(
+                s,
+                CoIterStats {
+                    comparisons: 5,
+                    matches: 2
+                }
+            );
         }
     }
 
     #[test]
-    fn leader_follower_work_tracks_leader_occupancy() {
-        let big: Vec<u64> = (0..500).collect();
-        let lead_small = IntersectPolicy::LeaderFollower { leader: 0 };
-        let (_, s) = drain2(&[100, 200], &big, lead_small);
-        assert_eq!(s.comparisons, 2);
-        let lead_big = IntersectPolicy::LeaderFollower { leader: 1 };
-        let (_, s) = drain2(&[100, 200], &big, lead_big);
-        assert_eq!(s.comparisons, 500);
+    fn all_policies_agree_on_matches() {
+        let fibers: [&[u64]; 2] = [&[0, 2, 4, 6, 8, 10, 50, 51, 52], &[4, 5, 6, 52, 99]];
+        let want = oracle_intersection(&fibers);
+        for policy in POLICIES {
+            for cascade in [false, true] {
+                let (rows, stats) = drain(&fibers, policy, cascade);
+                assert_eq!(rows, want, "{policy:?} cascade={cascade}");
+                assert_eq!(stats.matches, want.len() as u64, "{policy:?}");
+            }
+        }
     }
 
+    /// Leader-follower work is the occupancy of fiber 0, whichever
+    /// operand the policy names as leader.
     #[test]
-    fn skip_ahead_beats_two_finger_on_skewed_inputs() {
-        let dense: Vec<u64> = (0..1000).collect();
-        let (_, tf) = drain2(&[999], &dense, IntersectPolicy::TwoFinger);
-        let (_, sa) = drain2(&[999], &dense, IntersectPolicy::SkipAhead);
-        assert!(
-            sa.comparisons < tf.comparisons / 10,
-            "skip-ahead {} should be far below two-finger {}",
-            sa.comparisons,
-            tf.comparisons
-        );
+    fn leader_follower_work_tracks_leader_occupancy() {
+        let big: Vec<u64> = (0..500).collect();
+        let small: &[u64] = &[100, 200];
+        for leader in [0, 1] {
+            let policy = IntersectPolicy::LeaderFollower { leader };
+            for cascade in [false, true] {
+                let (_, s) = drain(&[small, &big], policy, cascade);
+                assert_eq!(s.comparisons, 2, "leader={leader} cascade={cascade}");
+                let (_, s) = drain(&[&big, small], policy, cascade);
+                assert_eq!(s.comparisons, 500, "leader={leader} cascade={cascade}");
+            }
+        }
+    }
+
+    /// The engine's charge model: on the raw-run and the cascade path
+    /// alike, every policy charges the textbook unit with fiber 0
+    /// leading, so skip-ahead charges exactly what two-finger does and
+    /// `LeaderFollower { leader: 1 }` what `leader: 0` does.
+    #[test]
+    fn engine_charges_the_textbook_units() {
+        let dense: Vec<u64> = (0..1000).step_by(3).collect();
+        let cases: [[&[u64]; 2]; 5] = [
+            [&[1, 3, 5, 7], &[2, 3, 7, 9]],
+            [&[999], &dense],
+            [&dense, &[0, 500, 999]],
+            [&[], &[1, 2]],
+            [&[4, 8, 12], &[4, 8, 12]],
+        ];
+        for fibers in cases {
+            for policy in POLICIES {
+                let want = textbook(&fibers, policy);
+                for cascade in [false, true] {
+                    let (_, stats) = drain(&fibers, policy, cascade);
+                    assert_eq!(stats, want, "{policy:?} cascade={cascade} {fibers:?}");
+                }
+            }
+            let charge = |p| drain(&fibers, p, false).1;
+            assert_eq!(
+                charge(IntersectPolicy::SkipAhead),
+                charge(IntersectPolicy::TwoFinger)
+            );
+            assert_eq!(
+                charge(IntersectPolicy::LeaderFollower { leader: 1 }),
+                charge(IntersectPolicy::LeaderFollower { leader: 0 })
+            );
+        }
     }
 
     #[test]
@@ -912,7 +828,7 @@ mod tests {
     #[test]
     fn streams_are_lazy_but_stats_complete_on_drain() {
         let (ta, tb) = (fiber(&[1, 3, 5, 7]), fiber(&[3, 7]));
-        let mut s = intersect2_stream(view(&ta), view(&tb), IntersectPolicy::TwoFinger);
+        let mut s = intersect_stream(&[view(&ta), view(&tb)], IntersectPolicy::TwoFinger);
         let first = s.next().unwrap();
         assert_eq!(first.0, Coord::Point(3));
         let partial = s.stats();
@@ -964,26 +880,18 @@ mod tests {
         assert_eq!(s.stats().matches, 4);
     }
 
-    /// The two-input unit and the cascade stream find the same matches
-    /// under every policy, and charge alike where they model the same
-    /// unit (the cascade merges under skip-ahead, and its source always
-    /// leads).
+    /// The raw-run kernels and the cascade are two walks of one unit:
+    /// they find the same matches and positions and charge alike under
+    /// every policy, over one fiber and over two.
     #[test]
     fn streams_agree_across_representations() {
-        let a: &[u64] = &[0, 2, 4, 6, 8, 10, 50, 51, 52];
-        let b: &[u64] = &[4, 5, 6, 52, 99];
-        let (ta, tb) = (fiber(a), fiber(b));
+        let fibers: [&[u64]; 2] = [&[0, 2, 4, 6, 8, 10, 50, 51, 52], &[4, 5, 6, 52, 99]];
         for policy in POLICIES {
-            let (rows, stats) = drain2(a, b, policy);
-            let mut s = intersect_stream(&[view(&ta), view(&tb)], policy);
-            let cascade: Vec<_> = s.by_ref().collect();
-            let rows: Vec<_> = rows.into_iter().map(|(c, i, j)| (c, vec![i, j])).collect();
-            assert_eq!(rows, cascade, "{policy:?}");
-            if matches!(
-                policy,
-                IntersectPolicy::TwoFinger | IntersectPolicy::LeaderFollower { leader: 0 }
-            ) {
-                assert_eq!(stats, s.stats(), "{policy:?}");
+            for n in 1..=2 {
+                let runs = drain(&fibers[..n], policy, false);
+                let cascade = drain(&fibers[..n], policy, true);
+                assert_eq!(runs, cascade, "{policy:?} n={n}");
+                assert_eq!(runs.1, textbook(&fibers[..n], policy), "{policy:?} n={n}");
             }
         }
     }

@@ -70,9 +70,8 @@
 //! // CSF form every evaluation reads:
 //! let at = CompressedTensor::from_tensor(&a.swizzle(&["K", "M"])?)?;
 //! let b = CompressedTensor::from_tensor(&teaal_fibertree::tensor::fig1_vector_b())?;
-//! let mut stream = iterate::intersect2_stream(
-//!     at.root_fiber_view().unwrap(),
-//!     b.root_fiber_view().unwrap(),
+//! let mut stream = iterate::intersect_stream(
+//!     &[at.root_fiber_view().unwrap(), b.root_fiber_view().unwrap()],
 //!     IntersectPolicy::TwoFinger,
 //! );
 //! let matches: Vec<_> = stream.by_ref().collect();
@@ -82,24 +81,25 @@
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```
 //!
-//! Streams are lazy: each match is produced on demand.
+//! Streams are lazy: each match is produced on demand. The engine keeps
+//! one stream per loop level and re-arms it with `restart`; `advance`
+//! returns the next matching coordinate and `positions` its position in
+//! each fiber.
 //!
 //! ```
 //! use teaal_fibertree::{CompressedTensor, IntersectPolicy};
-//! use teaal_fibertree::iterate::intersect2_stream;
+//! use teaal_fibertree::iterate::IntersectStream;
 //!
 //! let a = CompressedTensor::from_entries(
 //!     "A", &["K"], &[8], vec![(vec![1], 2.0), (vec![5], 3.0)])?;
 //! let b = CompressedTensor::from_entries(
 //!     "B", &["K"], &[8], vec![(vec![5], 4.0), (vec![7], 1.0)])?;
-//! let mut stream = intersect2_stream(
-//!     a.root_fiber_view().unwrap(),
-//!     b.root_fiber_view().unwrap(),
-//!     IntersectPolicy::TwoFinger,
-//! );
-//! let m = stream.next().unwrap();
-//! assert_eq!(m.0.as_point(), Some(5));
-//! assert!(stream.next().is_none());
+//! let fibers = [a.root_fiber_view().unwrap(), b.root_fiber_view().unwrap()];
+//! let mut stream = IntersectStream::default();
+//! stream.restart(&fibers, IntersectPolicy::TwoFinger, None);
+//! assert_eq!(stream.advance().and_then(|k| k.as_point()), Some(5));
+//! assert_eq!(stream.positions(), &[1, 0]);
+//! assert!(stream.advance().is_none());
 //! assert_eq!(stream.stats().matches, 1);
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```
@@ -113,6 +113,7 @@ pub mod coord;
 pub mod error;
 pub mod fiber;
 pub mod flatten;
+pub mod hash;
 pub mod iterate;
 pub mod partition;
 pub mod semiring;
@@ -128,6 +129,7 @@ pub use compressed::CompressedTensor;
 pub use coord::{Coord, Shape};
 pub use error::FibertreeError;
 pub use fiber::{Element, Fiber, Payload};
+pub use hash::Fnv1a;
 pub use iterate::{CoIterStats, IntersectPolicy};
 pub use semiring::Semiring;
 pub use stats::{RankStats, StatsCache, TensorStats};

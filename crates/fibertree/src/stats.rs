@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::coord::Coord;
 use crate::fiber::{Fiber, Payload};
+use crate::hash::Fnv1a;
 use crate::view::{FiberView, PayloadView, TensorData};
 
 /// Summary statistics for one storage rank (one fibertree level).
@@ -334,20 +335,14 @@ impl StatsCache {
     /// The structural fingerprint used as cache key: FNV-1a over the
     /// tensor's name, rank ids, extents, and nonzero count.
     pub fn fingerprint(data: &TensorData) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(data.name().as_bytes());
+        let mut h = Fnv1a::new();
+        h.write(data.name().as_bytes());
         for (rid, shape) in data.rank_ids().iter().zip(data.rank_shapes()) {
-            eat(rid.as_bytes());
-            eat(&shape.extent().to_le_bytes());
+            h.write(rid.as_bytes());
+            h.write_u64(shape.extent());
         }
-        eat(&(data.nnz() as u64).to_le_bytes());
-        h
+        h.write_u64(data.nnz() as u64);
+        h.finish()
     }
 }
 

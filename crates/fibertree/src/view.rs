@@ -13,6 +13,7 @@ use std::cmp::Ordering;
 
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
+use crate::hash::Fnv1a;
 use crate::tensor::Tensor;
 
 /// A read-only cursor onto one fiber of a compressed tensor: the elements
@@ -372,74 +373,61 @@ impl CompressedTensor {
     /// the nonzero leaves, one hashes them), read in place without
     /// building a path per leaf; hash once and reuse the key.
     pub fn content_hash(&self) -> u64 {
-        fn absorb(state: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *state ^= u64::from(b);
-                *state = state.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        fn absorb_u64(state: &mut u64, v: u64) {
-            absorb(state, &v.to_le_bytes());
-        }
-        fn absorb_str(state: &mut u64, s: &str) {
-            absorb_u64(state, s.len() as u64);
-            absorb(state, s.as_bytes());
-        }
-        fn absorb_shape(state: &mut u64, shape: &Shape) {
+        fn absorb_shape(h: &mut Fnv1a, shape: &Shape) {
             match shape {
                 Shape::Interval(n) => {
-                    absorb_u64(state, 0);
-                    absorb_u64(state, *n);
+                    h.write_u64(0);
+                    h.write_u64(*n);
                 }
                 Shape::Tuple(parts) => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, parts.len() as u64);
+                    h.write_u64(1);
+                    h.write_u64(parts.len() as u64);
                     for p in parts {
-                        absorb_shape(state, p);
+                        absorb_shape(h, p);
                     }
                 }
             }
         }
-        fn absorb_point(state: &mut u64, p: u64) {
-            absorb_u64(state, 0);
-            absorb_u64(state, p);
+        fn absorb_point(h: &mut Fnv1a, p: u64) {
+            h.write_u64(0);
+            h.write_u64(p);
         }
         // The same bytes a materialized `Coord` path would absorb:
         // compressed tuples are flat tuples of points.
-        fn absorb_key(state: &mut u64, key: &CoordKey<'_>) {
+        fn absorb_key(h: &mut Fnv1a, key: &CoordKey<'_>) {
             match key {
-                CoordKey::Point(p) => absorb_point(state, *p),
+                CoordKey::Point(p) => absorb_point(h, *p),
                 _ => {
-                    absorb_u64(state, 1);
-                    absorb_u64(state, key.arity() as u64);
+                    h.write_u64(1);
+                    h.write_u64(key.arity() as u64);
                     for c in 0..key.arity() {
-                        absorb_point(state, key.word(c));
+                        absorb_point(h, key.word(c));
                     }
                 }
             }
         }
-        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-        absorb_str(&mut state, "tensor-content-v1");
-        absorb_str(&mut state, self.name());
-        absorb_u64(&mut state, self.order() as u64);
+        let mut h = Fnv1a::new();
+        h.write_str("tensor-content-v1");
+        h.write_str(self.name());
+        h.write_u64(self.order() as u64);
         for rank in self.rank_ids() {
-            absorb_str(&mut state, rank);
+            h.write_str(rank);
         }
         for shape in self.rank_shapes() {
-            absorb_shape(&mut state, shape);
+            absorb_shape(&mut h, shape);
         }
         let mut path = Vec::with_capacity(self.order());
         let mut leaves = 0u64;
         for_each_leaf(self.root_view(), &mut path, &mut |_, _| leaves += 1);
-        absorb_u64(&mut state, leaves);
+        h.write_u64(leaves);
         for_each_leaf(self.root_view(), &mut path, &mut |path, value| {
-            absorb_u64(&mut state, path.len() as u64);
+            h.write_u64(path.len() as u64);
             for key in path {
-                absorb_key(&mut state, key);
+                absorb_key(&mut h, key);
             }
-            absorb_u64(&mut state, value.to_bits());
+            h.write_f64(value);
         });
-        state
+        h.finish()
     }
 }
 

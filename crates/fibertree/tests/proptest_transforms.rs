@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use teaal_fibertree::iterate::{intersect2_stream, intersect_stream, union_stream};
+use teaal_fibertree::iterate::{intersect_stream, union_stream};
 use teaal_fibertree::partition::{occupancy_boundaries, split_by_boundaries, SplitKind};
 use teaal_fibertree::{CompressedTensor, Fiber, FiberView, IntersectPolicy, Shape, Tensor};
 
@@ -175,9 +175,9 @@ proptest! {
             IntersectPolicy::SkipAhead,
         ] {
             let (ta, tb) = (csf(&a), csf(&b));
-            let mut s = intersect2_stream(view(&ta), view(&tb), policy);
+            let mut s = intersect_stream(&[view(&ta), view(&tb)], policy);
             let got: Vec<u64> =
-                s.by_ref().map(|(c, _, _)| c.as_point().expect("points")).collect();
+                s.by_ref().map(|(c, _)| c.as_point().expect("points")).collect();
             prop_assert_eq!(&got, &want, "{:?}", policy);
             prop_assert_eq!(s.stats().matches as usize, want.len());
         }

@@ -2,16 +2,15 @@
 //! streams, checked against independent oracles built from the owned
 //! construction of the same content: matches, positions and union rows
 //! against `BTreeMap`s of each fiber's `Tensor::entries()`, and the
-//! charged [`CoIterStats`] against the eager pairwise composition the
-//! cascade promises, against a count of live fibers (union), and between
-//! the raw-run kernels and the bounded cascade.
+//! charged [`CoIterStats`] against the textbook units composed stage by
+//! stage (intersection), against a count of live fibers (union), and
+//! between the raw-run kernels and the bounded cascade.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{
-    intersect2_stream, intersect_stream, union_stream, CoIterStats, IntersectStream, UnionMatch,
-    UnionStream,
+    intersect_stream, union_stream, CoIterStats, IntersectStream, UnionMatch, UnionStream,
 };
 use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, PayloadView, Tensor};
 
@@ -106,35 +105,44 @@ fn oracle_union_stats(ts: &[&Tensor]) -> CoIterStats {
     }
 }
 
-/// What the cascade charges: the eager pairwise composition, each stage
-/// a two-input unit over the previous stage's complete output. Stages
-/// probe under leader-follower (the upstream leads) and merge otherwise.
+/// What the engine charges: the eager pairwise composition, each stage a
+/// textbook unit over the previous stage's complete output, counted on
+/// plain coordinates. A two-finger stage charges one comparison per
+/// pointer advance; a leader-follower stage (the upstream leads, whatever
+/// `leader` says) one probe per upstream element. Skip-ahead merges
+/// two-finger.
 fn oracle_cascade_stats(ts: &[&Tensor], policy: IntersectPolicy) -> CoIterStats {
-    let stage = match policy {
-        IntersectPolicy::LeaderFollower { .. } => IntersectPolicy::LeaderFollower { leader: 0 },
-        _ => IntersectPolicy::TwoFinger,
-    };
+    let probe = matches!(policy, IntersectPolicy::LeaderFollower { .. });
     let mut upstream: Vec<u64> = positions(ts[0]).into_keys().collect();
     let mut comparisons = 0;
     for t in &ts[1..] {
-        let left = vector(&upstream);
-        let right = vector(&positions(t).into_keys().collect::<Vec<_>>());
-        let mut s = intersect2_stream(view(&left), view(&right), stage);
-        upstream = s
-            .by_ref()
-            .map(|(c, _, _)| c.as_point().expect("points"))
-            .collect();
-        comparisons += s.stats().comparisons;
+        let follow = positions(t);
+        if probe {
+            comparisons += upstream.len() as u64;
+            upstream.retain(|c| follow.contains_key(c));
+            continue;
+        }
+        let follow: Vec<u64> = follow.into_keys().collect();
+        let (mut i, mut j) = (0, 0);
+        let mut out = Vec::new();
+        while i < upstream.len() && j < follow.len() {
+            comparisons += 1;
+            match upstream[i].cmp(&follow[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(upstream[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        upstream = out;
     }
     CoIterStats {
         comparisons,
         matches: upstream.len() as u64,
     }
-}
-
-fn vector(coords: &[u64]) -> CompressedTensor {
-    let entries = coords.iter().map(|&c| (vec![c], 1.0)).collect();
-    CompressedTensor::from_entries("V", &["K"], &[200], entries).expect("in shape")
 }
 
 /// Drains an intersection through its buffer-filling API.
@@ -188,8 +196,7 @@ proptest! {
     }
 
     /// Two-input intersection: the match stream equals the oracle under
-    /// every policy, and the two-input unit charges what the cascade
-    /// stage it models charges.
+    /// every policy, and the charge is the textbook unit's.
     #[test]
     fn intersect2_is_representation_independent(
         (oa, ca) in arb_vector_pair(),
@@ -197,18 +204,10 @@ proptest! {
     ) {
         let want = oracle_intersection(&[&oa, &ob]);
         for policy in POLICIES {
-            let mut s = intersect2_stream(view(&ca), view(&cb), policy);
-            let rows: Vec<_> = s.by_ref().map(|(c, i, j)| (c, vec![i, j])).collect();
+            let mut s = intersect_stream(&[view(&ca), view(&cb)], policy);
+            let rows: Vec<_> = s.by_ref().collect();
             prop_assert_eq!(&rows, &want, "{:?}", policy);
-            prop_assert_eq!(s.stats().matches, want.len() as u64, "{:?}", policy);
-            if matches!(
-                policy,
-                IntersectPolicy::TwoFinger | IntersectPolicy::LeaderFollower { leader: 0 }
-            ) {
-                let mut cascade = intersect_stream(&[view(&ca), view(&cb)], policy);
-                cascade.by_ref().for_each(drop);
-                prop_assert_eq!(s.stats(), cascade.stats(), "{:?}", policy);
-            }
+            prop_assert_eq!(s.stats(), oracle_cascade_stats(&[&oa, &ob], policy), "{:?}", policy);
         }
     }
 
@@ -344,9 +343,9 @@ proptest! {
     }
 }
 
-/// The two-input `LeaderFollower { leader: 1 }` unit walks the second
-/// fiber and probes the first; pin its swapped positions and its charge
-/// (one probe per element of the leader) with plain cases.
+/// `LeaderFollower { leader: 1 }` still leads with fiber 0: positions
+/// stay `(pos in a, pos in b)` and the charge is one probe per element of
+/// `a`, on the raw-run kernel and the cascade alike.
 #[test]
 fn leader_one_swaps_positions_identically() {
     let entries = |coords: &[u64]| -> Vec<(Vec<u64>, f64)> {
@@ -358,16 +357,16 @@ fn leader_one_swaps_positions_identically() {
     let ca = CompressedTensor::from_entries("A", &["K"], &[64], a).unwrap();
     let cb = CompressedTensor::from_entries("B", &["K"], &[64], b).unwrap();
     let policy = IntersectPolicy::LeaderFollower { leader: 1 };
-    let mut s = intersect2_stream(view(&ca), view(&cb), policy);
-    let rows: Vec<_> = s.by_ref().map(|(c, i, j)| (c, vec![i, j])).collect();
-    assert_eq!(rows, oracle_intersection(&[&oa, &ob]));
-    assert_eq!(
-        s.stats(),
-        CoIterStats {
-            comparisons: 3,
-            matches: 2
-        }
-    );
-    let cascade: Vec<_> = intersect_stream(&[view(&ca), view(&cb)], policy).collect();
-    assert_eq!(cascade, rows);
+    let mut s = IntersectStream::default();
+    for bounds in [None, Some((0, 64))] {
+        s.restart(&[view(&ca), view(&cb)], policy, bounds);
+        assert_eq!(drain_intersect(&mut s), oracle_intersection(&[&oa, &ob]));
+        assert_eq!(
+            s.stats(),
+            CoIterStats {
+                comparisons: 4,
+                matches: 2
+            }
+        );
+    }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use teaal_fibertree::{FiberView, PayloadView};
+use teaal_fibertree::{FiberView, MergeRecord, PayloadView};
 
 /// End-of-list marker for [`Lru`]'s recency links and its line index.
 const NIL: usize = usize::MAX;
@@ -525,17 +525,6 @@ impl OutputChannel {
     }
 }
 
-/// One online merge/sort job (a costed rank swizzle).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MergeGroup {
-    /// Tensor being reordered.
-    pub tensor: String,
-    /// Elements flowing through the merger.
-    pub elems: u64,
-    /// Number of sorted lists merged together (fan-in).
-    pub ways: u64,
-}
-
 /// Per-space-id compute counting, for load-imbalance-aware timing.
 #[derive(Clone, Debug, Default)]
 pub struct ComputeCounter {
@@ -591,7 +580,7 @@ pub struct Instruments {
     /// Compute operations per space id.
     pub compute: ComputeCounter,
     /// Online merge jobs.
-    pub merges: Vec<MergeGroup>,
+    pub merges: Vec<MergeRecord>,
 }
 
 impl Instruments {
@@ -708,7 +697,7 @@ pub struct EstimatedCounts {
     /// Expected output footprint bits written to DRAM.
     pub output_write_bits: f64,
     /// Expected merge work as `(tensor, elements, ways)` groups
-    /// (counterpart of [`MergeGroup`], fractional fan-in allowed).
+    /// (counterpart of [`MergeRecord`], fractional fan-in allowed).
     pub merges: Vec<(String, f64, f64)>,
 }
 
@@ -744,7 +733,7 @@ impl EstimatedCounts {
             .merges
             .iter()
             .filter(|(_, e, w)| *e >= 0.5 && *w > 1.0)
-            .map(|(t, e, w)| MergeGroup {
+            .map(|(t, e, w)| MergeRecord {
                 tensor: t.clone(),
                 elems: r(*e),
                 ways: r(w.max(2.0)),

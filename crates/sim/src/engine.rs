@@ -63,9 +63,7 @@ use teaal_fibertree::{
     IntersectPolicy, MergeRecord, PayloadView, Shape, TransformCache, TransformedView,
 };
 
-use crate::counters::{
-    ComputeCounter, Instruments, MergeGroup, OutputChannel, RankSlot, TensorChannel,
-};
+use crate::counters::{ComputeCounter, Instruments, OutputChannel, RankSlot, TensorChannel};
 use crate::error::SimError;
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
@@ -1071,7 +1069,7 @@ impl<'p> Engine<'p> {
     ) -> Result<TransformedView, SimError> {
         teaal_core::failpoint::hit("transform.swizzle").map_err(SimError::Fibertree)?;
         telemetry::note_transform_exec();
-        let mut merges: Vec<MergeGroup> = Vec::new();
+        let mut merges: Vec<MergeRecord> = Vec::new();
         let mut published: Vec<BoundaryRecord> = Vec::new();
         // Followers see outer leaders plus any this chain publishes.
         let mut local: BoundaryCache = outer.clone();
@@ -1085,14 +1083,7 @@ impl<'p> Engine<'p> {
         )?;
         Ok(TransformedView {
             tensor,
-            merges: merges
-                .into_iter()
-                .map(|g| MergeRecord {
-                    tensor: g.tensor,
-                    elems: g.elems,
-                    ways: g.ways,
-                })
-                .collect(),
+            merges,
             boundaries: published,
         })
     }
@@ -1104,7 +1095,7 @@ impl<'p> Engine<'p> {
         input: &CompressedTensor,
         tp: &TensorPlan,
         needs_swizzle: bool,
-        merges: &mut Vec<MergeGroup>,
+        merges: &mut Vec<MergeRecord>,
         boundaries: &mut BoundaryCache,
         published: &mut Vec<BoundaryRecord>,
     ) -> Result<CompressedTensor, SimError> {
@@ -1240,13 +1231,7 @@ fn apply_view_effects(
     instruments: &mut Instruments,
     boundaries: &mut BoundaryCache,
 ) {
-    for m in &view.merges {
-        instruments.merges.push(MergeGroup {
-            tensor: m.tensor.clone(),
-            elems: m.elems,
-            ways: m.ways,
-        });
-    }
+    instruments.merges.extend(view.merges.iter().cloned());
     for b in &view.boundaries {
         boundaries.insert((b.rank.clone(), b.leader.clone()), b.bounds.clone());
     }
@@ -1255,7 +1240,7 @@ fn apply_view_effects(
 /// Records the merge work of reordering a tensor into `new_order`: one
 /// group per fiber at the common-prefix depth, with fan-in equal to that
 /// fiber's occupancy (the number of sorted runs the merger combines).
-fn record_merge_groups(t: &CompressedTensor, new_order: &[String], merges: &mut Vec<MergeGroup>) {
+fn record_merge_groups(t: &CompressedTensor, new_order: &[String], merges: &mut Vec<MergeRecord>) {
     let (name, rank_ids) = (t.name(), t.rank_ids());
     let prefix = rank_ids
         .iter()
@@ -1272,14 +1257,14 @@ fn record_merge_groups(t: &CompressedTensor, new_order: &[String], merges: &mut 
         f: FiberView<'_>,
         depth: usize,
         target: usize,
-        merges: &mut Vec<MergeGroup>,
+        merges: &mut Vec<MergeRecord>,
         name: &str,
     ) {
         if depth == target {
             let elems = f.leaf_count() as u64;
             let ways = f.occupancy() as u64;
             if elems > 0 && ways > 1 {
-                merges.push(MergeGroup {
+                merges.push(MergeRecord {
                     tensor: name.to_string(),
                     elems,
                     ways,

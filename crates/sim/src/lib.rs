@@ -29,7 +29,7 @@ pub mod report;
 mod table;
 
 pub use compile::CompiledPlan;
-pub use counters::{ChannelCfg, Instruments, MergeGroup, OutputChannel, TensorChannel};
+pub use counters::{ChannelCfg, Instruments, OutputChannel, TensorChannel};
 pub use energy::{ActionCounts, EnergyTable};
 pub use engine::Engine;
 pub use error::SimError;

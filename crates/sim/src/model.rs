@@ -20,7 +20,7 @@
 //! A cascade runs in dependency waves: the Einsums whose producers have
 //! all completed form a wave, and a wave fans out on the shared worker
 //! pool ([`crate::par`]), at most [`Simulator::with_threads`] Einsums at
-//! once. A panicking Einsum comes back as [`SimError::WorkerPanic`] (site
+//! once, which split that cap among their shard workers. A panicking Einsum comes back as [`SimError::WorkerPanic`] (site
 //! `"wave"`), on one thread or many.
 
 use std::borrow::Cow;
@@ -83,8 +83,6 @@ pub struct Simulator {
     context: Option<Arc<EvalContext>>,
     /// Cooperative budget/cancellation token, when attached.
     cancel: Option<CancelToken>,
-    /// The limits the token enforces (kept for cache-bound plumbing).
-    limits: EvalLimits,
 }
 
 /// The default worker count for parallel execution: the `TEAAL_THREADS`
@@ -148,7 +146,6 @@ impl Simulator {
             threads: default_threads(),
             context: None,
             cancel: None,
-            limits: EvalLimits::default(),
         }
     }
 
@@ -167,12 +164,12 @@ impl Simulator {
     /// supersteps, retries) shares one budget. A tripped budget returns
     /// the matching structured [`SimError`]
     /// ([`SimError::DeadlineExceeded`] / [`SimError::BudgetExceeded`])
-    /// carrying the telemetry gathered so far; an attached context's
-    /// caches are bounded by `max_resident_cache_bytes`.
+    /// carrying the telemetry gathered so far. `max_resident_cache_bytes`
+    /// is not read here: whoever owns the [`EvalContext`] bounds its
+    /// caches ([`EvalContext::set_max_cache_bytes`]).
     #[must_use]
     pub fn with_limits(mut self, limits: EvalLimits) -> Self {
         self.cancel = Some(CancelToken::new(&limits));
-        self.limits = limits;
         self
     }
 
@@ -203,8 +200,9 @@ impl Simulator {
     ///
     /// With `n > 1`, independent Einsums of a cascade run concurrently,
     /// at most `n` at a time on the worker pool ([`crate::par`]), and
-    /// each eligible Einsum shards its top loop rank across up to `n`
-    /// workers ([`Engine::with_threads`]). Reports stay
+    /// each eligible Einsum shards its top loop rank across its share of
+    /// `n`: `n / min(w, n)` workers in a wave of `w` Einsums
+    /// ([`Engine::with_threads`]). Reports stay
     /// bit-identical to `n = 1` — the merge is deterministic and the
     /// shard-exactness analysis falls back to sequential execution
     /// whenever it cannot prove equality.
@@ -397,9 +395,6 @@ impl Simulator {
     }
 
     fn run_impl(&self, inputs: &[&CompressedTensor]) -> Result<SimReport, SimError> {
-        if let (Some(bytes), Some(ctx)) = (self.limits.max_resident_cache_bytes, &self.context) {
-            ctx.set_max_cache_bytes(bytes);
-        }
         let plans = self.compiled.plans();
         // Rank extents from input shapes plus overrides.
         let mut base_extents: BTreeMap<String, u64> = BTreeMap::new();
@@ -434,6 +429,7 @@ impl Simulator {
                 .filter(|&i| outputs[i].is_none() && deps[i].iter().all(|&d| outputs[d].is_some()))
                 .collect();
             debug_assert!(!wave.is_empty(), "intra-cascade dependencies are acyclic");
+            let shard_threads = engine_threads(self.threads, wave.len());
 
             let run_one = |i: usize| -> Result<(Instruments, CompressedTensor), SimError> {
                 let plan = &plans[i];
@@ -451,7 +447,7 @@ impl Simulator {
                 let mut instruments = self.build_instruments(plan);
                 let policy = self.intersect_policy(plan);
                 let mut engine =
-                    Engine::new(plan, self.ops, policy, extents).with_threads(self.threads);
+                    Engine::new(plan, self.ops, policy, extents).with_threads(shard_threads);
                 if let Some(ctx) = &self.context {
                     engine = engine.with_transform_cache(Arc::clone(ctx.transforms()));
                 }
@@ -798,5 +794,36 @@ impl Simulator {
         }
         report.energy_joules = actions.energy_joules(&self.energy);
         report.actions = actions;
+    }
+}
+
+/// Shard workers per engine in a wave of `wave` Einsums under a `threads`
+/// cap: the Einsums running at once split the cap, so the wave and shard
+/// levels together never run more than `threads` workers.
+fn engine_threads(threads: usize, wave: usize) -> usize {
+    (threads / wave.min(threads).max(1)).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::engine_threads;
+
+    #[test]
+    fn wave_engines_split_the_thread_cap() {
+        // (threads, wave size, shard workers per engine)
+        for (threads, wave, want) in [
+            (1, 1, 1),
+            (1, 3, 1),
+            (4, 1, 4),
+            (4, 2, 2),
+            (4, 3, 1),
+            (4, 9, 1),
+            (5, 2, 2),
+            (8, 3, 2),
+        ] {
+            let per_engine = engine_threads(threads, wave);
+            assert_eq!(per_engine, want, "threads={threads} wave={wave}");
+            assert!(wave.min(threads) * per_engine <= threads);
+        }
     }
 }

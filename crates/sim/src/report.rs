@@ -6,8 +6,8 @@ use std::fmt;
 
 use teaal_fibertree::TensorData;
 
-use crate::counters::MergeGroup;
 use crate::energy::ActionCounts;
+use teaal_fibertree::MergeRecord;
 
 /// DRAM/buffer traffic attributed to one tensor within one Einsum.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -48,7 +48,7 @@ pub struct EinsumStats {
     /// Intersection comparisons.
     pub intersections: u64,
     /// Online merge jobs (rank swizzles of intermediates/outputs).
-    pub merges: Vec<MergeGroup>,
+    pub merges: Vec<MergeRecord>,
     /// Coordinate visits per loop rank.
     pub loop_visits: BTreeMap<String, u64>,
 }

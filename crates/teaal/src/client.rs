@@ -13,7 +13,7 @@
 //! `2` when the daemon answered but at least one answer was a
 //! structured error, `1` when retries were exhausted without an answer.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::request::ErrorCode;
-use crate::wire::{self, Frame, FrameKind, WireError};
+use crate::wire::{self, Frame, FrameKind, Stream, WireError};
 
 /// Cap on one backoff sleep, whatever the exponent says.
 const MAX_BACKOFF: Duration = Duration::from_millis(2000);
@@ -56,48 +56,11 @@ impl Default for ClientConfig {
     }
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 fn connect(cfg: &ClientConfig) -> std::io::Result<Stream> {
     let stream = if let Some(path) = &cfg.unix_path {
         #[cfg(unix)]
         {
-            let s = UnixStream::connect(path)?;
-            s.set_read_timeout(Some(cfg.timeout))?;
-            s.set_write_timeout(Some(cfg.timeout))?;
-            Stream::Unix(s)
+            Stream::Unix(UnixStream::connect(path)?)
         }
         #[cfg(not(unix))]
         return Err(std::io::Error::new(
@@ -105,11 +68,9 @@ fn connect(cfg: &ClientConfig) -> std::io::Result<Stream> {
             "unix sockets are not supported on this platform",
         ));
     } else {
-        let s = TcpStream::connect(&cfg.addr)?;
-        s.set_read_timeout(Some(cfg.timeout))?;
-        s.set_write_timeout(Some(cfg.timeout))?;
-        Stream::Tcp(s)
+        Stream::Tcp(TcpStream::connect(&cfg.addr)?)
     };
+    stream.set_timeouts(cfg.timeout)?;
     Ok(stream)
 }
 

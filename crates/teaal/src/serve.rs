@@ -46,10 +46,10 @@
 //! the connection mid-response).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::TcpListener;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,7 +65,7 @@ use teaal_workloads::{genmat, io as tio};
 use crate::request::{
     compress_dataset, evaluate_request, parse_ops, ErrorCode, EvalFailure, RequestOverrides,
 };
-use crate::wire::{self, Frame, FrameKind, WireError};
+use crate::wire::{self, Frame, FrameKind, Stream, WireError};
 
 /// How often the accept loop polls for new connections and the
 /// shutdown flag.
@@ -149,79 +149,6 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
-
-/// A connection stream, TCP or Unix, with the small common surface the
-/// handler needs.
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-        }
-    }
-
-    fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
-        let t = Some(timeout);
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
-            }
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
 
 enum Listener {
     Tcp(TcpListener),

@@ -41,6 +41,10 @@
 
 use std::fmt;
 use std::io::{BufRead, Read, Write};
+use std::net::TcpStream;
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// Protocol identifier expected as the first header token.
 pub const PROTOCOL: &str = "teaal/1";
@@ -361,6 +365,80 @@ pub fn read_frame<R: BufRead>(r: &mut R, max_frame: usize) -> Result<Option<Fram
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
     w.write_all(&frame.encode())?;
     w.flush()
+}
+
+/// A connection stream, TCP or Unix: what `serve` accepts and `client`
+/// connects.
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Stream {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+        }
+    }
+
+    /// Sets both the read and the write timeout.
+    pub(crate) fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
+        let t = Some(timeout);
+        match self {
+            Stream::Tcp(s) => {
+                s.set_read_timeout(t)?;
+                s.set_write_timeout(t)
+            }
+            #[cfg(unix)]
+            Stream::Unix(s) => {
+                s.set_read_timeout(t)?;
+                s.set_write_timeout(t)
+            }
+        }
+    }
+
+    pub(crate) fn shutdown(&self) {
+        match self {
+            Stream::Tcp(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+            #[cfg(unix)]
+            Stream::Unix(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+        }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.flush(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -82,6 +82,7 @@ impl Dataset {
     }
 }
 
+// Not FNV-1a (its prime is 0x1000_0000_01b3); fixing it would move every dataset substitute.
 fn fxhash(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
