@@ -372,8 +372,8 @@ fn main() {
     {
         use teaal_fibertree::StatsCache;
         use teaal_sim::{
-            estimate_data, explore_fast_with_context, explore_loop_orders_with_context,
-            ExploreConfig, Objective, OpTable,
+            compress, estimate_data, explore_fast_with_context, explore_loop_orders_with_context,
+            ExploreConfig, OpTable,
         };
         let spec = TeaalSpec::parse(teaal_fixtures::GAMMA_EM).unwrap();
         let (mdim, mnnz) = if quick {
@@ -387,41 +387,28 @@ fn main() {
         let search_reps = if quick { 1 } else { 3 };
         let cfg = ExploreConfig::default();
         let exhaustive_ns = time_min(search_reps, || {
-            explore_loop_orders_with_context(
-                &spec,
-                "Z",
-                &ins,
-                OpTable::arithmetic(),
-                Objective::Time,
-                cfg.budget,
-                1,
-                None,
-            )
-            .unwrap()
+            explore_loop_orders_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None)
+                .unwrap()
         });
         let fast_ns = time_min(search_reps, || {
             explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap()
         });
-        let exhaustive = explore_loop_orders_with_context(
-            &spec,
-            "Z",
-            &ins,
-            OpTable::arithmetic(),
-            Objective::Time,
-            cfg.budget,
-            1,
-            None,
-        )
-        .unwrap();
+        let exhaustive =
+            explore_loop_orders_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None)
+                .unwrap();
         let fast =
             explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None).unwrap();
         // Per-candidate costs on the spec's own (default) mapping. The
-        // estimator is timed against a warm `StatsCache` — the O(nnz)
-        // stats pass is paid once per tensor across the whole search, as
-        // in `explore_fast_with_context`, so the marginal per-candidate cost is what
-        // matters.
+        // estimator is timed against a warm `StatsCache` on inputs
+        // compressed once, as `explore_fast_with_context` holds them: the
+        // O(nnz) stats pass and content hash are paid once per tensor
+        // across the whole search, so the marginal per-candidate cost is
+        // what matters.
         let sim = Simulator::new(spec.clone()).unwrap();
-        let datas: Vec<TensorData> = ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
+        let datas: Vec<TensorData> = ins
+            .iter()
+            .map(|t| TensorData::Compressed(compress(t).unwrap()))
+            .collect();
         let drefs: Vec<&TensorData> = datas.iter().collect();
         let stats_cache = StatsCache::new();
         estimate_data(&sim, &drefs, &stats_cache).unwrap();
@@ -508,8 +495,8 @@ fn main() {
             detail: format!("{mdim}x{mdim}, 2 x {mnnz} nnz, shared EvalContext"),
             cold_ns,
             warm_ns,
-            transform_hits: ctx.transforms().hits(),
-            transform_misses: ctx.transforms().misses(),
+            transform_hits: ctx.transforms().snapshot().hits,
+            transform_misses: ctx.transforms().snapshot().misses,
         });
     }
 

@@ -4,8 +4,9 @@
 //! (`SpecSource → ParsedSpec → LoweredPlan → PreparedInputs → SimReport`)
 //! keys every cached artifact by a stable content hash. This module is
 //! the root of that key scheme: the streaming FNV-1a hasher [`Fnv1a`]
-//! (defined in `teaal-fibertree`, where tensor content hashes and
-//! [`StatsCache`](teaal_fibertree::StatsCache) fingerprints use it too), a
+//! (defined in `teaal-fibertree`, where it also computes the tensor
+//! content hash that keys transformed inputs, reports and estimator
+//! statistics), a
 //! [`source_hash`] over raw YAML bytes (the `SpecSource → ParsedSpec`
 //! key), and a [`spec_hash`] over the *parsed* specification (the
 //! `ParsedSpec → LoweredPlan` key).

@@ -33,15 +33,6 @@ impl IndexExpr {
         self.vars.len() == 1 && self.offset == 0
     }
 
-    /// The variable name if [`IndexExpr::is_simple`].
-    pub fn simple_var(&self) -> Option<&str> {
-        if self.is_simple() {
-            Some(&self.vars[0])
-        } else {
-            None
-        }
-    }
-
     /// Evaluates the expression given variable values; `None` if a variable
     /// is unbound or the result is negative.
     pub fn eval(&self, lookup: impl Fn(&str) -> Option<i64>) -> Option<u64> {

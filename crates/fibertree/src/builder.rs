@@ -10,6 +10,8 @@
 //! `from_entries`, `from_tensor`, transforms, outputs — lands on an
 //! identical representation for identical content.
 
+use std::sync::OnceLock;
+
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
@@ -283,6 +285,7 @@ impl CompressedBuilder {
                 rank_shapes: self.rank_shapes,
                 levels: self.levels,
                 values: self.values,
+                hash_memo: OnceLock::new(),
             };
         }
         // A rank below an empty parent has no fibers at all (mirroring
@@ -305,6 +308,7 @@ impl CompressedBuilder {
             rank_shapes: self.rank_shapes,
             levels: self.levels,
             values: self.values,
+            hash_memo: OnceLock::new(),
         }
     }
 }

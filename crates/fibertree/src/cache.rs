@@ -1,15 +1,14 @@
-//! Content-addressed cache of transformed tensor views.
+//! The one cache type: a content-addressed, byte-bounded LRU.
 //!
-//! The simulator's engine runs a per-tensor transform chain (offline
-//! swizzle, then partition/flatten/swizzle steps) before every loop-nest
-//! walk. Within a mapping search or a batch of evaluation requests the
-//! same `(tensor, chain)` pair recurs constantly — every engine-verified
-//! candidate re-transforms the same inputs. A [`TransformCache`] keys the
-//! finished view by a caller-computed content hash
-//! ([`CompressedTensor::content_hash`] combined with a canonical description of
-//! the chain) and hands back shared [`Arc`] views, so a warm cache
-//! performs **zero** redundant transforms
-//! ([`telemetry::transform_exec_count`] stays flat).
+//! Every stage cache of the evaluation pipeline (parsed specs, compiled
+//! plans, transformed inputs, reports, estimator statistics) is a
+//! [`ByteLru`] keyed by a 64-bit content hash the caller computes
+//! ([`CompressedTensor::content_hash`], memoized per tensor, for tensor
+//! keys). [`ByteLru::get_or_try_insert_with`] is its only lookup: it
+//! returns the shared [`Arc`] on a hit and builds, inserts and returns
+//! it on a miss, counting hits, misses, resident bytes and evictions in
+//! the cache's own [`CacheStats`] and, for stages wired to one, in a
+//! process-wide [`telemetry`] entry (`--cache-stats`).
 //!
 //! A transform chain is not a pure tensor→tensor function: online
 //! swizzles record merge work and occupancy-split leaders publish
@@ -18,30 +17,26 @@
 //! [`BoundaryRecord`]); on a cache hit the engine *replays* them, keeping
 //! instruments and boundary caches bit-identical to a cold run.
 //!
-//! Thread safety: the map sits behind a [`Mutex`]; two threads racing the
-//! same cold key may both build (both count as misses) and the first
-//! insert wins — correctness never depends on single-build, because every
-//! build of the same key produces the same view.
+//! Thread safety: the map sits behind a [`Mutex`] that is never held
+//! while building; two threads racing the same cold key may both build
+//! (both count as misses) and the first insert wins — correctness never
+//! depends on single-build, because every build of the same key produces
+//! the same value.
 //!
-//! # Bounded residency
-//!
-//! Long-running processes (batch evaluation, the future `teaal serve`
-//! daemon) cannot let content-addressed caches grow without bound. The
-//! generic [`ByteLru`] store underneath [`TransformCache`] byte-accounts
-//! every resident artifact and evicts least-recently-used entries once a
-//! configured capacity is exceeded ([`TransformCache::set_capacity_bytes`]).
+//! Bounded residency: [`ByteLru::set_capacity_bytes`] evicts
+//! least-recently-used entries once resident bytes exceed the budget.
 //! Eviction never changes results — keys are content hashes, so a
 //! re-miss rebuilds the exact same artifact (pinned bit-identical by the
 //! robustness suite) — it only trades recompute time for memory.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::compressed::CompressedTensor;
 use crate::coord::Coord;
+#[cfg(doc)]
 use crate::telemetry;
-use crate::telemetry::CacheStats;
+use crate::telemetry::{CacheSnapshot, CacheStats};
 
 /// A thread-safe, byte-accounted LRU map from 64-bit content hashes to
 /// shared [`Arc`] values.
@@ -49,18 +44,14 @@ use crate::telemetry::CacheStats;
 /// Unbounded by default (`capacity = u64::MAX`); give it a budget with
 /// [`ByteLru::set_capacity_bytes`] and it evicts least-recently-used
 /// entries until resident bytes fit. Lookups refresh recency. Sizes are
-/// caller-supplied estimates, so an entry larger than the whole
-/// capacity is admitted and then evicted on the next insert — callers
-/// always get their `Arc` back regardless.
-///
-/// Optionally wired to a process-wide [`CacheStats`] registry entry so
-/// evictions show up in `--cache-stats`; hit/miss telemetry stays with
-/// the caller, which knows build cost.
+/// the builder's estimates, so an entry larger than the whole capacity
+/// is admitted and then evicted at once — callers always get their `Arc`
+/// back regardless.
 #[derive(Debug)]
 pub struct ByteLru<V> {
     inner: Mutex<LruInner<V>>,
-    evictions: AtomicU64,
-    stats: Option<&'static CacheStats>,
+    stats: CacheStats,
+    telemetry: Option<&'static CacheStats>,
 }
 
 #[derive(Debug)]
@@ -72,6 +63,20 @@ struct LruInner<V> {
     clock: u64,
     resident: u64,
     capacity: u64,
+}
+
+impl<V> LruInner<V> {
+    /// The value for `key` with its recency refreshed.
+    fn touch(&mut self, key: u64) -> Option<Arc<V>> {
+        self.clock += 1;
+        let stamp = self.clock;
+        let (value, entry_stamp, _) = self.map.get_mut(&key)?;
+        let old = std::mem::replace(entry_stamp, stamp);
+        let value = Arc::clone(value);
+        self.order.remove(&old);
+        self.order.insert(stamp, key);
+        Some(value)
+    }
 }
 
 impl<V> Default for ByteLru<V> {
@@ -91,100 +96,92 @@ impl<V> ByteLru<V> {
                 resident: 0,
                 capacity: u64::MAX,
             }),
-            evictions: AtomicU64::new(0),
-            stats: None,
+            stats: CacheStats::new(),
+            telemetry: None,
         }
     }
 
-    /// Same, but evictions are also recorded in the given process-wide
-    /// registry entry (which must outlive the store — use the
-    /// [`telemetry`] statics).
-    pub fn with_stats(stats: &'static CacheStats) -> Self {
+    /// Same, but every count is also copied into the given process-wide
+    /// registry entry (one of the [`telemetry`] statics).
+    pub fn with_telemetry(entry: &'static CacheStats) -> Self {
         ByteLru {
-            stats: Some(stats),
+            telemetry: Some(entry),
             ..ByteLru::new()
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LruInner<V>> {
+        self.inner.lock().expect("lru poisoned")
+    }
+
+    /// Records one event in this cache's counters and its telemetry
+    /// entry: the only place a cache counts anything.
+    fn count(&self, event: impl Fn(&CacheStats)) {
+        event(&self.stats);
+        if let Some(entry) = self.telemetry {
+            event(entry);
         }
     }
 
     /// Sets the resident-byte budget, evicting immediately if the store
     /// is already over it. `u64::MAX` (the default) means unbounded.
     pub fn set_capacity_bytes(&self, capacity: u64) {
-        let mut inner = self.inner.lock().expect("lru poisoned");
+        let mut inner = self.lock();
         inner.capacity = capacity;
         self.evict_to_fit(&mut inner);
     }
 
-    /// The current resident-byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.inner.lock().expect("lru poisoned").capacity
-    }
-
-    /// Returns the value for `key`, refreshing its recency.
-    pub fn get(&self, key: u64) -> Option<Arc<V>> {
-        let mut inner = self.inner.lock().expect("lru poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let (value, old_stamp) = {
-            let (value, entry_stamp, _) = inner.map.get_mut(&key)?;
-            let value = Arc::clone(value);
-            let old = *entry_stamp;
-            *entry_stamp = stamp;
-            (value, old)
-        };
-        inner.order.remove(&old_stamp);
-        inner.order.insert(stamp, key);
-        Some(value)
-    }
-
-    /// Inserts `value` under `key` with the given byte estimate, then
-    /// evicts LRU entries until resident bytes fit the capacity.
+    /// Returns the value for `key`, building and inserting it on a miss.
     ///
-    /// If `key` is already present the existing value wins (first-insert
-    /// semantics for racing builders) and is returned with refreshed
-    /// recency; otherwise the inserted `value` is returned. The returned
-    /// `Arc` stays valid even if the entry itself was immediately
-    /// evicted for being larger than the whole budget.
-    pub fn insert(&self, key: u64, value: Arc<V>, bytes: u64) -> Arc<V> {
-        let mut inner = self.inner.lock().expect("lru poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if inner.map.contains_key(&key) {
-            let (existing, old_stamp) = {
-                let (v, entry_stamp, _) = inner.map.get_mut(&key).expect("key just checked");
-                let v = Arc::clone(v);
-                let old = *entry_stamp;
-                *entry_stamp = stamp;
-                (v, old)
-            };
-            inner.order.remove(&old_stamp);
-            inner.order.insert(stamp, key);
-            return existing;
+    /// `build` returns the value and its estimated resident bytes. It
+    /// runs outside the lock; a concurrent builder of the same key may
+    /// win the insert, in which case the already-inserted value is
+    /// returned and this build is dropped (both are identical by
+    /// construction, and only the admitted one's bytes are counted).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the builder's error; nothing is inserted or counted.
+    pub fn get_or_try_insert_with<E>(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> Result<(V, u64), E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(hit) = self.lock().touch(key) {
+            self.count(CacheStats::hit);
+            return Ok(hit);
         }
+        let (value, bytes) = build()?;
+        let mut inner = self.lock();
+        if let Some(winner) = inner.touch(key) {
+            self.count(|s| s.miss(0));
+            return Ok(winner);
+        }
+        let value = Arc::new(value);
+        // The missed `touch` advanced the clock: this stamp is unused.
+        let stamp = inner.clock;
         inner.map.insert(key, (Arc::clone(&value), stamp, bytes));
         inner.order.insert(stamp, key);
         inner.resident += bytes;
+        self.count(|s| s.miss(bytes));
         self.evict_to_fit(&mut inner);
-        value
+        Ok(value)
     }
 
     fn evict_to_fit(&self, inner: &mut LruInner<V>) {
         while inner.resident > inner.capacity {
-            let Some((&stamp, &key)) = inner.order.iter().next() else {
+            let Some((_, key)) = inner.order.pop_first() else {
                 break;
             };
-            inner.order.remove(&stamp);
             let (_, _, bytes) = inner.map.remove(&key).expect("order and map agree");
-            inner.resident = inner.resident.saturating_sub(bytes);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = self.stats {
-                stats.eviction(bytes);
-            }
+            inner.resident -= bytes;
+            self.count(|s| s.eviction(bytes));
         }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("lru poisoned").map.len()
+        self.lock().map.len()
     }
 
     /// Whether the store is empty.
@@ -192,14 +189,11 @@ impl<V> ByteLru<V> {
         self.len() == 0
     }
 
-    /// Estimated bytes currently resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().expect("lru poisoned").resident
-    }
-
-    /// Entries evicted by this instance so far (monotonic).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+    /// This instance's hits, misses, resident bytes and evictions so far
+    /// — immune to unrelated caches sharing its telemetry entry. Only an
+    /// admitted entry's bytes count, so `bytes` is the resident total.
+    pub fn snapshot(&self) -> CacheSnapshot {
+        self.stats.snapshot()
     }
 }
 
@@ -248,109 +242,15 @@ impl TransformedView {
     }
 }
 
-/// Content-addressed store of [`TransformedView`]s behind shared
-/// [`Arc`]s.
-///
-/// Keys are caller-computed 64-bit content hashes (tensor content +
-/// canonical chain description); the cache itself is key-agnostic.
-/// Instance counters ([`TransformCache::hits`] /
-/// [`TransformCache::misses`]) serve per-context assertions that are
-/// immune to unrelated concurrent work, while every lookup also feeds
-/// the process-wide [`telemetry::transform_cache_stats`] registry.
-#[derive(Debug)]
-pub struct TransformCache {
-    inner: ByteLru<TransformedView>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for TransformCache {
-    fn default() -> Self {
-        TransformCache::new()
-    }
-}
-
-impl TransformCache {
-    /// Creates an empty, unbounded cache.
-    pub fn new() -> Self {
-        TransformCache {
-            inner: ByteLru::with_stats(telemetry::transform_cache_stats()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Bounds resident view bytes; least-recently-used views are
-    /// evicted to fit. Eviction only trades recompute for memory — a
-    /// later lookup of an evicted key rebuilds the identical view.
-    pub fn set_capacity_bytes(&self, capacity: u64) {
-        self.inner.set_capacity_bytes(capacity);
-    }
-
-    /// Views evicted under the capacity bound so far (monotonic).
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions()
-    }
-
-    /// Estimated bytes currently resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.inner.resident_bytes()
-    }
-
-    /// Returns the view for `key`, building and inserting it on a miss.
-    ///
-    /// The builder runs outside the lock (transforms are the expensive
-    /// part); a concurrent builder of the same key may win the insert, in
-    /// which case the already-inserted view is returned and this build's
-    /// result dropped — both are bit-identical by construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error; nothing is inserted or counted as
-    /// a miss-with-bytes beyond the attempt.
-    pub fn get_or_build<E>(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<TransformedView, E>,
-    ) -> Result<Arc<TransformedView>, E> {
-        if let Some(hit) = self.inner.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::transform_cache_stats().hit();
-            return Ok(hit);
-        }
-        let view = Arc::new(build()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let bytes = view.approx_bytes();
-        telemetry::transform_cache_stats().miss(bytes);
-        Ok(self.inner.insert(key, view, bytes))
-    }
-
-    /// Number of distinct transformed views resident.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups this instance answered from cache (monotonic).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups this instance had to build (monotonic). A warm run's
-    /// delta of zero is the "no redundant transforms" proof local to one
-    /// evaluation context.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
+/// The transformed-input cache: `(tensor content hash, transform chain)
+/// → TransformedView`. A warm cache performs **zero** redundant transforms
+/// ([`telemetry::transform_exec_count`] stays flat).
+pub type TransformCache = ByteLru<TransformedView>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry;
 
     fn view(tag: f64) -> TransformedView {
         let t = CompressedTensor::from_entries("T", &["I"], &[8], vec![(vec![1], tag)]).unwrap();
@@ -365,80 +265,124 @@ mod tests {
         }
     }
 
+    /// Builds (on a miss) `value` sized `bytes` under `key`.
+    fn put<V>(lru: &ByteLru<V>, key: u64, value: V, bytes: u64) -> Arc<V> {
+        lru.get_or_try_insert_with::<()>(key, || Ok((value, bytes)))
+            .unwrap()
+    }
+
+    fn counts(hits: u64, misses: u64, bytes: u64, evictions: u64) -> CacheSnapshot {
+        CacheSnapshot {
+            hits,
+            misses,
+            bytes,
+            evictions,
+        }
+    }
+
     #[test]
     fn second_lookup_shares_the_first_build() {
         let cache = TransformCache::new();
-        let a = cache.get_or_build::<()>(42, || Ok(view(1.0))).unwrap();
+        let a = put(&cache, 42, view(1.0), 16);
         let b = cache
-            .get_or_build::<()>(42, || panic!("warm key must not rebuild"))
+            .get_or_try_insert_with::<()>(42, || panic!("warm key must not rebuild"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+        assert_eq!(cache.snapshot(), counts(1, 1, 16, 0));
+        assert_eq!(cache.len(), 1);
         assert_eq!(b.merges[0].ways, 2);
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = TransformCache::new();
-        let a = cache.get_or_build::<()>(1, || Ok(view(1.0))).unwrap();
-        let b = cache.get_or_build::<()>(2, || Ok(view(2.0))).unwrap();
+        let a = put(&cache, 1, view(1.0), 16);
+        let b = put(&cache, 2, view(2.0), 16);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
+    fn counts_land_in_the_instance_and_its_telemetry_entry() {
+        static ENTRY: CacheStats = CacheStats::new();
+        let lru: ByteLru<u64> = ByteLru::with_telemetry(&ENTRY);
+        lru.set_capacity_bytes(15);
+        put(&lru, 1, 10, 10); // miss
+        put(&lru, 1, 0, 0); // hit
+        put(&lru, 2, 20, 10); // miss, evicts key 1
+        let want = counts(1, 2, 10, 1);
+        assert_eq!(lru.snapshot(), want);
+        assert_eq!(ENTRY.snapshot(), want, "telemetry mirrors the instance");
+    }
+
+    #[test]
     fn builder_errors_propagate_and_insert_nothing() {
-        let cache = TransformCache::new();
-        let err = cache.get_or_build(7, || Err::<TransformedView, &str>("boom"));
+        static ENTRY: CacheStats = CacheStats::new();
+        let cache: TransformCache = ByteLru::with_telemetry(&ENTRY);
+        let err = cache.get_or_try_insert_with(7, || Err::<(TransformedView, u64), &str>("boom"));
         assert_eq!(err.unwrap_err(), "boom");
         assert!(cache.is_empty());
+        assert_eq!(cache.snapshot(), CacheSnapshot::default());
+        assert_eq!(ENTRY.snapshot(), CacheSnapshot::default());
         // The key stays buildable afterwards.
-        assert!(cache.get_or_build::<()>(7, || Ok(view(3.0))).is_ok());
+        put(&cache, 7, view(3.0), 16);
+        assert_eq!(cache.snapshot(), counts(0, 1, 16, 0));
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let lru: ByteLru<u64> = ByteLru::new();
         lru.set_capacity_bytes(30);
-        lru.insert(1, Arc::new(10), 10);
-        lru.insert(2, Arc::new(20), 10);
-        lru.insert(3, Arc::new(30), 10);
+        put(&lru, 1, 10, 10);
+        put(&lru, 2, 20, 10);
+        put(&lru, 3, 30, 10);
         // Touch key 1 so key 2 becomes the LRU victim.
-        assert_eq!(*lru.get(1).unwrap(), 10);
-        lru.insert(4, Arc::new(40), 10);
-        assert_eq!(lru.get(2), None, "LRU entry evicted");
-        assert!(lru.get(1).is_some() && lru.get(3).is_some() && lru.get(4).is_some());
-        assert_eq!((lru.evictions(), lru.resident_bytes()), (1, 30));
+        assert_eq!(*put(&lru, 1, 0, 0), 10);
+        put(&lru, 4, 40, 10);
+        assert_eq!(lru.snapshot().evictions, 1);
+        for (key, value) in [(1, 10), (3, 30), (4, 40)] {
+            assert_eq!(*put(&lru, key, 0, 0), value, "key {key} survives");
+        }
+        assert_eq!(*put(&lru, 2, 0, 0), 0, "LRU entry evicted, so rebuilt");
+        assert_eq!(lru.snapshot().bytes, 30);
     }
 
     #[test]
     fn lru_admits_and_returns_oversized_entries() {
         let lru: ByteLru<&str> = ByteLru::new();
         lru.set_capacity_bytes(5);
-        let v = lru.insert(7, Arc::new("big"), 100);
+        let v = put(&lru, 7, "big", 100);
         assert_eq!(*v, "big", "caller still gets the Arc back");
         assert!(lru.is_empty(), "oversized entry evicted immediately");
-        assert_eq!(lru.resident_bytes(), 0);
+        assert_eq!(lru.snapshot().bytes, 0);
+        assert_eq!(lru.snapshot(), counts(0, 1, 0, 1));
     }
 
     #[test]
     fn lru_shrinking_capacity_evicts_immediately() {
         let lru: ByteLru<u64> = ByteLru::new();
-        lru.insert(1, Arc::new(1), 40);
-        lru.insert(2, Arc::new(2), 40);
-        assert_eq!(lru.resident_bytes(), 80);
+        put(&lru, 1, 1, 40);
+        put(&lru, 2, 2, 40);
+        assert_eq!(lru.snapshot().bytes, 80);
         lru.set_capacity_bytes(50);
         assert_eq!(lru.len(), 1);
-        assert!(lru.get(2).is_some(), "most recent entry survives");
+        assert_eq!(*put(&lru, 2, 0, 0), 2, "most recent entry survives");
     }
 
     #[test]
     fn lru_racing_insert_keeps_first_value() {
         let lru: ByteLru<u64> = ByteLru::new();
-        let a = lru.insert(9, Arc::new(1), 8);
-        let b = lru.insert(9, Arc::new(2), 8);
-        assert!(Arc::ptr_eq(&a, &b), "first insert wins");
-        assert_eq!(lru.resident_bytes(), 8, "loser's bytes not double-counted");
+        // A second builder of key 9 inserts while the first is building.
+        let a = lru
+            .get_or_try_insert_with::<()>(9, || {
+                put(&lru, 9, 2, 8);
+                Ok((1, 8))
+            })
+            .unwrap();
+        assert_eq!(*a, 2, "first insert wins");
+        assert!(Arc::ptr_eq(&a, &put(&lru, 9, 3, 8)));
+        assert_eq!(lru.snapshot().bytes, 8, "loser's bytes not double-counted");
+        assert_eq!(lru.snapshot(), counts(1, 2, 8, 0));
     }
 
     #[test]
@@ -446,16 +390,21 @@ mod tests {
         let cache = TransformCache::new();
         // Each view is 1 nnz × 1 rank ⇒ 16 bytes; cap fits one.
         cache.set_capacity_bytes(30);
-        let a = cache.get_or_build::<()>(1, || Ok(view(1.0))).unwrap();
-        let _ = cache.get_or_build::<()>(2, || Ok(view(2.0))).unwrap();
-        assert_eq!(cache.evictions(), 1);
+        let build = |tag: f64| {
+            let v = view(tag);
+            let bytes = v.approx_bytes();
+            Ok::<_, ()>((v, bytes))
+        };
+        let a = cache.get_or_try_insert_with(1, || build(1.0)).unwrap();
+        let _ = cache.get_or_try_insert_with(2, || build(2.0)).unwrap();
+        assert_eq!(cache.snapshot().evictions, 1);
         assert_eq!(cache.len(), 1);
         // Key 1 was evicted: rebuilding yields a bit-identical view.
-        let rebuilt = cache.get_or_build::<()>(1, || Ok(view(1.0))).unwrap();
+        let rebuilt = cache.get_or_try_insert_with(1, || build(1.0)).unwrap();
         assert!(!Arc::ptr_eq(&a, &rebuilt));
         assert_eq!(a.tensor.content_hash(), rebuilt.tensor.content_hash());
         assert_eq!(a.merges, rebuilt.merges);
-        assert_eq!(cache.misses(), 3, "eviction re-miss is counted");
+        assert_eq!(cache.snapshot().misses, 3, "eviction re-miss is counted");
     }
 
     #[test]
@@ -464,8 +413,8 @@ mod tests {
         // engine does, and only when a chain really runs.
         let before = telemetry::transform_exec_count();
         let cache = TransformCache::new();
-        let _ = cache.get_or_build::<()>(9, || Ok(view(1.0)));
-        let _ = cache.get_or_build::<()>(9, || Ok(view(1.0)));
+        put(&cache, 9, view(1.0), 16);
+        put(&cache, 9, view(1.0), 16);
         assert_eq!(telemetry::transform_exec_count(), before);
     }
 }

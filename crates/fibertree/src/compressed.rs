@@ -43,6 +43,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::builder::CompressedBuilder;
 use crate::coord::{Coord, Shape};
@@ -290,7 +291,7 @@ impl Level {
 /// assert_eq!(c.nnz(), 3);
 /// assert_eq!(c.get(&[2, 1]), Some(4.0));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CompressedTensor {
     pub(crate) name: String,
     pub(crate) rank_ids: Vec<String>,
@@ -299,6 +300,20 @@ pub struct CompressedTensor {
     /// Leaf value arena: `values[p]` is the payload of bottom-rank
     /// element `p`. For a 0-tensor this holds the single scalar.
     pub(crate) values: Vec<f64>,
+    /// [`CompressedTensor::content_hash`], computed on first use. A
+    /// tensor never changes after construction, so the memo cannot go
+    /// stale; equality ignores it.
+    pub(crate) hash_memo: OnceLock<u64>,
+}
+
+impl PartialEq for CompressedTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.rank_ids == other.rank_ids
+            && self.rank_shapes == other.rank_shapes
+            && self.levels == other.levels
+            && self.values == other.values
+    }
 }
 
 impl CompressedTensor {
@@ -431,11 +446,6 @@ impl CompressedTensor {
     /// The tensor's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Renames the tensor.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// The labelled ranks, top-to-bottom.

@@ -171,12 +171,6 @@ impl Fiber {
         &self.shape
     }
 
-    /// Replaces the shape of this fiber (used by transforms that change the
-    /// coordinate system but not the content).
-    pub fn set_shape(&mut self, shape: Shape) {
-        self.shape = shape;
-    }
-
     /// Number of (present) elements in the fiber.
     pub fn occupancy(&self) -> usize {
         self.elems.len()
@@ -200,11 +194,6 @@ impl Fiber {
     /// The elements as a slice.
     pub fn elements(&self) -> &[Element] {
         &self.elems
-    }
-
-    /// Consumes the fiber, returning its elements.
-    pub fn into_elements(self) -> Vec<Element> {
-        self.elems
     }
 
     /// Binary-searches for `coord`, returning its payload if present.

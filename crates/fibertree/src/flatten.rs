@@ -6,6 +6,8 @@
 //! (§3.2.1): flatten first, then re-partition so every partition holds the
 //! same number of values.
 
+use std::sync::OnceLock;
+
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
@@ -157,6 +159,7 @@ impl CompressedTensor {
             rank_shapes: shapes,
             levels,
             values: self.values.clone(),
+            hash_memo: OnceLock::new(),
         })
     }
 }

@@ -1,6 +1,6 @@
 //! Streaming FNV-1a (64-bit) hashing with pinned constants: the one hash
-//! behind every content-addressed cache key (tensor content, statistics
-//! fingerprints, specification and report keys).
+//! behind every content-addressed cache key (tensor content,
+//! specification and report keys).
 
 /// Streaming FNV-1a (64-bit) hasher with the standard pinned constants.
 ///

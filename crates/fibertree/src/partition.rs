@@ -8,6 +8,8 @@
 //! same number of elements, using a leader tensor's boundaries so that
 //! co-iterated followers stay aligned.
 
+use std::sync::OnceLock;
+
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
@@ -339,6 +341,7 @@ impl CompressedTensor {
             rank_shapes: shapes,
             levels,
             values: self.values.clone(),
+            hash_memo: OnceLock::new(),
         })
     }
 

@@ -9,15 +9,18 @@
 //! work and traffic without touching values.
 //!
 //! Statistics are cheap relative to simulation but still O(nnz), so a
-//! [`StatsCache`] memoizes them per tensor fingerprint: compute once,
-//! share across the thousands of mapping candidates a search evaluates.
+//! [`StatsCache`] memoizes them by [`CompressedTensor::content_hash`]:
+//! compute once per distinct tensor content, share across the thousands
+//! of mapping candidates a search evaluates.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::convert::Infallible;
+use std::sync::Arc;
 
+use crate::cache::ByteLru;
+use crate::compressed::CompressedTensor;
 use crate::coord::Coord;
 use crate::fiber::{Fiber, Payload};
-use crate::hash::Fnv1a;
 use crate::view::{FiberView, PayloadView, TensorData};
 
 /// Summary statistics for one storage rank (one fibertree level).
@@ -98,9 +101,8 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes statistics for a tensor in one depth-first pass. An owned
-    /// tensor is summarized from its own tree, so memoizing an owned input
-    /// never pays a conversion to CSF.
+    /// Computes statistics for a tensor in one depth-first pass, over its
+    /// own tree for an owned tensor (uncached; see [`StatsCache`]).
     pub fn compute(data: &TensorData) -> TensorStats {
         match data {
             TensorData::Compressed(c) => c.statistics(),
@@ -269,7 +271,7 @@ fn walk_owned(fiber: &Fiber, level: usize, levels: &mut [LevelAcc]) {
     }
 }
 
-impl crate::compressed::CompressedTensor {
+impl CompressedTensor {
     /// Computes [`TensorStats`] for this tensor (one depth-first pass over
     /// the CSF arrays, no decompression). See also [`StatsCache`].
     pub fn statistics(&self) -> TensorStats {
@@ -287,62 +289,35 @@ impl crate::compressed::CompressedTensor {
     }
 }
 
-/// Memoizing store of [`TensorStats`], keyed by a cheap structural
-/// fingerprint of the tensor (name, rank ids, extents, nnz).
-///
-/// The fingerprint deliberately avoids hashing coordinates or values, so
-/// two *different* tensors that agree on name, rank layout, and nonzero
-/// count would collide and share one entry. Within a mapping search —
-/// where the same named inputs are re-estimated across thousands of
-/// candidate loop orders — that cannot happen, and lookups stay O(ranks).
-#[derive(Default)]
-pub struct StatsCache {
-    inner: Mutex<HashMap<u64, Arc<TensorStats>>>,
-}
+/// Memoizing store of [`TensorStats`], keyed by
+/// [`CompressedTensor::content_hash`]: two tensors share an entry only if
+/// they hold the same content.
+pub type StatsCache = ByteLru<TensorStats>;
 
-impl StatsCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        StatsCache::default()
-    }
-
+impl ByteLru<TensorStats> {
     /// Returns the cached statistics for `data`, computing and storing
-    /// them on first sight of its fingerprint.
+    /// them on first sight of its content. An owned tensor is compressed
+    /// first and keyed and summarized as CSF; one with no CSF form is
+    /// summarized from its tree without caching.
     pub fn get_or_compute(&self, data: &TensorData) -> Arc<TensorStats> {
-        let key = Self::fingerprint(data);
-        if let Some(hit) = self.inner.lock().unwrap().get(&key) {
-            return Arc::clone(hit);
-        }
-        let stats = Arc::new(TensorStats::compute(data));
-        self.inner
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(stats)
-            .clone()
-    }
-
-    /// Number of distinct tensors cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The structural fingerprint used as cache key: FNV-1a over the
-    /// tensor's name, rank ids, extents, and nonzero count.
-    pub fn fingerprint(data: &TensorData) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(data.name().as_bytes());
-        for (rid, shape) in data.rank_ids().iter().zip(data.rank_shapes()) {
-            h.write(rid.as_bytes());
-            h.write_u64(shape.extent());
-        }
-        h.write_u64(data.nnz() as u64);
-        h.finish()
+        let compressed;
+        let csf = match data {
+            TensorData::Compressed(c) => c,
+            TensorData::Owned(t) => match CompressedTensor::from_tensor(t) {
+                Ok(c) => {
+                    compressed = c;
+                    &compressed
+                }
+                Err(_) => return Arc::new(TensorStats::compute(data)),
+            },
+        };
+        let Ok(stats) = self.get_or_try_insert_with(csf.content_hash(), || {
+            let stats = csf.statistics();
+            // A rough size for the counters; this cache is never bounded.
+            let bytes = 64 * (1 + stats.ranks.len() as u64);
+            Ok::<_, Infallible>((stats, bytes))
+        });
+        stats
     }
 }
 
@@ -403,13 +378,39 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_by_fingerprint() {
+    fn cache_memoizes_by_content() {
         let cache = StatsCache::new();
         let data = sample();
         let a = cache.get_or_compute(&data);
         let b = cache.get_or_compute(&data);
         assert!(Arc::ptr_eq(&a, &b));
+        // The CSF twin of an owned tensor shares its entry.
+        let TensorData::Owned(t) = &data else {
+            unreachable!("the sample is owned")
+        };
+        let csf = TensorData::Compressed(CompressedTensor::from_tensor(t).unwrap());
+        assert!(Arc::ptr_eq(&a, &cache.get_or_compute(&csf)));
         assert_eq!(cache.len(), 1);
+        assert_eq!((cache.snapshot().hits, cache.snapshot().misses), (2, 1));
+    }
+
+    /// Same name, ranks, shape and nonzero count, different pattern: two
+    /// entries, each equal to a fresh computation.
+    #[test]
+    fn same_shape_different_pattern_gets_its_own_entry() {
+        let cache = StatsCache::new();
+        let other = TensorData::Owned(
+            TensorBuilder::new("A", &["K", "M"], &[8, 8])
+                .entries((0..6).map(|k| (vec![k, k], 1.0)))
+                .build()
+                .expect("valid entries"),
+        );
+        let first = cache.get_or_compute(&sample());
+        let second = cache.get_or_compute(&other);
+        assert_eq!(*first, TensorStats::compute(&sample()));
+        assert_eq!(*second, TensorStats::compute(&other));
+        assert_ne!(first, second);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl Tensor {
         &self.name
     }
 
-    /// Renames the tensor.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The labelled ranks, top-to-bottom.
     pub fn rank_ids(&self) -> &[String] {
         &self.rank_ids
@@ -173,11 +168,6 @@ impl Tensor {
     /// The root payload (a fiber for `N ≥ 1`, a value for scalars).
     pub fn root(&self) -> &Payload {
         &self.root
-    }
-
-    /// Mutable root payload.
-    pub fn root_mut(&mut self) -> &mut Payload {
-        &mut self.root
     }
 
     /// The root fiber, if this is not a scalar.

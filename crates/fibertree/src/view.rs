@@ -367,12 +367,17 @@ impl CompressedTensor {
     /// nonzero leaf (coordinates tagged, values by bit pattern).
     ///
     /// The hash depends on content only — two tensors holding the same
-    /// nonzero leaves hash equally however they were built — so it can
-    /// key shared caches (the `PreparedInputs` stage of the evaluation
-    /// pipeline). Costs two walks over the stored coordinates (one counts
-    /// the nonzero leaves, one hashes them), read in place without
-    /// building a path per leaf; hash once and reuse the key.
+    /// nonzero leaves hash equally however they were built — so it is
+    /// the one tensor key of every cache (transformed inputs, reports,
+    /// estimator statistics). The first call walks the stored
+    /// coordinates twice (one walk counts the nonzero leaves, one hashes
+    /// them) and memoizes the result; later calls, on this tensor or a
+    /// clone of it, are free.
     pub fn content_hash(&self) -> u64 {
+        *self.hash_memo.get_or_init(|| self.hash_content())
+    }
+
+    fn hash_content(&self) -> u64 {
         fn absorb_shape(h: &mut Fnv1a, shape: &Shape) {
             match shape {
                 Shape::Interval(n) => {
@@ -898,5 +903,21 @@ mod tests {
             base("T", 1, 2.0).content_hash(),
             base("T", 1, -2.0).content_hash()
         );
+    }
+
+    /// The memo stores what a fresh computation returns, and equality
+    /// does not look at it.
+    #[test]
+    fn memoized_content_hash_matches_a_fresh_equal_tensor() {
+        let (t, c) = fig1();
+        let warm = c.clone();
+        let memo = warm.content_hash();
+        assert_eq!(warm.hash_memo.get(), Some(&memo), "first call memoizes");
+        let fresh = CompressedTensor::from_tensor(&t).unwrap();
+        assert_eq!(fresh.hash_memo.get(), None);
+        assert_eq!(fresh, warm, "equality ignores whether the memo is set");
+        assert_eq!(fresh.content_hash(), memo);
+        assert_eq!(memo, content_hash_from_leaves(&t));
+        assert_eq!(warm.clone().hash_memo.get(), Some(&memo), "clones keep it");
     }
 }

@@ -642,14 +642,6 @@ impl Instruments {
     pub fn total_intersections(&self) -> u64 {
         self.intersect_by_rank.values().sum()
     }
-
-    /// Total DRAM traffic in bytes (fills of all inputs plus output
-    /// partials; the final output write is added by the model from the
-    /// format footprint).
-    pub fn input_fill_bytes(&self) -> u64 {
-        let bits: u64 = self.tensors.values().map(|c| c.fill_bits).sum();
-        bits.div_ceil(8)
-    }
 }
 
 /// Analytical (expected-value) counterpart of one [`TensorChannel`]: the

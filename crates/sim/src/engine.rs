@@ -596,9 +596,14 @@ impl<'p> Engine<'p> {
             let t = if needs_swizzle || !tp.steps.is_empty() {
                 let cached = self.transforms.as_ref().and_then(|cache| {
                     let key = self.transform_key(input, tp, needs_swizzle, boundaries)?;
-                    Some(cache.get_or_build(key, || {
-                        self.run_transform_chain(input, tp, needs_swizzle, boundaries)
-                    }))
+                    Some(
+                        cache.get_or_try_insert_with(key, || -> Result<_, SimError> {
+                            let view =
+                                self.run_transform_chain(input, tp, needs_swizzle, boundaries)?;
+                            let bytes = view.approx_bytes();
+                            Ok((view, bytes))
+                        }),
+                    )
                 });
                 match cached {
                     Some(view) => {

@@ -101,13 +101,19 @@ impl Candidate {
     }
 }
 
-/// Configuration for the two-phase [`explore_fast_with_context`] search.
+/// Configuration for both searches: the two-phase
+/// [`explore_fast_with_context`] and the exhaustive
+/// [`explore_loop_orders_with_context`], which reads only `objective`,
+/// `budget`, `threads` and `limits`.
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
     /// What to optimize (both phases rank by this).
     pub objective: Objective,
     /// Maximum number of candidates admitted to the estimated universe
-    /// (candidates that fail to lower are skipped, not charged).
+    /// (candidates that fail to lower are skipped, not charged). The
+    /// exhaustive search stops once this many candidates have been
+    /// engine-evaluated successfully (failed ones are not charged
+    /// either); the default, 720, covers six loop ranks.
     pub budget: usize,
     /// Maximum number of estimated candidates verified by the engine.
     /// The default (12) is sized for flat cost landscapes: when many
@@ -120,8 +126,9 @@ pub struct ExploreConfig {
     /// at most `top_k` of them). Raise it when the estimator is expected
     /// to be less faithful (heavy value cancellation, skewed data).
     pub margin: f64,
-    /// Worker threads for the engine-verification phase (the estimation
-    /// sweep is sequential — it is orders of magnitude cheaper).
+    /// Worker threads for engine runs: the verification phase, or every
+    /// candidate of the exhaustive search (the estimation sweep is
+    /// sequential — it is orders of magnitude cheaper).
     pub threads: usize,
     /// Search-wide resource budgets. One [`CancelToken`] is created for
     /// the whole search and shared by every candidate evaluation, so
@@ -159,18 +166,23 @@ pub struct ExploreOutcome {
 }
 
 /// Explores loop orders for `einsum` within `spec`, evaluating each
-/// candidate on `inputs` and returning candidates sorted by `objective`
-/// (best first).
+/// candidate on `inputs` and returning candidates sorted by
+/// [`ExploreConfig::objective`] (best first).
 ///
 /// All permutations of the Einsum's derived iteration ranks are tried,
-/// until `max_candidates` have been *successfully evaluated* (permutation
-/// count grows factorially; 720 covers six ranks exhaustively).
-/// Candidates whose loop order fails to lower — e.g. orders incompatible
-/// with the fixed partitioning — are skipped and do not consume the
-/// budget, so a small `max_candidates` still returns that many valid
-/// mappings when they exist later in permutation order.
+/// until [`ExploreConfig::budget`] have been *successfully evaluated*
+/// (permutation count grows factorially; 720 covers six ranks
+/// exhaustively). Candidates whose loop order fails to lower — e.g.
+/// orders incompatible with the fixed partitioning — are skipped and do
+/// not consume the budget, so a small budget still returns that many
+/// valid mappings when they exist later in permutation order.
 ///
-/// Candidate evaluation fans out across up to `threads` workers of the
+/// [`ExploreConfig::limits`] bound the whole search through one
+/// [`CancelToken`], as in [`explore_fast_with_context`]; a trip aborts
+/// with the structured error.
+///
+/// Candidate evaluation fans out across up to [`ExploreConfig::threads`]
+/// workers of the
 /// shared pool ([`crate::par`]), in rounds: each round evaluates exactly
 /// as many next candidates, in permutation order, as successes are still
 /// missing. The returned set — and its ranking — is identical to the
@@ -188,18 +200,16 @@ pub struct ExploreOutcome {
 ///
 /// Returns [`SimError`] if the base specification fails to lower or if
 /// every candidate fails.
-#[allow(clippy::too_many_arguments)]
 pub fn explore_loop_orders_with_context(
     spec: &TeaalSpec,
     einsum: &str,
     inputs: &[Tensor],
     ops: OpTable,
-    objective: Objective,
-    max_candidates: usize,
-    threads: usize,
+    config: &ExploreConfig,
     context: Option<&Arc<EvalContext>>,
 ) -> Result<Vec<Candidate>, SimError> {
     let orders = candidate_orders(spec, einsum)?;
+    let token = search_token(config);
     let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
     let search = Search {
@@ -214,14 +224,15 @@ pub fn explore_loop_orders_with_context(
     // budget (counting failures used to starve the budget and return
     // fewer valid mappings than exist). Spacetime entries may reference
     // ranks by name; they stay valid because the rank *set* is unchanged.
-    let mut results = search.verify_until(&orders, max_candidates, threads, None)?;
+    let mut results =
+        search.verify_until(&orders, config.budget, config.threads, token.as_ref())?;
     if results.is_empty() {
         return Err(SimError::Spec(teaal_core::SpecError::Validation {
             context: format!("einsum {einsum}"),
             message: "no loop-order candidate lowered and executed successfully".into(),
         }));
     }
-    sort_by_score(&mut results, objective);
+    sort_by_score(&mut results, config.objective);
     Ok(results)
 }
 
@@ -260,12 +271,7 @@ pub fn explore_fast_with_context(
     context: Option<&Arc<EvalContext>>,
 ) -> Result<ExploreOutcome, SimError> {
     let orders = candidate_orders(spec, einsum)?;
-    // One token for the whole search: the deadline anchors here and
-    // every candidate (estimation or engine) charges the same budget.
-    let token = config
-        .limits
-        .is_limited()
-        .then(|| CancelToken::new(&config.limits));
+    let token = search_token(config);
 
     // Phase 1: estimate every lowerable candidate from cached statistics.
     // Both phases borrow one compressed copy of the inputs.
@@ -341,6 +347,16 @@ pub fn explore_fast_with_context(
         engine_evals,
         estimator_evals,
     })
+}
+
+/// One token for a whole search, or `None` without limits: the deadline
+/// anchors here and every candidate (estimation or engine) charges the
+/// same budget.
+fn search_token(config: &ExploreConfig) -> Option<CancelToken> {
+    config
+        .limits
+        .is_limited()
+        .then(|| CancelToken::new(&config.limits))
 }
 
 /// The search inputs, compressed once: every candidate of a search borrows
@@ -512,6 +528,16 @@ mod tests {
         .unwrap()
     }
 
+    /// The exhaustive search's knobs.
+    fn exhaustive(objective: Objective, budget: usize, threads: usize) -> ExploreConfig {
+        ExploreConfig {
+            objective,
+            budget,
+            threads,
+            ..ExploreConfig::default()
+        }
+    }
+
     fn inputs() -> Vec<Tensor> {
         let a = TensorBuilder::new("A", &["K", "M"], &[8, 8])
             .entries((0..8).map(|i| (vec![i, (i * 3) % 8], 1.0 + i as f64)))
@@ -531,9 +557,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();
@@ -557,9 +581,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Traffic,
-            2,
-            1,
+            &exhaustive(Objective::Traffic, 2, 1),
             None,
         )
         .unwrap();
@@ -573,9 +595,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();
@@ -584,9 +604,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Traffic,
-            720,
-            1,
+            &exhaustive(Objective::Traffic, 720, 1),
             None,
         )
         .unwrap();
@@ -634,9 +652,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Time,
-            10,
-            1,
+            &exhaustive(Objective::Time, 10, 1),
             None,
         )
         .unwrap();
@@ -651,9 +667,7 @@ mod tests {
             "Z",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();
@@ -671,9 +685,7 @@ mod tests {
                 "Z",
                 &inputs(),
                 OpTable::arithmetic(),
-                Objective::Time,
-                budget,
-                1,
+                &exhaustive(Objective::Time, budget, 1),
                 None,
             )
             .unwrap();
@@ -683,9 +695,7 @@ mod tests {
                     "Z",
                     &inputs(),
                     OpTable::arithmetic(),
-                    Objective::Time,
-                    budget,
-                    threads,
+                    &exhaustive(Objective::Time, budget, threads),
                     None,
                 )
                 .unwrap();
@@ -707,9 +717,7 @@ mod tests {
             "Q",
             &inputs(),
             OpTable::arithmetic(),
-            Objective::Time,
-            10,
-            1,
+            &exhaustive(Objective::Time, 10, 1),
             None,
         );
         assert!(err.is_err());
@@ -726,9 +734,7 @@ mod tests {
             "Z",
             &ins,
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();
@@ -786,9 +792,7 @@ mod fast_tests {
             "Z",
             &ins,
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();

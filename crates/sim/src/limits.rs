@@ -81,13 +81,6 @@ impl EvalLimits {
         self
     }
 
-    /// Sets the resident cache-byte bound.
-    #[must_use]
-    pub fn with_max_resident_cache_bytes(mut self, bytes: u64) -> Self {
-        self.max_resident_cache_bytes = Some(bytes);
-        self
-    }
-
     /// Whether any budget is set (if not, the engine skips token
     /// plumbing entirely).
     pub fn is_limited(&self) -> bool {
@@ -226,11 +219,6 @@ impl CancelToken {
     /// [`SimError::Cancelled`] at its next poll.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether external cancellation was requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
     }
 
     /// Work charged against this token so far.

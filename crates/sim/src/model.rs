@@ -12,8 +12,7 @@
 //! hundreds of loop orders or a batch of requests builds many cheap
 //! `Simulator` values over one compilation. Attaching an
 //! [`EvalContext`] ([`Simulator::with_context`]) additionally routes
-//! input transforms through the shared
-//! [`TransformCache`](teaal_fibertree::TransformCache)
+//! input transforms through the context's transform cache
 //! and enables whole-report caching ([`Simulator::run_data_cached`]) —
 //! without changing any result bit.
 //!
@@ -150,7 +149,7 @@ impl Simulator {
     }
 
     /// Attaches shared pipeline caches: input transforms route through
-    /// the context's [`TransformCache`](teaal_fibertree::TransformCache)
+    /// the context's transform cache
     /// and [`Simulator::run_data_cached`] can reuse whole reports.
     /// Results are bit-identical with or without a context.
     pub fn with_context(mut self, context: Arc<EvalContext>) -> Self {
@@ -179,13 +178,6 @@ impl Simulator {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// The cancellation token attached by [`Simulator::with_limits`] /
-    /// [`Simulator::with_cancel`], if any — hold a clone to cancel or
-    /// inspect progress from another thread.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Replaces the operator table (e.g. [`OpTable::sssp`] for graph
@@ -321,10 +313,10 @@ impl Simulator {
     ///
     /// The cache key deliberately excludes the thread count — parallel
     /// execution is pinned bit-identical to sequential, so any `n` may
-    /// serve any other's report. Keying hashes every input's content
-    /// (one O(nnz) walk per input per call, after an owned input is
-    /// compressed), so this entry point is for request-level reuse
-    /// (`teaal batch`, services), not inner loops.
+    /// serve any other's report. Keying reads every input's memoized
+    /// content hash, so a compressed input held across calls (`teaal
+    /// batch`, `teaal serve`) is hashed once; an owned input is
+    /// compressed and hashed on every call.
     ///
     /// # Errors
     ///
@@ -335,12 +327,12 @@ impl Simulator {
         };
         let csf = csf_inputs(inputs)?;
         let csf: Vec<&CompressedTensor> = csf.iter().map(|c| &**c).collect();
-        let key = self.report_key(&csf);
-        if let Some(report) = ctx.cached_report(key) {
-            return Ok(report);
-        }
-        let report = self.run_impl(&csf)?;
-        Ok(ctx.store_report(key, Arc::new(report)))
+        ctx.reports
+            .get_or_try_insert_with(self.report_key(&csf), || {
+                let report = self.run_impl(&csf)?;
+                let outputs: u64 = report.outputs.values().map(TensorData::approx_bytes).sum();
+                Ok((report, outputs + 256))
+            })
     }
 
     /// Exactly [`Simulator::run_data`], whose outputs are already CSF.

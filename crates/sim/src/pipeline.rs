@@ -11,27 +11,30 @@
 //!     (tensor hash, transform chain)   (plan, ops, inputs)
 //! ```
 //!
-//! An [`EvalContext`] owns one cache per stage and is shared behind an
-//! [`Arc`] by every consumer — the CLI's `batch` subcommand, the mapper
-//! ([`explore_fast_with_context`](crate::explore::explore_fast_with_context)),
-//! and the graph driver. All caches are keyed by stable FNV-1a content
-//! hashes ([`teaal_core::canon`]), so artifacts are shared across
-//! requests, candidates, and threads without any identity bookkeeping,
-//! and every lookup feeds the process-wide
-//! [`telemetry`] registry (`--cache-stats`).
+//! An [`EvalContext`] owns one cache per stage, plus the analytical
+//! estimator's per-tensor statistics, and is shared behind an [`Arc`] by
+//! every consumer — the CLI's `batch` subcommand, `teaal serve`, the
+//! mapper ([`explore_fast_with_context`](crate::explore::explore_fast_with_context)),
+//! and the graph driver. Every cache is a [`ByteLru`] keyed by a stable
+//! FNV-1a content hash ([`teaal_core::canon`] for specs and plans,
+//! [`CompressedTensor::content_hash`](teaal_fibertree::CompressedTensor::content_hash),
+//! memoized per tensor, for inputs), so artifacts are shared across
+//! requests, candidates, and threads without any identity bookkeeping.
+//! Each cache counts its own hits, misses, bytes and evictions
+//! ([`ByteLru::snapshot`]); the four pipeline stages also feed the
+//! process-wide [`telemetry`] registry (`--cache-stats`).
 //!
 //! Caching never changes results: a warm-cache evaluation is bit-identical
 //! to a cold one (instruments, time/energy, outputs), pinned by the
 //! `pipeline_cache` integration suite.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use teaal_core::canon;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
 use teaal_fibertree::telemetry;
-use teaal_fibertree::{ByteLru, TensorData, TransformCache};
+use teaal_fibertree::{ByteLru, TransformCache};
 
 use crate::compile::CompiledPlan;
 use crate::error::SimError;
@@ -59,25 +62,26 @@ const REPORT_SHARE_PCT: u64 = 25;
 /// next miss, so eviction never changes results.
 pub struct EvalContext {
     /// `source_hash → ParsedSpec` (tiny; never bounded).
-    specs: Mutex<HashMap<u64, Arc<TeaalSpec>>>,
+    specs: ByteLru<TeaalSpec>,
     /// `spec_hash → LoweredPlan`.
     plans: ByteLru<CompiledPlan>,
     /// `(plan, ops, extents, energy, inputs) → SimReport`.
-    reports: ByteLru<SimReport>,
+    pub(crate) reports: ByteLru<SimReport>,
     /// `(tensor hash, transform chain) → PreparedInputs`.
     transforms: Arc<TransformCache>,
-    /// Memoized per-tensor statistics for the analytical estimator.
+    /// `tensor hash → TensorStats` for the analytical estimator (never
+    /// bounded).
     stats: Arc<StatsCache>,
 }
 
 impl Default for EvalContext {
     fn default() -> Self {
         EvalContext {
-            specs: Mutex::new(HashMap::new()),
-            plans: ByteLru::with_stats(telemetry::plan_cache_stats()),
-            reports: ByteLru::with_stats(telemetry::report_cache_stats()),
-            transforms: Arc::new(TransformCache::new()),
-            stats: Arc::new(StatsCache::default()),
+            specs: ByteLru::with_telemetry(telemetry::spec_cache_stats()),
+            plans: ByteLru::with_telemetry(telemetry::plan_cache_stats()),
+            reports: ByteLru::with_telemetry(telemetry::report_cache_stats()),
+            transforms: Arc::new(ByteLru::with_telemetry(telemetry::transform_cache_stats())),
+            stats: Arc::default(),
         }
     }
 }
@@ -85,10 +89,11 @@ impl Default for EvalContext {
 impl std::fmt::Debug for EvalContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalContext")
-            .field("specs", &self.specs.lock().map(|m| m.len()).unwrap_or(0))
+            .field("specs", &self.specs.len())
             .field("plans", &self.plans.len())
             .field("reports", &self.reports.len())
             .field("transforms", &self.transforms.len())
+            .field("stats", &self.stats.len())
             .finish()
     }
 }
@@ -126,7 +131,9 @@ impl EvalContext {
 
     /// Artifacts evicted across all bounded stages so far (monotonic).
     pub fn evictions(&self) -> u64 {
-        self.transforms.evictions() + self.reports.evictions() + self.plans.evictions()
+        self.transforms.snapshot().evictions
+            + self.reports.snapshot().evictions
+            + self.plans.snapshot().evictions
     }
 
     /// Parses specification source, cached by
@@ -136,20 +143,10 @@ impl EvalContext {
     ///
     /// Returns [`SimError::Spec`] when parsing fails (never cached).
     pub fn parse(&self, source: &str) -> Result<Arc<TeaalSpec>, SimError> {
-        let key = canon::source_hash(source);
-        if let Some(spec) = self.specs.lock().expect("spec cache poisoned").get(&key) {
-            telemetry::spec_cache_stats().hit();
-            return Ok(Arc::clone(spec));
-        }
-        let spec = Arc::new(TeaalSpec::parse(source)?);
-        telemetry::spec_cache_stats().miss(source.len() as u64);
-        Ok(self
-            .specs
-            .lock()
-            .expect("spec cache poisoned")
-            .entry(key)
-            .or_insert(spec)
-            .clone())
+        self.specs
+            .get_or_try_insert_with(canon::source_hash(source), || {
+                Ok((TeaalSpec::parse(source)?, source.len() as u64))
+            })
     }
 
     /// Compiles a specification, cached by [`canon::spec_hash`] — two
@@ -160,15 +157,12 @@ impl EvalContext {
     ///
     /// Returns [`SimError::Spec`] when lowering fails (never cached).
     pub fn compiled(&self, spec: &TeaalSpec) -> Result<Arc<CompiledPlan>, SimError> {
-        let key = canon::spec_hash(spec);
-        if let Some(plan) = self.plans.get(key) {
-            telemetry::plan_cache_stats().hit();
-            return Ok(plan);
-        }
-        let plan = Arc::new(CompiledPlan::compile(spec.clone())?);
-        let bytes = plan.approx_bytes();
-        telemetry::plan_cache_stats().miss(bytes);
-        Ok(self.plans.insert(key, plan, bytes))
+        self.plans
+            .get_or_try_insert_with(canon::spec_hash(spec), || {
+                let plan = CompiledPlan::compile(spec.clone())?;
+                let bytes = plan.approx_bytes();
+                Ok((plan, bytes))
+            })
     }
 
     /// A simulator over the (cached) compiled plan for `spec`, with this
@@ -195,25 +189,6 @@ impl EvalContext {
     /// Number of distinct compiled plans cached.
     pub fn compiled_len(&self) -> usize {
         self.plans.len()
-    }
-
-    pub(crate) fn cached_report(&self, key: u64) -> Option<Arc<SimReport>> {
-        let hit = self.reports.get(key);
-        if hit.is_some() {
-            telemetry::report_cache_stats().hit();
-        }
-        hit
-    }
-
-    pub(crate) fn store_report(&self, key: u64, report: Arc<SimReport>) -> Arc<SimReport> {
-        let bytes: u64 = report
-            .outputs
-            .values()
-            .map(TensorData::approx_bytes)
-            .sum::<u64>()
-            + 256;
-        telemetry::report_cache_stats().miss(bytes);
-        self.reports.insert(key, report, bytes)
     }
 }
 

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::Tensor;
 use teaal_sim::{
-    explore_fast_with_context, explore_loop_orders_with_context, ExploreConfig, Objective, OpTable,
+    explore_fast_with_context, explore_loop_orders_with_context, ExploreConfig, OpTable,
 };
 use teaal_workloads::genmat;
 
@@ -40,22 +40,13 @@ fn pruned_search_matches_exhaustive_top1_on_all_catalog_specs() {
     let ins = inputs(7);
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
-        let budget = budget_for(label);
-        let exhaustive = explore_loop_orders_with_context(
-            &spec,
-            "Z",
-            &ins,
-            OpTable::arithmetic(),
-            Objective::Time,
-            budget,
-            1,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{label}: exhaustive search failed: {e}"));
         let cfg = ExploreConfig {
-            budget,
+            budget: budget_for(label),
             ..ExploreConfig::default()
         };
+        let exhaustive =
+            explore_loop_orders_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None)
+                .unwrap_or_else(|e| panic!("{label}: exhaustive search failed: {e}"));
         let fast = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, None)
             .unwrap_or_else(|e| panic!("{label}: pruned search failed: {e}"));
 
@@ -102,9 +93,7 @@ fn pruned_search_holds_across_seeds_on_gamma() {
             "Z",
             &ins,
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();
@@ -162,9 +151,7 @@ proptest! {
             "Z",
             &ins,
             OpTable::arithmetic(),
-            Objective::Time,
-            720,
-            1,
+            &ExploreConfig::default(),
             None,
         )
         .unwrap();

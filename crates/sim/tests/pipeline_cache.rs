@@ -18,7 +18,8 @@ use proptest::prelude::*;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::{Tensor, TensorData};
 use teaal_sim::{
-    explore_fast_with_context, EvalContext, ExploreConfig, OpTable, SimReport, Simulator,
+    estimate_data, explore_fast_with_context, EvalContext, ExploreConfig, OpTable, SimReport,
+    Simulator,
 };
 use teaal_workloads::genmat;
 
@@ -34,7 +35,7 @@ fn inputs(seed: u64) -> Vec<Tensor> {
 /// instruments/traffic, the raw f64 bits of time and energy, and a
 /// content hash per output tensor (representation-independent, value
 /// bits included).
-fn fingerprint(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) {
+fn report_bits(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) {
     (
         format!("{report}"),
         report.seconds.to_bits(),
@@ -66,23 +67,23 @@ fn warm_cache_is_bit_identical_to_cold_on_all_catalog_specs() {
             let sim = ctx.simulator(&spec).unwrap().with_threads(threads);
             let cold = sim.run(&ins).unwrap();
             assert!(
-                ctx.transforms().misses() > 0,
+                ctx.transforms().snapshot().misses > 0,
                 "{label}: cold run must populate the transform cache"
             );
             let warm = sim.run(&ins).unwrap();
             assert!(
-                ctx.transforms().hits() > 0,
+                ctx.transforms().snapshot().hits > 0,
                 "{label}: warm run must hit the transform cache"
             );
 
-            let want = fingerprint(&baseline);
+            let want = report_bits(&baseline);
             assert_eq!(
-                fingerprint(&cold),
+                report_bits(&cold),
                 want,
                 "{label} (threads={threads}): cold cached run differs from uncached"
             );
             assert_eq!(
-                fingerprint(&warm),
+                report_bits(&warm),
                 want,
                 "{label} (threads={threads}): warm cached run differs from uncached"
             );
@@ -142,18 +143,18 @@ fn warm_explore_fast_on_gamma_performs_zero_redundant_transforms() {
     let ctx = EvalContext::new();
     let cold = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, Some(&ctx))
         .unwrap();
-    let cold_misses = ctx.transforms().misses();
+    let cold_misses = ctx.transforms().snapshot().misses;
     assert!(cold_misses > 0, "cold explore must populate the cache");
 
     let warm = explore_fast_with_context(&spec, "Z", &ins, OpTable::arithmetic(), &cfg, Some(&ctx))
         .unwrap();
     assert_eq!(
-        ctx.transforms().misses(),
+        ctx.transforms().snapshot().misses,
         cold_misses,
         "warm explore must perform zero redundant input transforms"
     );
     assert!(
-        ctx.transforms().hits() > 0,
+        ctx.transforms().snapshot().hits > 0,
         "warm explore must be served from the transform cache"
     );
 
@@ -175,6 +176,53 @@ fn warm_explore_fast_on_gamma_performs_zero_redundant_transforms() {
             assert_eq!(c.dram_bytes, p.dram_bytes, "{name}: traffic");
         }
     }
+}
+
+/// `A[K, M]` (48 × 48) and `B[K, N]` (48 × 40), 120 nonzeros each,
+/// spread over every `K` row or clustered in the first six.
+fn same_shaped_dataset(clustered: bool) -> Vec<TensorData> {
+    let tensor = |name: &str, rank: &str, cols: u64| {
+        let rows = if clustered { 6 } else { 48 };
+        let mut points = std::collections::BTreeSet::new();
+        let mut x = 1u64;
+        while points.len() < 120 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            points.insert(((x >> 33) % rows, (x >> 13) % cols));
+        }
+        let entries = points.into_iter().map(|(k, c)| (vec![k, c], 1.0)).collect();
+        TensorData::Owned(Tensor::from_entries(name, &["K", rank], &[48, cols], entries).unwrap())
+    };
+    vec![tensor("A", "M", 48), tensor("B", "N", 40)]
+}
+
+/// Two datasets that agree on tensor names, ranks, shapes and nonzero
+/// counts but not on their patterns: a shared context must give each its
+/// own statistics and estimates, exactly as a fresh context does.
+#[test]
+fn shared_context_keeps_same_shaped_datasets_apart() {
+    let spec = TeaalSpec::parse(teaal_fixtures::GAMMA_EM).unwrap();
+    let shared = EvalContext::new();
+    let mut estimates = Vec::new();
+    for clustered in [false, true] {
+        let data = same_shaped_dataset(clustered);
+        let refs: Vec<&TensorData> = data.iter().collect();
+        let fresh = EvalContext::new();
+        for t in &refs {
+            let want = fresh.stats().get_or_compute(t);
+            assert_eq!(shared.stats().get_or_compute(t), want, "{}", t.name());
+        }
+        let got = estimate_data(&shared.simulator(&spec).unwrap(), &refs, shared.stats()).unwrap();
+        let want = estimate_data(&fresh.simulator(&spec).unwrap(), &refs, fresh.stats()).unwrap();
+        assert_eq!(got.seconds.to_bits(), want.seconds.to_bits());
+        assert_eq!(got.dram_bytes(), want.dram_bytes());
+        estimates.push(want.seconds);
+    }
+    assert_ne!(
+        estimates[0], estimates[1],
+        "the patterns must estimate apart"
+    );
 }
 
 /// Simple un-partitioned SpMSpM for the property test (rank extents free,
@@ -224,9 +272,9 @@ proptest! {
             let sim = ctx.simulator(&spec).unwrap().with_threads(threads);
             let cold = sim.run(&ins).unwrap();
             let warm = sim.run(&ins).unwrap();
-            let want = fingerprint(&baseline);
-            prop_assert_eq!(&fingerprint(&cold), &want);
-            prop_assert_eq!(&fingerprint(&warm), &want);
+            let want = report_bits(&baseline);
+            prop_assert_eq!(&report_bits(&cold), &want);
+            prop_assert_eq!(&report_bits(&warm), &want);
         }
     }
 }

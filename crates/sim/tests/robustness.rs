@@ -74,7 +74,7 @@ fn inputs(seed: u64) -> Vec<Tensor> {
 }
 
 /// A bit-exact fingerprint of everything a report carries.
-fn fingerprint(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) {
+fn report_bits(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) {
     (
         format!("{report}"),
         report.seconds.to_bits(),
@@ -125,8 +125,8 @@ fn injected_shard_panic_degrades_to_sequential_bit_identically() {
         .run(&ins)
         .expect("a panicking shard worker must degrade, not fail the run");
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&baseline),
+        report_bits(&report),
+        report_bits(&baseline),
         "sequential retry after a shard panic must be bit-identical to \
          an uninjected sequential run"
     );
@@ -159,8 +159,8 @@ fn injected_shard_panic_only_hits_once_so_a_rerun_shards_cleanly() {
         .with_threads(4)
         .run(&ins)
         .unwrap();
-    assert_eq!(fingerprint(&first), fingerprint(&baseline));
-    assert_eq!(fingerprint(&second), fingerprint(&baseline));
+    assert_eq!(report_bits(&first), report_bits(&baseline));
+    assert_eq!(report_bits(&second), report_bits(&baseline));
 }
 
 #[test]
@@ -272,16 +272,16 @@ fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
     let unbounded = EvalContext::new();
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
-        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
-        let cold = fingerprint(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = report_bits(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let cold = report_bits(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
         assert_eq!(cold, want, "{label}: bounded cold run diverges");
     }
     // Second sweep: artifacts evicted by the first sweep are rebuilt
     // bit-identically on their next miss.
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
-        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
-        let warm = fingerprint(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = report_bits(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let warm = report_bits(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
         assert_eq!(warm, want, "{label}: run after evictions diverges");
     }
     assert!(
@@ -348,7 +348,7 @@ proptest! {
         let spec = TeaalSpec::parse(yaml).unwrap();
 
         let cold_ctx = EvalContext::new();
-        let want = fingerprint(&cold_ctx.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = report_bits(&cold_ctx.simulator(&spec).unwrap().run(&ins).unwrap());
 
         let ctx = EvalContext::with_capacity(48 * 1024);
         let limits = EvalLimits::default()
@@ -367,7 +367,7 @@ proptest! {
                 "{label}: unexpected error {e:?}"
             );
         }
-        let warm = fingerprint(&ctx.simulator(&spec).unwrap().run(&ins).unwrap());
+        let warm = report_bits(&ctx.simulator(&spec).unwrap().run(&ins).unwrap());
         prop_assert_eq!(warm, want, "{}: warm run after a cancelled/evicted run diverges", label);
     }
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example mapping_search`
 
 use teaal::prelude::*;
-use teaal::sim::{explore_loop_orders_with_context, Objective};
+use teaal::sim::{explore_loop_orders_with_context, ExploreConfig};
 use teaal::workloads::genmat;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Z",
         &[a, b],
         OpTable::arithmetic(),
-        Objective::Time,
-        720,
-        1,
+        &ExploreConfig::default(),
         None,
     )?;
 

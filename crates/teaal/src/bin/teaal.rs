@@ -82,7 +82,7 @@ use teaal::request::{
 };
 use teaal::sim::{
     explore_fast_with_context, explore_loop_orders_with_context, CancelToken, Candidate,
-    EvalContext, EvalLimits, Objective,
+    EvalContext, EvalLimits, ExploreConfig, Objective,
 };
 use teaal::workloads::{genmat, io as tio};
 
@@ -91,7 +91,7 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(code) => code,
         Err(msg) => {
-            eprintln!("error: {msg}");
+            fail(&msg);
             eprintln!();
             eprintln!(
                 "usage: teaal <check|run|output|explore|batch> <spec.yaml> [--tensor NAME=FILE]"
@@ -114,6 +114,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Reports an error that is not about the command line (a spec, input
+/// or evaluation failure): the message alone, no usage block, exit 1.
+fn fail(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
 }
 
 /// One request of a `teaal batch` file.
@@ -274,16 +281,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         if !errors.is_empty() {
-            return Err(errors.join("\n"));
+            return Ok(fail(&errors.join("\n")));
         }
         specs
     } else {
-        vec![ctx.parse(&source).map_err(|e| e.to_string())?]
+        match ctx.parse(&source) {
+            Ok(spec) => vec![spec],
+            Err(e) => return Ok(fail(&e.to_string())),
+        }
     };
 
     if command == "check" {
         let spec = &specs[0];
-        let plans = teaal::core::ir::lower(spec).map_err(|e| e.to_string())?;
+        let plans = match teaal::core::ir::lower(spec) {
+            Ok(plans) => plans,
+            Err(e) => return Ok(fail(&e.to_string())),
+        };
         println!(
             "spec OK: {} einsum(s), {} block(s) after fusion",
             plans.len(),
@@ -309,7 +322,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut limits = EvalLimits::default();
     let mut einsum: Option<String> = None;
     let mut fast = false;
-    let mut explore_cfg = teaal::sim::ExploreConfig::default();
+    let mut explore_cfg = ExploreConfig::default();
     let mut i = 3usize;
     while i < args.len() {
         match args[i].as_str() {
@@ -457,6 +470,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
+    if command == "explore" && !extents.is_empty() {
+        return Err("explore does not support --extent (extents come from inputs)".into());
+    }
 
     // Apply the cache-byte bound to the shared context now (it governs
     // residency, not control flow), and anchor one cancellation token for
@@ -470,76 +486,55 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let result = match command {
         "explore" => {
             explore_cfg.limits = limits.clone();
-            run_explore(
-                &ctx,
-                &specs[0],
-                &tensors,
-                &extents,
-                ops,
-                threads,
-                einsum,
-                fast,
-                explore_cfg,
-            )
-            .map(|()| ExitCode::SUCCESS)
+            explore_cfg.threads = threads;
+            run_explore(&ctx, &specs[0], &tensors, ops, einsum, fast, &explore_cfg)
+                .map(|()| ExitCode::SUCCESS)
         }
         "batch" => compress_dataset(std::mem::take(&mut tensors)).and_then(|data| {
             run_batch(
                 &ctx, &requests, &specs, &data, &extents, ops, threads, &token,
             )
         }),
-        _ => {
-            let mut sim = ctx
-                .simulator(&specs[0])
-                .map_err(|e| e.to_string())?
-                .with_ops(ops)
-                .with_threads(threads);
-            if let Some(t) = &token {
-                sim = sim.with_cancel(t.clone());
-            }
-            for (rank, n) in &extents {
-                sim = sim.with_rank_extent(rank, *n);
-            }
-            let report = sim.run(&tensors).map_err(|e| e.to_string());
-            match (command, report) {
-                ("run", Ok(report)) => {
+        // `run` or `output`.
+        _ => ctx
+            .simulator(&specs[0])
+            .map_err(|e| e.to_string())
+            .and_then(|sim| {
+                let mut sim = sim.with_ops(ops).with_threads(threads);
+                if let Some(t) = &token {
+                    sim = sim.with_cancel(t.clone());
+                }
+                for (rank, n) in &extents {
+                    sim = sim.with_rank_extent(rank, *n);
+                }
+                let report = sim.run(&tensors).map_err(|e| e.to_string())?;
+                if command == "run" {
                     println!("{report}");
-                    Ok(ExitCode::SUCCESS)
+                    return Ok(ExitCode::SUCCESS);
                 }
-                ("output", Ok(report)) => {
-                    for (name, tensor) in &report.outputs {
-                        println!("# --- {name} ---");
-                        tio::write_tensor_data(std::io::stdout().lock(), tensor)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    Ok(ExitCode::SUCCESS)
+                for (name, tensor) in &report.outputs {
+                    println!("# --- {name} ---");
+                    tio::write_tensor_data(std::io::stdout().lock(), tensor)
+                        .map_err(|e| e.to_string())?;
                 }
-                (_, Err(e)) => Err(e),
-                (other, _) => Err(format!("unknown command {other}")),
-            }
-        }
+                Ok(ExitCode::SUCCESS)
+            }),
     };
     if cache_stats {
         print_cache_stats();
     }
-    result
+    Ok(result.unwrap_or_else(|e| fail(&e)))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_explore(
     ctx: &Arc<EvalContext>,
     spec: &TeaalSpec,
     tensors: &[Tensor],
-    extents: &[(String, u64)],
     ops: OpTable,
-    threads: usize,
     einsum: Option<String>,
     fast: bool,
-    mut explore_cfg: teaal::sim::ExploreConfig,
+    explore_cfg: &ExploreConfig,
 ) -> Result<(), String> {
-    if !extents.is_empty() {
-        return Err("explore does not support --extent (extents come from inputs)".into());
-    }
     let target = match einsum {
         Some(name) => name,
         None => {
@@ -550,7 +545,6 @@ fn run_explore(
                 .ok_or("spec has no einsums")?
         }
     };
-    explore_cfg.threads = threads;
     let print_top = |cands: &[Candidate]| {
         for (idx, c) in cands.iter().take(8).enumerate() {
             println!(
@@ -572,7 +566,7 @@ fn run_explore(
         }
     };
     if fast {
-        let out = explore_fast_with_context(spec, &target, tensors, ops, &explore_cfg, Some(ctx))
+        let out = explore_fast_with_context(spec, &target, tensors, ops, explore_cfg, Some(ctx))
             .map_err(|e| e.to_string())?;
         println!(
             "einsum {target}: {} candidates estimated, {} engine-verified",
@@ -581,17 +575,9 @@ fn run_explore(
         print_top(&out.candidates);
         println!("best: [{}]", out.candidates[0].loop_order.join(", "));
     } else {
-        let results = explore_loop_orders_with_context(
-            spec,
-            &target,
-            tensors,
-            ops,
-            explore_cfg.objective,
-            explore_cfg.budget,
-            threads,
-            Some(ctx),
-        )
-        .map_err(|e| e.to_string())?;
+        let results =
+            explore_loop_orders_with_context(spec, &target, tensors, ops, explore_cfg, Some(ctx))
+                .map_err(|e| e.to_string())?;
         println!(
             "einsum {target}: {} candidates engine-evaluated",
             results.len()

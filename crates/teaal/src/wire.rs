@@ -357,16 +357,6 @@ pub fn read_frame<R: BufRead>(r: &mut R, max_frame: usize) -> Result<Option<Fram
     Ok(Some(Frame { kind, fields }))
 }
 
-/// Writes one frame and flushes.
-///
-/// # Errors
-///
-/// Any transport error from the underlying writer.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&frame.encode())?;
-    w.flush()
-}
-
 /// A connection stream, TCP or Unix: what `serve` accepts and `client`
 /// connects.
 pub(crate) enum Stream {

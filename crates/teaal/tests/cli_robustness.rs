@@ -217,3 +217,69 @@ fn tiny_cache_budget_evicts_while_batch_results_stay_identical() {
         "a zero-byte cache budget must report evictions: {stats}"
     );
 }
+
+#[test]
+fn evaluation_errors_print_no_usage_block() {
+    let spec = temp_file("deadline-no-usage", SPMSPM);
+    let out = teaal(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--random",
+        "A=32x32:200",
+        "--random",
+        "B=32x24:150",
+        "--deadline-ms",
+        "0",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr_of(&out).contains("deadline exceeded"));
+    assert!(
+        !stderr_of(&out).contains("usage:"),
+        "an evaluation error is not a usage error: {}",
+        stderr_of(&out)
+    );
+    // A malformed command line still gets the usage block.
+    let out = teaal(&["run", spec.to_str().unwrap(), "--no-such-flag"]);
+    let _ = std::fs::remove_file(&spec);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr_of(&out).contains("unknown option --no-such-flag"));
+    assert!(stderr_of(&out).contains("usage:"));
+}
+
+#[test]
+fn exhaustive_explore_honours_the_engine_step_budget() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../fixtures/specs/gamma_em.yaml"
+    );
+    let args = [
+        "explore",
+        spec,
+        "--random",
+        "A=60x50:700",
+        "--random",
+        "B=60x40:600",
+        "--seed",
+        "11",
+        "--max-engine-steps",
+        "10",
+    ];
+    for fast in [false, true] {
+        let mut args = args.to_vec();
+        if fast {
+            args.push("--fast");
+        }
+        let out = teaal(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "fast={fast}: {}",
+            stdout_of(&out)
+        );
+        assert!(
+            stderr_of(&out).contains("engine-step budget exceeded"),
+            "fast={fast}: {}",
+            stderr_of(&out)
+        );
+    }
+}
