@@ -12,17 +12,16 @@
 //! teaal client  <ping|health|eval> [spec]  # retrying client for the daemon
 //!                                          # (see `teaal::client`)
 //!
-//! options:
+//! options `teaal` and `teaal serve` share (one scanner,
+//! `teaal::args::SharedOptions`; they may come in any order, and
+//! `--seed` applies wherever it appears):
 //!   --tensor NAME=FILE     load an input tensor (see workloads::io format)
-//!   --random NAME=RxC:NNZ  generate a uniform random input
+//!   --random NAME=RxC:NNZ  generate a uniform random input (serve, which
+//!                          has no spec to take ranks from:
+//!                          NAME=R1,R2:RxC:NNZ)
+//!   --seed N               RNG seed for --random (default 0)
 //!   --extent RANK=N        declare a rank extent (affine/dense ranks)
 //!   --ops sssp|arithmetic  operator table (default arithmetic)
-//!   --seed N               RNG seed for --random (default 0)
-//!   --threads N            worker cap for parallel simulation (default:
-//!                          TEAAL_THREADS or 1); results are bit-identical
-//!                          for every N
-//!   --cache-stats          print pipeline cache statistics (hits, misses,
-//!                          approximate bytes, evictions) to stderr on exit
 //!   --deadline-ms N        wall-clock budget; a run past it returns a
 //!                          structured deadline error with partial telemetry
 //!   --max-engine-steps N   engine-step budget (loop-rank visits)
@@ -31,7 +30,14 @@
 //!                          artifacts are LRU-evicted and rebuilt
 //!                          bit-identically on the next miss
 //!
-//! explore options:
+//! run, output, explore and batch options:
+//!   --threads N            worker cap for parallel simulation (default:
+//!                          TEAAL_THREADS or 1); results are bit-identical
+//!                          for every N
+//!   --cache-stats          print pipeline cache statistics (hits, misses,
+//!                          approximate bytes, evictions) to stderr on exit
+//!
+//! explore-only options (the other subcommands reject them):
 //!   --einsum NAME          einsum to search (default: the last in the spec)
 //!   --fast                 two-phase search: analytical estimator prunes,
 //!                          engine verifies the survivors (same winner,
@@ -70,21 +76,38 @@
 //! header and the batch continues; any failure makes the process exit
 //! with code 2 (partial failure) after every request has run.
 
-use std::fs::File;
-use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use teaal::args::{loop_order, parse_ops, Argv, RandomRanks, SharedOptions};
 use teaal::fibertree::telemetry;
 use teaal::prelude::*;
 use teaal::request::{
-    compress_dataset, error_block, evaluate_request, parse_ops, EvalFailure, RequestOverrides,
+    compress_dataset, error_block, evaluate_request, EvalFailure, RequestOverrides,
 };
 use teaal::sim::{
     explore_fast_with_context, explore_loop_orders_with_context, CancelToken, Candidate,
-    EvalContext, EvalLimits, ExploreConfig, Objective,
+    EvalContext, ExploreConfig, Objective,
 };
-use teaal::workloads::{genmat, io as tio};
+use teaal::workloads::io as tio;
+
+const USAGE: &str = "\
+usage: teaal <check|run|output|explore|batch> <spec.yaml> [SHARED]
+             [--threads N] [--cache-stats]
+             explore: [--einsum NAME] [--fast] [--budget N] [--top-k N]
+             [--objective time|energy|traffic] [--margin F]
+       teaal serve  [--addr H:P|--unix PATH] [--workers N] [--queue N]
+             [--drain-ms N] [--io-timeout-ms N] [--max-frame-kb N] [SHARED]
+       teaal client <ping|health|eval> [spec.yaml] [--addr H:P|--unix PATH]
+             [--retries N] [--backoff-ms N] [--timeout-ms N] [--repeat N]
+             [--id ID] [--ops T] [--extent RANK=N] [--deadline-ms N]
+             [--max-engine-steps N] [--max-output-entries N]
+             [--loop-order EINSUM=R1,R2,…]
+SHARED: [--tensor NAME=FILE] [--random NAME=RxC:NNZ] [--seed N]
+        [--extent RANK=N] [--ops sssp|arithmetic] [--deadline-ms N]
+        [--max-engine-steps N] [--max-output-entries N] [--max-cache-mb N]
+        (serve: --random NAME=R1,R2:RxC:NNZ)
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
@@ -93,24 +116,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             fail(&msg);
             eprintln!();
-            eprintln!(
-                "usage: teaal <check|run|output|explore|batch> <spec.yaml> [--tensor NAME=FILE]"
-            );
-            eprintln!("             [--random NAME=RxC:NNZ] [--extent RANK=N]");
-            eprintln!("             [--ops sssp|arithmetic] [--seed N] [--threads N]");
-            eprintln!("             [--cache-stats] [--deadline-ms N] [--max-engine-steps N]");
-            eprintln!("             [--max-output-entries N] [--max-cache-mb N]");
-            eprintln!("             [--einsum NAME] [--fast] [--objective time|energy|traffic]");
-            eprintln!("             [--budget N] [--top-k N] [--margin F]");
-            eprintln!("       teaal serve  [--addr H:P|--unix PATH] [--workers N] [--queue N]");
-            eprintln!("             [--drain-ms N] [--io-timeout-ms N] [--tensor NAME=FILE]");
-            eprintln!("             [--random NAME=R1,R2:RxC:NNZ] [--extent RANK=N] [--ops T]");
-            eprintln!("             [--deadline-ms N] [--max-engine-steps N] [--max-cache-mb N]");
-            eprintln!(
-                "       teaal client <ping|health|eval> [spec.yaml] [--addr H:P|--unix PATH]"
-            );
-            eprintln!("             [--retries N] [--backoff-ms N] [--timeout-ms N] [--repeat N]");
-            eprintln!("             [--ops T] [--extent RANK=N] [--loop-order EINSUM=R1,R2,…]");
+            eprint!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -182,12 +188,7 @@ fn parse_requests(text: &str) -> Result<Vec<BatchRequest>, String> {
                 errors.push(err(format!("loop-order entry {key} needs '[R1, R2, …]'")));
                 continue;
             };
-            let ranks: Vec<String> = list
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            req.loop_order.push((key.to_string(), ranks));
+            req.loop_order.push(loop_order(key, list));
             continue;
         }
         in_loop_order = false;
@@ -309,168 +310,42 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // Collect options. With `batch`, --random rank orders resolve against
-    // the first request spec declaring the tensor.
-    let rank_order_of =
-        |name: &str| -> Option<Vec<String>> { specs.iter().find_map(|s| s.rank_order_of(name)) };
-    let mut tensors: Vec<Tensor> = Vec::new();
-    let mut extents: Vec<(String, u64)> = Vec::new();
-    let mut ops = OpTable::arithmetic();
-    let mut seed = 0u64;
+    let explore = command == "explore";
     let mut threads = teaal::sim::default_threads();
     let mut cache_stats = false;
-    let mut limits = EvalLimits::default();
     let mut einsum: Option<String> = None;
     let mut fast = false;
     let mut explore_cfg = ExploreConfig::default();
-    let mut i = 3usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tensor" => {
-                let kv = args.get(i + 1).ok_or("--tensor needs NAME=FILE")?;
-                let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
-                let f = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_tensor(BufReader::new(f), name).map_err(|e| e.to_string())?;
-                tensors.push(t);
-                i += 2;
-            }
-            "--random" => {
-                let kv = args.get(i + 1).ok_or("--random needs NAME=RxC:NNZ")?;
-                let (name, dims) = kv.split_once('=').ok_or("--random needs NAME=RxC:NNZ")?;
-                let (shape, nnz) = dims.split_once(':').ok_or("--random needs RxC:NNZ")?;
-                let (r, c) = shape.split_once('x').ok_or("--random needs RxC:NNZ")?;
-                let rank_ids = rank_order_of(name)
-                    .ok_or_else(|| format!("tensor {name} not declared in any spec"))?;
-                if rank_ids.len() != 2 {
-                    return Err("--random only generates 2-tensors".into());
+    // With `batch`, --random rank orders resolve against the first
+    // request spec declaring the tensor.
+    let opts = SharedOptions::scan(
+        &mut Argv::new(args, 3),
+        RandomRanks::Declared(&specs),
+        |flag, argv| {
+            match flag {
+                "--threads" => threads = argv.positive("a positive integer")?,
+                "--cache-stats" => cache_stats = true,
+                "--einsum" if explore => einsum = Some(argv.value("a name")?.to_string()),
+                "--fast" if explore => fast = true,
+                "--objective" if explore => {
+                    explore_cfg.objective = match argv.value("time|energy|traffic")? {
+                        "time" => Objective::Time,
+                        "energy" => Objective::Energy,
+                        "traffic" => Objective::Traffic,
+                        other => return Err(format!("unknown objective {other:?}")),
+                    };
                 }
-                let rows: u64 = r.parse().map_err(|_| "bad rows")?;
-                let cols: u64 = c.parse().map_err(|_| "bad cols")?;
-                // A zero dimension would make the generator sample from an
-                // empty coordinate range (a panic, not an error).
-                if rows == 0 || cols == 0 {
-                    return Err(format!(
-                        "--random {name}={rows}x{cols}: both dimensions must be at least 1"
-                    ));
+                "--budget" if explore => {
+                    explore_cfg.budget = argv.positive("a positive integer")?
                 }
-                let t = genmat::uniform(
-                    name,
-                    &[&rank_ids[0], &rank_ids[1]],
-                    rows,
-                    cols,
-                    nnz.parse().map_err(|_| "bad nnz")?,
-                    seed,
-                );
-                tensors.push(t);
-                i += 2;
+                "--top-k" if explore => explore_cfg.top_k = argv.positive("a positive integer")?,
+                "--margin" if explore => explore_cfg.margin = argv.positive("a number >= 1.0")?,
+                other => return Err(format!("unknown option {other}")),
             }
-            "--extent" => {
-                let kv = args.get(i + 1).ok_or("--extent needs RANK=N")?;
-                let (rank, n) = kv.split_once('=').ok_or("--extent needs RANK=N")?;
-                extents.push((rank.to_string(), n.parse().map_err(|_| "bad extent")?));
-                i += 2;
-            }
-            "--ops" => {
-                let name = args.get(i + 1).ok_or("--ops needs a table name")?;
-                ops = parse_ops(name)?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an integer")?;
-                i += 2;
-            }
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--threads needs a positive integer")?;
-                i += 2;
-            }
-            "--cache-stats" => {
-                cache_stats = true;
-                i += 1;
-            }
-            "--deadline-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--deadline-ms needs an integer (milliseconds)")?;
-                limits.deadline = Some(std::time::Duration::from_millis(ms));
-                i += 2;
-            }
-            "--max-engine-steps" => {
-                limits.max_engine_steps = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-engine-steps needs an integer")?,
-                );
-                i += 2;
-            }
-            "--max-output-entries" => {
-                limits.max_output_entries = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-output-entries needs an integer")?,
-                );
-                i += 2;
-            }
-            "--max-cache-mb" => {
-                let mb: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--max-cache-mb needs an integer (mebibytes)")?;
-                limits.max_resident_cache_bytes = Some(mb.saturating_mul(1024 * 1024));
-                i += 2;
-            }
-            "--einsum" => {
-                einsum = Some(args.get(i + 1).ok_or("--einsum needs a name")?.clone());
-                i += 2;
-            }
-            "--fast" => {
-                fast = true;
-                i += 1;
-            }
-            "--objective" => {
-                explore_cfg.objective = match args.get(i + 1).map(String::as_str) {
-                    Some("time") => Objective::Time,
-                    Some("energy") => Objective::Energy,
-                    Some("traffic") => Objective::Traffic,
-                    other => return Err(format!("unknown objective {other:?}")),
-                };
-                i += 2;
-            }
-            "--budget" => {
-                explore_cfg.budget = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--budget needs a positive integer")?;
-                i += 2;
-            }
-            "--top-k" => {
-                explore_cfg.top_k = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--top-k needs a positive integer")?;
-                i += 2;
-            }
-            "--margin" => {
-                explore_cfg.margin = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&f: &f64| f >= 1.0)
-                    .ok_or("--margin needs a number >= 1.0")?;
-                i += 2;
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if command == "explore" && !extents.is_empty() {
+            Ok(())
+        },
+    )?;
+    if explore && !opts.extents.is_empty() {
         return Err("explore does not support --extent (extents come from inputs)".into());
     }
 
@@ -478,36 +353,43 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // residency, not control flow), and anchor one cancellation token for
     // the whole invocation — batch requests and retries share a single
     // deadline and budget pool.
-    if let Some(bytes) = limits.max_resident_cache_bytes {
+    if let Some(bytes) = opts.limits.max_resident_cache_bytes {
         ctx.set_max_cache_bytes(bytes);
     }
-    let token = limits.is_limited().then(|| CancelToken::new(&limits));
+    let token = opts
+        .limits
+        .is_limited()
+        .then(|| CancelToken::new(&opts.limits));
 
     let result = match command {
         "explore" => {
-            explore_cfg.limits = limits.clone();
+            explore_cfg.limits = opts.limits.clone();
             explore_cfg.threads = threads;
-            run_explore(&ctx, &specs[0], &tensors, ops, einsum, fast, &explore_cfg)
-                .map(|()| ExitCode::SUCCESS)
-        }
-        "batch" => compress_dataset(std::mem::take(&mut tensors)).and_then(|data| {
-            run_batch(
-                &ctx, &requests, &specs, &data, &extents, ops, threads, &token,
+            run_explore(
+                &ctx,
+                &specs[0],
+                &opts.tensors,
+                opts.ops,
+                einsum,
+                fast,
+                &explore_cfg,
             )
-        }),
+            .map(|()| ExitCode::SUCCESS)
+        }
+        "batch" => run_batch(&ctx, &requests, &specs, opts, threads, &token),
         // `run` or `output`.
         _ => ctx
             .simulator(&specs[0])
             .map_err(|e| e.to_string())
             .and_then(|sim| {
-                let mut sim = sim.with_ops(ops).with_threads(threads);
+                let mut sim = sim.with_ops(opts.ops).with_threads(threads);
                 if let Some(t) = &token {
                     sim = sim.with_cancel(t.clone());
                 }
-                for (rank, n) in &extents {
+                for (rank, n) in &opts.extents {
                     sim = sim.with_rank_extent(rank, *n);
                 }
-                let report = sim.run(&tensors).map_err(|e| e.to_string())?;
+                let report = sim.run(&opts.tensors).map_err(|e| e.to_string())?;
                 if command == "run" {
                     println!("{report}");
                     return Ok(ExitCode::SUCCESS);
@@ -597,17 +479,15 @@ fn run_explore(
 /// the evaluation is wrapped in `teaal::request::catching`) renders an
 /// `error:` block under its header while the rest of the batch keeps
 /// going, and the process exits with code 2 once every request has run.
-#[allow(clippy::too_many_arguments)]
 fn run_batch(
     ctx: &Arc<EvalContext>,
     requests: &[BatchRequest],
     specs: &[Arc<TeaalSpec>],
-    data: &[TensorData],
-    extents: &[(String, u64)],
-    ops: OpTable,
+    opts: SharedOptions,
     threads: usize,
     token: &Option<CancelToken>,
 ) -> Result<ExitCode, String> {
+    let data = compress_dataset(opts.tensors)?;
     // Evaluation (including panic isolation and failure classification)
     // lives in `teaal::request`, shared verbatim with `teaal serve` — so
     // batch's error blocks and serve's wire error codes cannot drift.
@@ -622,8 +502,8 @@ fn run_batch(
             ctx,
             &specs[i],
             &overrides,
-            ops,
-            extents,
+            opts.ops,
+            &opts.extents,
             &refs,
             token.as_ref(),
         )

@@ -24,6 +24,12 @@ use std::time::{Duration, SystemTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use teaal_sim::EvalLimits;
+
+use crate::args::{
+    limit_key, parse_extent, parse_limit, parse_loop_order, parse_ops, Argv, EXTENT_SYNTAX,
+    LIMIT_SYNTAX, LOOP_ORDER_SYNTAX,
+};
 use crate::request::ErrorCode;
 use crate::wire::{self, Frame, FrameKind, Stream, WireError};
 
@@ -159,99 +165,60 @@ pub fn run_client(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("unknown client operation {op:?}"));
     }
     let mut cfg = ClientConfig::default();
-    let mut spec_path: Option<String> = None;
-    let mut eval_fields: Vec<(String, String)> = Vec::new();
-    let mut i = 3usize;
-    while i < args.len() {
-        let need = |what: &str| format!("{} needs {what}", args[i]);
-        let take = |i: usize| args.get(i + 1).cloned();
-        match args[i].as_str() {
-            "--addr" => {
-                cfg.addr = take(i).ok_or_else(|| need("HOST:PORT"))?;
-                i += 2;
-            }
-            "--unix" => {
-                cfg.unix_path = Some(PathBuf::from(take(i).ok_or_else(|| need("a socket path"))?));
-                i += 2;
-            }
-            "--retries" => {
-                cfg.retries = take(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| need("an integer"))?;
-                i += 2;
-            }
+    let mut spec_path: Option<&str> = None;
+    // Eval fields are checked with the parsers the daemon decodes them
+    // with, so a malformed one fails here, before connecting.
+    let mut eval_fields: Vec<(&str, &str)> = Vec::new();
+    let mut argv = Argv::new(args, 3);
+    while let Some(flag) = argv.next_flag() {
+        match flag {
+            "--addr" => cfg.addr = argv.value("HOST:PORT")?.to_string(),
+            "--unix" => cfg.unix_path = Some(PathBuf::from(argv.value("a socket path")?)),
+            "--retries" => cfg.retries = argv.parsed("an integer")?,
             "--backoff-ms" => {
-                let ms: u64 = take(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| need("a positive integer (milliseconds)"))?;
-                cfg.backoff = Duration::from_millis(ms);
-                i += 2;
+                cfg.backoff =
+                    Duration::from_millis(argv.positive("a positive integer (milliseconds)")?);
             }
             "--timeout-ms" => {
-                let ms: u64 = take(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| need("a positive integer (milliseconds)"))?;
-                cfg.timeout = Duration::from_millis(ms);
-                i += 2;
+                cfg.timeout =
+                    Duration::from_millis(argv.positive("a positive integer (milliseconds)")?);
             }
-            "--repeat" => {
-                cfg.repeat = take(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u32| n >= 1)
-                    .ok_or_else(|| need("a positive integer"))?;
-                i += 2;
-            }
-            "--id" => {
-                cfg.request_id = Some(take(i).ok_or_else(|| need("an identifier"))?);
-                i += 2;
-            }
+            "--repeat" => cfg.repeat = argv.positive("a positive integer")?,
+            "--id" => cfg.request_id = Some(argv.value("an identifier")?.to_string()),
             "--ops" => {
-                let name = take(i).ok_or_else(|| need("a table name"))?;
-                crate::request::parse_ops(&name)?; // validate client-side
-                eval_fields.push(("ops".to_string(), name));
-                i += 2;
-            }
-            "--deadline-ms" | "--max-engine-steps" | "--max-output-entries" => {
-                let key = args[i].trim_start_matches("--").replace('-', "_");
-                let v = take(i)
-                    .filter(|v| v.parse::<u64>().is_ok())
-                    .ok_or_else(|| need("an integer"))?;
-                eval_fields.push((key, v));
-                i += 2;
+                let name = argv.value("a table name")?;
+                parse_ops(name)?;
+                eval_fields.push(("ops", name));
             }
             "--extent" => {
-                let kv = take(i).ok_or_else(|| need("RANK=N"))?;
-                if !kv.contains('=') {
-                    return Err("--extent needs RANK=N".to_string());
-                }
-                eval_fields.push(("extent".to_string(), kv));
-                i += 2;
+                let entry = argv.field(EXTENT_SYNTAX, |e| parse_extent(e).map(|_| e))?;
+                eval_fields.push(("extent", entry));
             }
             "--loop-order" => {
-                let kv = take(i).ok_or_else(|| need("EINSUM=R1,R2,…"))?;
-                if !kv.contains('=') {
-                    return Err("--loop-order needs EINSUM=R1,R2,…".to_string());
-                }
-                eval_fields.push(("loop_order".to_string(), kv));
-                i += 2;
+                let entry = argv.field(LOOP_ORDER_SYNTAX, |e| parse_loop_order(e).map(|_| e))?;
+                eval_fields.push(("loop_order", entry));
             }
-            other if !other.starts_with('-') && op == "eval" && spec_path.is_none() => {
-                spec_path = Some(other.to_string());
-                i += 1;
+            path if !path.starts_with('-') && op == "eval" && spec_path.is_none() => {
+                spec_path = Some(path);
             }
-            other => return Err(format!("unknown client option {other}")),
+            other => {
+                let key =
+                    limit_key(other).ok_or_else(|| format!("unknown client option {other}"))?;
+                let value = argv.field(LIMIT_SYNTAX, |v| {
+                    parse_limit(&mut EvalLimits::default(), key, v).map(|()| v)
+                })?;
+                eval_fields.push((key, value));
+            }
         }
     }
 
     let mut request = Frame::new(FrameKind::Req).field("op", op);
     if op == "eval" {
         let path = spec_path.ok_or("client eval needs a spec path")?;
-        let source = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+        let source = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         request = request.field("spec", source);
-        for (key, value) in &eval_fields {
-            request = request.field(key, value.clone());
+        for (key, value) in eval_fields {
+            request = request.field(key, value);
         }
     } else if !eval_fields.is_empty() {
         return Err(format!("client {op} takes no eval options"));

@@ -55,6 +55,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod args;
 pub mod client;
 pub mod request;
 pub mod serve;

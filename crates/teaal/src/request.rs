@@ -154,21 +154,6 @@ pub fn code_for_sim_error(e: &SimError) -> ErrorCode {
     }
 }
 
-/// Resolves an operator-table name — the single name table shared by
-/// the `teaal batch` requests file, the `teaal run --ops` flag, the
-/// serve CLI, and wire `ops` fields.
-///
-/// # Errors
-///
-/// A message naming the unknown table.
-pub fn parse_ops(name: &str) -> Result<OpTable, String> {
-    match name {
-        "sssp" | "bfs" => Ok(OpTable::sssp()),
-        "arithmetic" => Ok(OpTable::arithmetic()),
-        other => Err(format!("unknown op table {other:?}")),
-    }
-}
-
 /// Renders the `# error:` block both `teaal batch` output and docs
 /// promise for a failed request. Exactly one line; the code rides in a
 /// bracketed suffix so scripts can grep either the prefix or the class.

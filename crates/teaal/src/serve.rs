@@ -58,12 +58,15 @@ use std::time::{Duration, Instant};
 
 use teaal_core::failpoint::{self, FailAction};
 use teaal_fibertree::telemetry;
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::TensorData;
 use teaal_sim::{CancelToken, EvalContext, EvalLimits, OpTable};
-use teaal_workloads::{genmat, io as tio};
 
+use crate::args::{
+    parse_extent, parse_limit, parse_loop_order, parse_ops, Argv, RandomRanks, SharedOptions,
+    LIMIT_KEYS,
+};
 use crate::request::{
-    compress_dataset, evaluate_request, parse_ops, ErrorCode, EvalFailure, RequestOverrides,
+    compress_dataset, evaluate_request, ErrorCode, EvalFailure, RequestOverrides,
 };
 use crate::wire::{self, Frame, FrameKind, Stream, WireError};
 
@@ -93,16 +96,11 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Maximum wire-frame body size accepted or sent.
     pub max_frame_bytes: usize,
-    /// Server-side caps every request's limits are clamped by.
-    pub limit_caps: EvalLimits,
-    /// Default operator table (requests may override with `ops`).
-    pub ops: OpTable,
-    /// The shared dataset every request evaluates against.
-    pub tensors: Vec<Tensor>,
-    /// Default rank extents.
-    pub extents: Vec<(String, u64)>,
-    /// Bound on the shared pipeline caches (`--max-cache-mb`).
-    pub max_cache_bytes: Option<u64>,
+    /// The options `serve` shares with `teaal`: the dataset every
+    /// request evaluates against, the default operator table and
+    /// extents (requests may add to them), the caps every request's
+    /// limits are clamped by, and the pipeline-cache bound.
+    pub shared: SharedOptions,
 }
 
 impl Default for ServeConfig {
@@ -115,11 +113,7 @@ impl Default for ServeConfig {
             drain: Duration::from_millis(5000),
             io_timeout: Duration::from_millis(10_000),
             max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
-            limit_caps: EvalLimits::default(),
-            ops: OpTable::arithmetic(),
-            tensors: Vec::new(),
-            extents: Vec::new(),
-            max_cache_bytes: None,
+            shared: SharedOptions::default(),
         }
     }
 }
@@ -269,6 +263,23 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
+/// A wire field the shared grammar rejected: a `bad-request` naming it.
+fn bad_field(key: &str, predicate: &str) -> EvalFailure {
+    EvalFailure::new(ErrorCode::BadRequest, format!("field {key} {predicate}"))
+}
+
+/// Decodes every `key` field of `frame` with `parse`.
+fn decode_all<T>(
+    frame: &Frame,
+    key: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, EvalFailure> {
+    frame
+        .all(key)
+        .map(|v| parse(v).map_err(|e| bad_field(key, &e)))
+        .collect()
+}
+
 impl Daemon {
     fn err_frame(id: &str, code: ErrorCode, message: &str) -> Frame {
         Frame::new(FrameKind::Err)
@@ -325,26 +336,14 @@ impl Daemon {
         f
     }
 
-    /// Parses the request-level limit overrides and clamps them by the
+    /// Decodes the request-level limit overrides and clamps them by the
     /// server caps.
     fn request_limits(&self, frame: &Frame) -> Result<EvalLimits, EvalFailure> {
-        let bad = |field: &str, v: &str| {
-            EvalFailure::new(
-                ErrorCode::BadRequest,
-                format!("field {field} needs an unsigned integer, got {v:?}"),
-            )
-        };
         let mut limits = EvalLimits::default();
-        if let Some(v) = frame.get("deadline_ms") {
-            limits.deadline = Some(Duration::from_millis(
-                v.parse().map_err(|_| bad("deadline_ms", v))?,
-            ));
-        }
-        if let Some(v) = frame.get("max_engine_steps") {
-            limits.max_engine_steps = Some(v.parse().map_err(|_| bad("max_engine_steps", v))?);
-        }
-        if let Some(v) = frame.get("max_output_entries") {
-            limits.max_output_entries = Some(v.parse().map_err(|_| bad("max_output_entries", v))?);
+        for key in LIMIT_KEYS {
+            if let Some(v) = frame.get(key) {
+                parse_limit(&mut limits, key, v).map_err(|e| bad_field(key, &e))?;
+            }
         }
         Ok(limits.clamped_by(&self.limit_caps))
     }
@@ -385,38 +384,9 @@ impl Daemon {
                 overrides.ops =
                     Some(parse_ops(name).map_err(|m| EvalFailure::new(ErrorCode::BadRequest, m))?);
             }
-            for entry in job.frame.all("loop_order") {
-                let (einsum, ranks) = entry.split_once('=').ok_or_else(|| {
-                    EvalFailure::new(
-                        ErrorCode::BadRequest,
-                        format!("field loop_order needs `EINSUM=R1,R2,…`, got {entry:?}"),
-                    )
-                })?;
-                let ranks: Vec<String> = ranks
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                overrides
-                    .loop_order
-                    .push((einsum.trim().to_string(), ranks));
-            }
+            overrides.loop_order = decode_all(&job.frame, "loop_order", parse_loop_order)?;
             let mut extents = self.extents.clone();
-            for entry in job.frame.all("extent") {
-                let (rank, n) = entry.split_once('=').ok_or_else(|| {
-                    EvalFailure::new(
-                        ErrorCode::BadRequest,
-                        format!("field extent needs `RANK=N`, got {entry:?}"),
-                    )
-                })?;
-                let n: u64 = n.parse().map_err(|_| {
-                    EvalFailure::new(
-                        ErrorCode::BadRequest,
-                        format!("field extent needs `RANK=N`, got {entry:?}"),
-                    )
-                })?;
-                extents.push((rank.trim().to_string(), n));
-            }
+            extents.extend(decode_all(&job.frame, "extent", parse_extent)?);
             let refs: Vec<&TensorData> = self.data.iter().collect();
             evaluate_request(
                 &self.ctx,
@@ -671,10 +641,16 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
         .map_err(|e| format!("listener nonblocking mode: {e}"))?;
 
     let ctx = EvalContext::new();
-    if let Some(bytes) = cfg.max_cache_bytes {
+    let SharedOptions {
+        tensors,
+        extents,
+        ops,
+        limits,
+    } = cfg.shared;
+    if let Some(bytes) = limits.max_resident_cache_bytes {
         ctx.set_max_cache_bytes(bytes);
     }
-    let data = compress_dataset(cfg.tensors)?;
+    let data = compress_dataset(tensors)?;
     let daemon = Arc::new(Daemon {
         ctx,
         data,
@@ -687,9 +663,9 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
         workers: cfg.workers.max(1),
         io_timeout: cfg.io_timeout,
         max_frame_bytes: cfg.max_frame_bytes,
-        limit_caps: cfg.limit_caps.clone(),
-        ops: cfg.ops,
-        extents: cfg.extents.clone(),
+        limit_caps: limits,
+        ops,
+        extents,
         start: Instant::now(),
         draining: AtomicBool::new(false),
         seq: AtomicU64::new(0),
@@ -801,169 +777,40 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
 }
 
 /// Parses `teaal serve` command-line arguments (everything after the
-/// subcommand) and runs the daemon.
+/// subcommand) and runs the daemon. The dataset, operator table,
+/// extents, limit caps and cache bound come from the options `teaal`
+/// shares ([`SharedOptions`]), with `--random NAME=R1,R2:RxC:NNZ`.
 ///
 /// # Errors
 ///
 /// A usage message for unknown or malformed options.
 pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = ServeConfig::default();
-    let mut seed = 0u64;
-    // `--random` needs rank names before generation, and generation
-    // needs the seed; collect first, generate after the scan.
-    let mut randoms: Vec<(String, Vec<String>, u64, u64, usize)> = Vec::new();
-    let mut i = 2usize;
-    while i < args.len() {
-        let need = |what: &str| format!("{} needs {what}", args[i]);
-        match args[i].as_str() {
-            "--addr" => {
-                cfg.addr = args.get(i + 1).ok_or_else(|| need("HOST:PORT"))?.clone();
-                i += 2;
+    cfg.shared = SharedOptions::scan(
+        &mut Argv::new(args, 2),
+        RandomRanks::Inline,
+        |flag, argv| {
+            match flag {
+                "--addr" => cfg.addr = argv.value("HOST:PORT")?.to_string(),
+                "--unix" => cfg.unix_path = Some(PathBuf::from(argv.value("a socket path")?)),
+                "--workers" => cfg.workers = argv.positive("a positive integer")?,
+                "--queue" => cfg.queue_depth = argv.positive("a positive integer")?,
+                "--drain-ms" => {
+                    cfg.drain = Duration::from_millis(argv.parsed("an integer (milliseconds)")?);
+                }
+                "--io-timeout-ms" => {
+                    cfg.io_timeout =
+                        Duration::from_millis(argv.positive("a positive integer (milliseconds)")?);
+                }
+                "--max-frame-kb" => {
+                    cfg.max_frame_bytes = argv
+                        .positive::<usize>("a positive integer (KiB)")?
+                        .saturating_mul(1024);
+                }
+                other => return Err(format!("unknown serve option {other}")),
             }
-            "--unix" => {
-                cfg.unix_path = Some(PathBuf::from(
-                    args.get(i + 1).ok_or_else(|| need("a socket path"))?,
-                ));
-                i += 2;
-            }
-            "--workers" => {
-                cfg.workers = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| need("a positive integer"))?;
-                i += 2;
-            }
-            "--queue" => {
-                cfg.queue_depth = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| need("a positive integer"))?;
-                i += 2;
-            }
-            "--drain-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| need("an integer (milliseconds)"))?;
-                cfg.drain = Duration::from_millis(ms);
-                i += 2;
-            }
-            "--io-timeout-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| need("a positive integer (milliseconds)"))?;
-                cfg.io_timeout = Duration::from_millis(ms);
-                i += 2;
-            }
-            "--max-frame-kb" => {
-                let kb: usize = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| need("a positive integer (KiB)"))?;
-                cfg.max_frame_bytes = kb.saturating_mul(1024);
-                i += 2;
-            }
-            "--ops" => {
-                cfg.ops = parse_ops(args.get(i + 1).ok_or_else(|| need("a table name"))?)?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| need("an integer"))?;
-                i += 2;
-            }
-            "--tensor" => {
-                let kv = args.get(i + 1).ok_or_else(|| need("NAME=FILE"))?;
-                let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
-                let f = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_tensor(BufReader::new(f), name).map_err(|e| e.to_string())?;
-                cfg.tensors.push(t);
-                i += 2;
-            }
-            "--random" => {
-                // No spec is loaded at startup, so rank names are part
-                // of the syntax: NAME=R1,R2:RxC:NNZ.
-                let kv = args.get(i + 1).ok_or_else(|| need("NAME=R1,R2:RxC:NNZ"))?;
-                let parsed = (|| {
-                    let (name, rest) = kv.split_once('=')?;
-                    let (ranks, rest) = rest.split_once(':')?;
-                    let (shape, nnz) = rest.split_once(':')?;
-                    let (r, c) = shape.split_once('x')?;
-                    let ranks: Vec<String> =
-                        ranks.split(',').map(|s| s.trim().to_string()).collect();
-                    if ranks.len() != 2 {
-                        return None;
-                    }
-                    let rows: u64 = r.parse().ok()?;
-                    let cols: u64 = c.parse().ok()?;
-                    if rows == 0 || cols == 0 {
-                        return None;
-                    }
-                    let nnz: usize = nnz.parse().ok()?;
-                    Some((name.to_string(), ranks, rows, cols, nnz))
-                })()
-                .ok_or("--random needs NAME=R1,R2:RxC:NNZ with two ranks and nonzero dimensions")?;
-                randoms.push(parsed);
-                i += 2;
-            }
-            "--extent" => {
-                let kv = args.get(i + 1).ok_or_else(|| need("RANK=N"))?;
-                let (rank, n) = kv.split_once('=').ok_or("--extent needs RANK=N")?;
-                cfg.extents
-                    .push((rank.to_string(), n.parse().map_err(|_| "bad extent")?));
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| need("an integer (milliseconds)"))?;
-                cfg.limit_caps.deadline = Some(Duration::from_millis(ms));
-                i += 2;
-            }
-            "--max-engine-steps" => {
-                cfg.limit_caps.max_engine_steps = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| need("an integer"))?,
-                );
-                i += 2;
-            }
-            "--max-output-entries" => {
-                cfg.limit_caps.max_output_entries = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| need("an integer"))?,
-                );
-                i += 2;
-            }
-            "--max-cache-mb" => {
-                let mb: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| need("an integer (mebibytes)"))?;
-                cfg.max_cache_bytes = Some(mb.saturating_mul(1024 * 1024));
-                i += 2;
-            }
-            other => return Err(format!("unknown serve option {other}")),
-        }
-    }
-    for (name, ranks, rows, cols, nnz) in randoms {
-        cfg.tensors.push(genmat::uniform(
-            &name,
-            &[ranks[0].as_str(), ranks[1].as_str()],
-            rows,
-            cols,
-            nnz,
-            seed,
-        ));
-    }
+            Ok(())
+        },
+    )?;
     serve(cfg)
 }

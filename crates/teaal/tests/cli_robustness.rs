@@ -283,3 +283,111 @@ fn exhaustive_explore_honours_the_engine_step_budget() {
         );
     }
 }
+
+#[test]
+fn seed_applies_wherever_it_appears() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../fixtures/specs/gamma_em.yaml"
+    );
+    let randoms = ["--random", "A=60x50:700", "--random", "B=60x40:600"];
+    let output = |before: &[&str], after: &[&str]| {
+        let args: Vec<&str> = ["output", spec]
+            .iter()
+            .chain(before)
+            .chain(&randoms)
+            .chain(after)
+            .copied()
+            .collect();
+        let out = teaal(&args);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        stdout_of(&out)
+    };
+    let seed_first = output(&["--seed", "11"], &[]);
+    assert_eq!(seed_first, output(&[], &["--seed", "11"]));
+    assert_ne!(
+        seed_first,
+        output(&[], &[]),
+        "seed 11 must change the inputs"
+    );
+}
+
+#[test]
+fn explore_only_flags_are_unknown_to_other_subcommands() {
+    let spec = temp_file("explore-only", SPMSPM);
+    let requests = temp_file(
+        "explore-only-requests",
+        &format!("- spec: {}\n", spec.display()),
+    );
+    let flags: [&[&str]; 6] = [
+        &["--einsum", "Z"],
+        &["--fast"],
+        &["--objective", "energy"],
+        &["--budget", "4"],
+        &["--top-k", "2"],
+        &["--margin", "2.0"],
+    ];
+    for (command, path) in [("run", &spec), ("output", &spec), ("batch", &requests)] {
+        for flag in flags {
+            let mut args = vec![command, path.to_str().unwrap(), "--random", "A=8x8:10"];
+            args.extend(flag);
+            let out = teaal(&args);
+            assert_eq!(out.status.code(), Some(1), "{command} {flag:?}");
+            let err = stderr_of(&out);
+            assert!(
+                err.contains(&format!("unknown option {}", flag[0])) && err.contains("usage:"),
+                "{command} {flag:?}: {err}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&spec);
+    let _ = std::fs::remove_file(&requests);
+}
+
+#[test]
+fn client_rejects_malformed_eval_fields_before_connecting() {
+    // A listener nobody serves: a client that connected would leave a
+    // pending connection in its backlog.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let spec = temp_file("client-fields", SPMSPM);
+    for (flag, value, message) in [
+        ("--extent", "K=x", "--extent needs `RANK=N`, got \"K=x\""),
+        (
+            "--loop-order",
+            "Z",
+            "--loop-order needs `EINSUM=R1,R2,…`, got \"Z\"",
+        ),
+        (
+            "--deadline-ms",
+            "-5",
+            "--deadline-ms needs an unsigned integer, got \"-5\"",
+        ),
+    ] {
+        let out = teaal(&[
+            "client",
+            "eval",
+            spec.to_str().unwrap(),
+            "--addr",
+            &addr,
+            "--retries",
+            "0",
+            "--timeout-ms",
+            "300",
+            flag,
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        assert!(
+            stderr_of(&out).contains(message),
+            "{flag} {value}: {}",
+            stderr_of(&out)
+        );
+        assert!(
+            listener.accept().is_err(),
+            "{flag} {value}: the client connected before validating"
+        );
+    }
+    let _ = std::fs::remove_file(&spec);
+}
