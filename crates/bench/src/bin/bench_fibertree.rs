@@ -1,10 +1,9 @@
 //! Fibertree storage-layer microbenchmark, recorded to
 //! `BENCH_fibertree.json`.
 //!
-//! Six cases. The four cursor cases time the compressed (CSF) cursors
-//! and the intersection unit (`IntersectStream`) every evaluation runs;
-//! the two transform cases time both representations of identical
-//! content, since `Tensor` keeps its own transforms as the test oracle:
+//! Six cases, each timing the compressed (CSF) code every evaluation
+//! runs: the cursors, the intersection unit (`IntersectStream`) and the
+//! content-preserving transforms:
 //!
 //! 1. `leaf_stream` — DFS over every leaf of a large sparse matrix (the
 //!    full-tensor iteration every simulation performs per operand),
@@ -14,11 +13,11 @@
 //! 3. `rowwise_cointeration` — Gustavson-style traversal: intersect the
 //!    row ranks of two matrices, then co-iterate the matching row pairs,
 //! 4. `transform_swizzle_partition` — a Gamma-style transform pipeline
-//!    (transpose, then occupancy-partition both ranks): owned tree
-//!    rebuilds vs compressed-native key re-sort + segment-array splits,
+//!    (transpose, then occupancy-partition both ranks): a key re-sort
+//!    and two segment-array splits,
 //! 5. `transform_flatten_occupancy` — the Fig. 2 / SIGMA pipeline
-//!    (flatten two ranks, occupancy-partition the fused rank): owned
-//!    tuple-coordinate rebuild vs compressed segment fusion,
+//!    (flatten two ranks, occupancy-partition the fused rank): a
+//!    segment fusion and a split of the pair-coordinate rank,
 //! 6. `intersect_vectors_skewed` — leader-follower co-iteration of a
 //!    tiny vector leading against a huge one: each leader coordinate
 //!    probes the follower's run by binary search.
@@ -33,6 +32,7 @@
 //! context), pinning the wall-clock value of content-addressed plan and
 //! transformed-input caching.
 //!
+//! The JSON records the host's CPU count (`cpus`) at the top level.
 //! Pass `--quick` for a CI-sized run. Timings are the minimum of several
 //! repetitions of a full pass (wall clock; minima are the stablest point
 //! estimate available).
@@ -43,15 +43,13 @@ use std::time::Instant;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::iterate::{IntersectPolicy, IntersectStream};
 use teaal_fibertree::partition::SplitKind;
-use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, TensorData};
 use teaal_sim::Simulator;
 use teaal_workloads::genmat;
 
 struct CaseResult {
     case: &'static str,
     detail: String,
-    /// The owned tree's time, for the transform cases only.
-    owned_ns: Option<u128>,
     compressed_ns: u128,
 }
 
@@ -144,7 +142,6 @@ fn main() {
         results.push(CaseResult {
             case: "leaf_stream_large_matrix",
             detail: format!("{dim}x{dim}, {} nnz", m.nnz()),
-            owned_ns: None,
             compressed_ns,
         });
     }
@@ -160,7 +157,6 @@ fn main() {
         results.push(CaseResult {
             case: "intersect_vectors",
             detail: format!("2 x {vec_nnz} of {vec_dim}"),
-            owned_ns: None,
             compressed_ns,
         });
     }
@@ -177,39 +173,26 @@ fn main() {
         results.push(CaseResult {
             case: "rowwise_cointeration",
             detail: format!("{rows}x{rows}, 2 x {n} nnz"),
-            owned_ns: None,
             compressed_ns,
         });
     }
 
     // Case 4: transform pipeline — swizzle then occupancy-partition both
-    // ranks (Gamma's data orchestration), owned-tree rebuilds vs
-    // compressed-native segment-array operations.
+    // ranks (Gamma's data orchestration).
     {
-        let owned = genmat::uniform("A", &["M", "K"], dim, dim, nnz, 6);
         let comp = genmat::uniform_compressed("A", &["M", "K"], dim, dim, nnz, 6);
-        let owned_pipeline = |t: &Tensor| -> Tensor {
-            t.swizzle(&["K", "M"])
+        let compressed_ns = time_min(reps, || {
+            comp.swizzle(&["K", "M"])
                 .unwrap()
                 .partition_rank("K", SplitKind::UniformOccupancy(64), "K1", "K0")
                 .unwrap()
                 .partition_rank("M", SplitKind::UniformOccupancy(32), "M1", "M0")
                 .unwrap()
-        };
-        let comp_pipeline = |c: &CompressedTensor| -> CompressedTensor {
-            c.swizzle(&["K", "M"])
-                .unwrap()
-                .partition_rank("K", SplitKind::UniformOccupancy(64), "K1", "K0")
-                .unwrap()
-                .partition_rank("M", SplitKind::UniformOccupancy(32), "M1", "M0")
-                .unwrap()
-        };
-        let owned_ns = time_min(reps, || owned_pipeline(&owned).nnz());
-        let compressed_ns = time_min(reps, || comp_pipeline(&comp).nnz());
+                .nnz()
+        });
         results.push(CaseResult {
             case: "transform_swizzle_partition",
-            detail: format!("{dim}x{dim}, {} nnz", owned.nnz()),
-            owned_ns: Some(owned_ns),
+            detail: format!("{dim}x{dim}, {} nnz", comp.nnz()),
             compressed_ns,
         });
     }
@@ -217,16 +200,7 @@ fn main() {
     // Case 5: transform pipeline — flatten then occupancy-partition the
     // fused pair-coordinate rank (Fig. 2 / SIGMA load balancing).
     {
-        let owned = genmat::uniform("A", &["M", "K"], dim, dim, nnz, 7);
         let comp = genmat::uniform_compressed("A", &["M", "K"], dim, dim, nnz, 7);
-        let owned_ns = time_min(reps, || {
-            owned
-                .flatten_rank("M", "MK")
-                .unwrap()
-                .partition_rank("MK", SplitKind::UniformOccupancy(256), "MK1", "MK0")
-                .unwrap()
-                .nnz()
-        });
         let compressed_ns = time_min(reps, || {
             comp.flatten_rank("M", "MK")
                 .unwrap()
@@ -236,8 +210,7 @@ fn main() {
         });
         results.push(CaseResult {
             case: "transform_flatten_occupancy",
-            detail: format!("{dim}x{dim}, {} nnz", owned.nnz()),
-            owned_ns: Some(owned_ns),
+            detail: format!("{dim}x{dim}, {} nnz", comp.nnz()),
             compressed_ns,
         });
     }
@@ -255,27 +228,13 @@ fn main() {
         results.push(CaseResult {
             case: "intersect_vectors_skewed",
             detail: format!("{small_nnz} vs {vec_nnz} of {vec_dim}, leader-follower"),
-            owned_ns: None,
             compressed_ns,
         });
     }
 
-    println!(
-        "{:<28}{:>16}{:>16}{:>10}",
-        "case", "owned ns", "compressed ns", "speedup"
-    );
+    println!("{:<28}{:>16}", "case", "compressed ns");
     for r in &results {
-        let (owned, speedup) = match r.owned_ns {
-            Some(o) => (
-                o.to_string(),
-                format!("{:.2}x", o as f64 / r.compressed_ns as f64),
-            ),
-            None => ("-".into(), "-".into()),
-        };
-        println!(
-            "{:<28}{:>16}{:>16}{:>10}  ({})",
-            r.case, owned, r.compressed_ns, speedup, r.detail
-        );
+        println!("{:<28}{:>16}  ({})", r.case, r.compressed_ns, r.detail);
     }
 
     // Parallel-scaling group: full Simulator SpMSpM runs, 1 worker vs
@@ -520,20 +479,15 @@ fn main() {
 
     // Hand-rolled JSON (no serializer in the offline build).
     let mut json = String::from("{\n  \"bench\": \"fibertree\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n  \"cases\": [\n"));
+    json.push_str(&format!(
+        "  \"quick\": {quick},\n  \"cpus\": {host_threads},\n  \"cases\": [\n"
+    ));
     for (i, r) in results.iter().enumerate() {
-        let owned = r.owned_ns.map_or(String::new(), |o| {
-            format!(
-                ", \"owned_ns\": {o}, \"speedup\": {:.4}",
-                o as f64 / r.compressed_ns as f64
-            )
-        });
         json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"detail\": \"{}\", \"compressed_ns\": {}{}}}{}\n",
+            "    {{\"case\": \"{}\", \"detail\": \"{}\", \"compressed_ns\": {}}}{}\n",
             r.case,
             r.detail,
             r.compressed_ns,
-            owned,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

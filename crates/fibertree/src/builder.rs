@@ -325,7 +325,6 @@ pub(crate) fn raw_coord(words: &[u64]) -> Coord {
 mod tests {
     use super::*;
     use crate::compressed::CompressedTensor;
-    use crate::tensor::Tensor;
 
     fn shapes(ns: &[u64]) -> Vec<Shape> {
         ns.iter().map(|&n| Shape::Interval(n)).collect()
@@ -381,8 +380,7 @@ mod tests {
         b.push(&[Coord::pair(0, 2)], 3.0).unwrap();
         b.push(&[Coord::pair(2, 0)], 9.0).unwrap();
         let c = b.finish();
-        let owned = crate::tensor::fig1_matrix_a();
-        let flat = Tensor::from_entries("F", &["M", "K"], &[4, 3], vec![])
+        let flat = CompressedTensor::from_entries("F", &["M", "K"], &[4, 3], vec![])
             .unwrap()
             .flatten_rank("M", "MK")
             .unwrap();
@@ -393,7 +391,6 @@ mod tests {
             (vec![Coord::pair(2, 0)], 9.0),
             "pair coordinates come back out"
         );
-        drop(owned);
     }
 
     #[test]

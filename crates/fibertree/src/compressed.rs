@@ -767,26 +767,35 @@ mod tests {
 
     #[test]
     fn pair_coordinates_compress_after_one_flatten() {
-        let t = fig1_matrix_a().flatten_rank("M", "MK").unwrap();
+        let flat = CompressedTensor::from_tensor(&fig1_matrix_a())
+            .unwrap()
+            .flatten_rank("M", "MK")
+            .unwrap();
+        let t = flat.to_tensor();
         let c = CompressedTensor::from_tensor(&t).unwrap();
         assert_eq!(c.order(), 1);
         assert_eq!(c.levels[0].arity(), 2);
+        assert_eq!(c, flat);
         assert_eq!(c.to_tensor(), t);
         assert_eq!(c.leaves(), t.leaves());
     }
 
     #[test]
     fn deep_tuple_coordinates_compress() {
-        let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[2, 2, 2])
-            .entry(&[0, 1, 0], 1.0)
-            .entry(&[1, 0, 1], 2.0)
-            .build()
-            .unwrap()
-            .flatten_rank("A", "AB")
-            .unwrap()
-            .flatten_rank("AB", "ABC")
-            .unwrap();
+        let mut b = CompressedBuilder::new(
+            "T",
+            vec!["ABC".into()],
+            vec![Shape::Tuple(vec![Shape::Interval(2); 3])],
+        )
+        .unwrap();
+        let triple =
+            |a, b, c| Coord::Tuple(vec![Coord::Point(a), Coord::Point(b), Coord::Point(c)]);
+        b.push(&[triple(0, 1, 0)], 1.0).unwrap();
+        b.push(&[triple(1, 0, 1)], 2.0).unwrap();
+        let built = b.finish();
+        let t = built.to_tensor();
         let c = CompressedTensor::from_tensor(&t).unwrap();
+        assert_eq!(c, built);
         assert_eq!(c.levels[0].arity(), 3);
         assert_eq!(c.to_tensor(), t);
         assert_eq!(c.leaves(), t.leaves());

@@ -15,12 +15,6 @@
 //! Tensor content has two storage representations, with one cursor
 //! interface over the compressed one:
 //!
-//! - [`Tensor`] — the *owned* fibertree: every fiber is its own
-//!   allocation, payloads nest recursively. Supports in-place writes
-//!   ([`Tensor::set`], [`fiber::Fiber::get_or_insert_with`]) and
-//!   arbitrary-depth flattening into tuple coordinates. Use it to build
-//!   small tensors in place and as the oracle the compressed path is
-//!   tested against.
 //! - [`CompressedTensor`] — *compressed sparse fiber* (CSF) storage: two
 //!   flat arrays per rank (coordinates narrowed to `u32` when the rank
 //!   extent fits; one coordinate array per tuple component on flattened
@@ -30,16 +24,22 @@
 //!   ([`CompressedTensor::from_tensor`]). Iteration touches contiguous
 //!   memory and cloning is a flat copy, so multi-million-entry inputs
 //!   (graph adjacencies, SuiteSparse-scale matrices) co-iterate without
-//!   pointer-chasing. Everything that evaluates a tensor reads it in
-//!   this form.
+//!   pointer-chasing. Everything that evaluates or transforms a tensor
+//!   reads it in this form.
+//! - [`Tensor`] — the *owned* fibertree, the writable builder: every
+//!   fiber is its own allocation and payloads nest recursively, so it
+//!   supports in-place writes ([`Tensor::set`],
+//!   [`fiber::Fiber::get_or_insert_with`]). Use it to build small
+//!   tensors in place, then compress them.
 //!
-//! The content-preserving transforms run natively on both
-//! representations, bit-identically: [`CompressedTensor::swizzle`] is a
-//! key-permutation re-sort (no tree build),
-//! [`CompressedTensor::partition_rank`] a pure segment-array split, and
-//! [`CompressedTensor::flatten_rank`] a segment fusion producing
-//! tuple-coordinate levels of any depth. Every
-//! decompression ([`CompressedTensor::to_tensor`]) is counted by
+//! The content-preserving transforms are CSF-only:
+//! [`CompressedTensor::swizzle`] is a key-permutation re-sort (no tree
+//! build), [`CompressedTensor::partition_rank`] a pure segment-array
+//! split, and [`CompressedTensor::flatten_rank`] a segment fusion
+//! producing tuple-coordinate levels of any depth.
+//! `proptest_compressed_transforms` checks each against an independent
+//! coordinate-list oracle. Every decompression
+//! ([`CompressedTensor::to_tensor`]) is counted by
 //! [`telemetry::decompress_count`], so a pipeline that claims to be
 //! compressed-native can prove it.
 //!
@@ -49,26 +49,23 @@
 //! either representation: the simulator compresses an owned input once,
 //! at its API boundary, before any cursor reads it. Property tests pin
 //! the cursors and co-iteration streams against oracles built from the
-//! owned tree's elements, and `proptest_compressed_transforms` pins the
-//! transform primitives bit-identical to the owned oracle.
+//! owned tree's elements.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use teaal_fibertree::{CompressedTensor, IntersectPolicy, iterate};
+//! use teaal_fibertree::{partition::SplitKind, CompressedTensor, IntersectPolicy, iterate};
 //!
-//! // Build the sparse matrix from Fig. 1 of the paper.
-//! let a = teaal_fibertree::tensor::fig1_matrix_a();
+//! // Build the sparse matrix from Fig. 1 of the paper, then compress it.
+//! let a = CompressedTensor::from_tensor(&teaal_fibertree::tensor::fig1_matrix_a())?;
 //!
 //! // Content-preserving transforms compose:
-//! let flat = a.flatten_rank("M", "MK")?;                       // Fig. 2, step 1
-//! let parts = flat.partition_rank(
-//!     "MK", partition::SplitKind::UniformOccupancy(2), "MK1", "MK0")?; // Fig. 2, step 2
+//! let flat = a.flatten_rank("M", "MK")?;                                 // Fig. 2, step 1
+//! let parts = flat.partition_rank("MK", SplitKind::UniformOccupancy(2), "MK1", "MK0")?; // step 2
 //! assert_eq!(parts.nnz(), a.nnz());
 //!
-//! // Co-iteration with an explicit intersection-unit policy, over the
-//! // CSF form every evaluation reads:
-//! let at = CompressedTensor::from_tensor(&a.swizzle(&["K", "M"])?)?;
+//! // Co-iteration with an explicit intersection-unit policy:
+//! let at = a.swizzle(&["K", "M"])?;
 //! let b = CompressedTensor::from_tensor(&teaal_fibertree::tensor::fig1_vector_b())?;
 //! let mut stream = iterate::intersect_stream(
 //!     &[at.root_fiber_view().unwrap(), b.root_fiber_view().unwrap()],
@@ -77,7 +74,6 @@
 //! let matches: Vec<_> = stream.by_ref().collect();
 //! assert_eq!(matches.len(), 2); // k = 1, 2 present in both
 //! assert!(stream.stats().comparisons >= 2);
-//! # use teaal_fibertree::partition;
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```
 //!

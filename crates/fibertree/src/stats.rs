@@ -313,7 +313,7 @@ impl ByteLru<TensorStats> {
         };
         let Ok(stats) = self.get_or_try_insert_with(csf.content_hash(), || {
             let stats = csf.statistics();
-            // A rough size for the counters; this cache is never bounded.
+            // A rough size for the counters.
             let bytes = 64 * (1 + stats.ranks.len() as u64);
             Ok::<_, Infallible>((stats, bytes))
         });

@@ -4,14 +4,10 @@
 //! content (set of leaf values and their points) is unchanged, but the
 //! coordinate system — and therefore the traversal order — changes.
 
-use std::collections::BTreeMap;
-
 use crate::builder::CompressedBuilder;
 use crate::compressed::CompressedTensor;
-use crate::coord::{Coord, Shape};
+use crate::coord::Shape;
 use crate::error::FibertreeError;
-use crate::fiber::{Fiber, Payload};
-use crate::tensor::Tensor;
 
 /// Computes the permutation mapping new rank positions to old ones.
 ///
@@ -38,63 +34,9 @@ pub fn permutation_of(rank_ids: &[String], order: &[&str]) -> Result<Vec<usize>,
     Ok(perm)
 }
 
-impl Tensor {
-    /// Returns a tensor with the same content and the given rank order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FibertreeError::BadPermutation`] if `order` is not a
-    /// permutation of this tensor's rank ids.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use teaal_fibertree::tensor::fig1_matrix_a;
-    /// let a = fig1_matrix_a(); // [M, K]
-    /// let at = a.swizzle(&["K", "M"]).unwrap();
-    /// assert_eq!(at.get(&[2, 0]), a.get(&[0, 2]));
-    /// assert_eq!(at.nnz(), a.nnz());
-    /// ```
-    pub fn swizzle(&self, order: &[&str]) -> Result<Tensor, FibertreeError> {
-        let perm = self.permutation_for(order)?;
-        if perm.iter().enumerate().all(|(i, &p)| i == p) {
-            return Ok(self.clone());
-        }
-        let shapes: Vec<Shape> = perm
-            .iter()
-            .map(|&p| self.rank_shapes()[p].clone())
-            .collect();
-        let entries: Vec<(Vec<Coord>, f64)> = self
-            .leaves()
-            .into_iter()
-            .map(|(path, v)| {
-                let newp: Vec<Coord> = perm.iter().map(|&p| path[p].clone()).collect();
-                (newp, v)
-            })
-            .collect();
-        Ok(from_coord_entries(
-            self.name(),
-            order.iter().map(|s| s.to_string()).collect(),
-            shapes,
-            entries,
-        ))
-    }
-
-    /// Computes the permutation mapping new rank positions to old ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FibertreeError::BadPermutation`] if `order` is not a
-    /// permutation of the tensor's rank ids.
-    pub fn permutation_for(&self, order: &[&str]) -> Result<Vec<usize>, FibertreeError> {
-        permutation_of(self.rank_ids(), order)
-    }
-}
-
 impl CompressedTensor {
     /// Returns a compressed tensor with the same content and the given
-    /// rank order — the compressed-native counterpart of
-    /// [`Tensor::swizzle`], and bit-identical to compressing its result.
+    /// rank order.
     ///
     /// Runs entirely on the flat arrays: one pass gathers each leaf's
     /// coordinate path with the permutation applied, a sort re-orders the
@@ -117,6 +59,18 @@ impl CompressedTensor {
     ///
     /// Returns [`FibertreeError::BadPermutation`] if `order` is not a
     /// permutation of this tensor's rank ids.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use teaal_fibertree::tensor::fig1_matrix_a;
+    /// use teaal_fibertree::CompressedTensor;
+    /// let a = CompressedTensor::from_tensor(&fig1_matrix_a())?; // [M, K]
+    /// let at = a.swizzle(&["K", "M"])?;
+    /// assert_eq!(at.get(&[2, 0]), a.get(&[0, 2]));
+    /// assert_eq!(at.nnz(), a.nnz());
+    /// # Ok::<(), teaal_fibertree::FibertreeError>(())
+    /// ```
     pub fn swizzle(&self, order: &[&str]) -> Result<CompressedTensor, FibertreeError> {
         let perm = permutation_of(self.rank_ids(), order)?;
         if perm.iter().enumerate().all(|(i, &p)| i == p) {
@@ -126,9 +80,8 @@ impl CompressedTensor {
             .iter()
             .map(|&p| self.rank_shapes()[p].clone())
             .collect();
-        // Gather every nonzero leaf as its permuted flat key (mirroring
-        // Tensor::swizzle, which rebuilds from `leaves()` and therefore
-        // drops explicit zeros). Keys live in one flat buffer, one word per
+        // Gather every nonzero leaf as its permuted flat key (explicit
+        // zeros are dropped). Keys live in one flat buffer, one word per
         // coordinate component, and an index sort avoids a per-leaf
         // allocation. `words` lists, in new rank order, the old path words
         // each key is made of.
@@ -250,68 +203,26 @@ fn sort_permuted_keys(
     idx
 }
 
-/// Rebuilds a tensor from per-leaf coordinate paths (one coordinate per
-/// rank, possibly tuples on flattened ranks).
-///
-/// Entries are sorted and grouped into a tree; duplicate paths keep the last
-/// value.
-pub fn from_coord_entries(
-    name: &str,
-    rank_ids: Vec<String>,
-    rank_shapes: Vec<Shape>,
-    entries: Vec<(Vec<Coord>, f64)>,
-) -> Tensor {
-    if rank_ids.is_empty() {
-        let v = entries.last().map_or(0.0, |(_, v)| *v);
-        return Tensor::from_parts(name, rank_ids, rank_shapes, Payload::Val(v));
-    }
-    let mut sorted: BTreeMap<Vec<Coord>, f64> = BTreeMap::new();
-    for (p, v) in entries {
-        sorted.insert(p, v);
-    }
-    let items: Vec<(Vec<Coord>, f64)> = sorted.into_iter().collect();
-    let root = build_fiber(&items, 0, &rank_shapes);
-    Tensor::from_parts(name, rank_ids, rank_shapes, Payload::Fiber(root))
-}
-
-fn build_fiber(items: &[(Vec<Coord>, f64)], depth: usize, shapes: &[Shape]) -> Fiber {
-    let mut fiber = Fiber::new(shapes[depth].clone());
-    let is_leaf = depth + 1 == shapes.len();
-    let mut i = 0usize;
-    while i < items.len() {
-        let c = items[i].0[depth].clone();
-        let mut j = i;
-        while j < items.len() && items[j].0[depth] == c {
-            j += 1;
-        }
-        let payload = if is_leaf {
-            Payload::Val(items[j - 1].1)
-        } else {
-            Payload::Fiber(build_fiber(&items[i..j], depth + 1, shapes))
-        };
-        fiber
-            .append(c, payload)
-            .expect("grouped coordinates are strictly increasing");
-        i = j;
-    }
-    fiber
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::compressed::CompressedTensor;
     use crate::tensor::{fig1_matrix_a, TensorBuilder};
+
+    fn fig1() -> CompressedTensor {
+        CompressedTensor::from_tensor(&fig1_matrix_a()).unwrap()
+    }
 
     #[test]
     fn swizzle_transposes_fig1_matrix() {
         // Fig. 4: A is swizzled offline to [K, M] for the outer-product
         // multiply phase.
-        let a = fig1_matrix_a();
-        let at = a.swizzle(&["K", "M"]).unwrap();
+        let at = fig1().swizzle(&["K", "M"]).unwrap();
         assert_eq!(at.rank_ids(), &["K".to_string(), "M".to_string()]);
         // K fiber now has coordinates {0, 1, 2}.
-        let root = at.root_fiber().unwrap();
-        let ks: Vec<u64> = root.iter().map(|e| e.coord.as_point().unwrap()).collect();
+        let root = at.root_fiber_view().unwrap();
+        let ks: Vec<u64> = (0..root.occupancy())
+            .map(|p| root.coord_at(p).as_point().unwrap())
+            .collect();
         assert_eq!(ks, vec![0, 1, 2]);
         assert_eq!(at.get(&[2, 0]), Some(3.0));
         assert_eq!(at.get(&[0, 2]), Some(9.0));
@@ -319,26 +230,24 @@ mod tests {
 
     #[test]
     fn swizzle_is_content_preserving() {
-        let a = fig1_matrix_a();
+        let a = fig1();
         let back = a
             .swizzle(&["K", "M"])
             .unwrap()
             .swizzle(&["M", "K"])
             .unwrap();
-        assert_eq!(back.max_abs_diff(&a), 0.0);
-        assert_eq!(back.rank_shapes(), a.rank_shapes());
+        assert_eq!(back, a);
     }
 
     #[test]
     fn identity_swizzle_is_cheap_clone() {
-        let a = fig1_matrix_a();
-        let same = a.swizzle(&["M", "K"]).unwrap();
-        assert_eq!(same, a);
+        let a = fig1();
+        assert_eq!(a.swizzle(&["M", "K"]).unwrap(), a);
     }
 
     #[test]
     fn bad_permutations_are_rejected() {
-        let a = fig1_matrix_a();
+        let a = fig1();
         assert!(a.swizzle(&["M"]).is_err());
         assert!(a.swizzle(&["M", "M"]).is_err());
         assert!(a.swizzle(&["M", "Q"]).is_err());
@@ -351,26 +260,12 @@ mod tests {
             .entry(&[0, 1, 2], 7.0)
             .build()
             .unwrap();
-        let s = t.swizzle(&["N", "M", "K"]).unwrap();
+        let s = CompressedTensor::from_tensor(&t)
+            .unwrap()
+            .swizzle(&["N", "M", "K"])
+            .unwrap();
         assert_eq!(s.get(&[3, 1, 2]), Some(5.0));
         assert_eq!(s.get(&[2, 0, 1]), Some(7.0));
         assert_eq!(s.nnz(), 2);
-    }
-
-    #[test]
-    fn from_coord_entries_builds_sorted_tree() {
-        let t = from_coord_entries(
-            "X",
-            vec!["I".into(), "J".into()],
-            vec![Shape::Interval(4), Shape::Interval(4)],
-            vec![
-                (vec![Coord::Point(3), Coord::Point(0)], 1.0),
-                (vec![Coord::Point(0), Coord::Point(2)], 2.0),
-                (vec![Coord::Point(0), Coord::Point(1)], 3.0),
-            ],
-        );
-        assert_eq!(t.get(&[0, 1]), Some(3.0));
-        assert_eq!(t.get(&[0, 2]), Some(2.0));
-        assert_eq!(t.get(&[3, 0]), Some(1.0));
     }
 }

@@ -696,8 +696,7 @@ mod tests {
             (0..k.len()).map(|i| k.get(i)).collect::<Vec<_>>(),
             [0, 1, 2]
         );
-        let flat = CompressedTensor::from_tensor(&fig1_matrix_a().flatten_rank("M", "MK").unwrap())
-            .unwrap();
+        let flat = c.flatten_rank("M", "MK").unwrap();
         assert!(flat.root_fiber_view().unwrap().point_run().is_none());
     }
 
@@ -730,19 +729,19 @@ mod tests {
             .entry(&[1, 0, 2], 2.0)
             .entry(&[1, 1, 0], 3.0)
             .build()
+            .unwrap();
+        let c = CompressedTensor::from_tensor(&t)
             .unwrap()
             .flatten_rank("A", "AB")
             .unwrap()
             .flatten_rank("AB", "ABC")
             .unwrap();
-        let c = CompressedTensor::from_tensor(&t).unwrap();
+        // Tuple ranks round-trip through the owned tree.
+        assert_eq!(CompressedTensor::from_tensor(&c.to_tensor()).unwrap(), c);
         let root = c.root_fiber_view().unwrap();
-        let coords: Vec<Coord> = t
-            .root_fiber()
-            .unwrap()
-            .iter()
-            .map(|e| e.coord.clone())
-            .collect();
+        let triple =
+            |a, b, c| Coord::Tuple(vec![Coord::Point(a), Coord::Point(b), Coord::Point(c)]);
+        let coords = [triple(0, 2, 1), triple(1, 0, 2), triple(1, 1, 0)];
         for (i, ci) in coords.iter().enumerate() {
             let key = root.coord_key_at(i);
             assert!(matches!(key, CoordKey::Tuple(_)));
@@ -853,8 +852,9 @@ mod tests {
         )
         .unwrap();
         let c = CompressedTensor::from_tensor(&t).unwrap();
-        let pair = t.flatten_rank("K", "KM").unwrap();
-        let triple = pair.flatten_rank("KM", "KMN").unwrap();
+        let pair_c = c.flatten_rank("K", "KM").unwrap();
+        let triple_c = pair_c.flatten_rank("KM", "KMN").unwrap();
+        let (pair, triple) = (pair_c.to_tensor(), triple_c.to_tensor());
         // Explicit zeros survive `from_tensor` but are not leaves.
         let mut zeros = Tensor::from_entries("Z", &["I", "J"], &[4, 4], vec![]).unwrap();
         for (p, v) in [([0, 1], 2.0), ([0, 2], 0.0), ([3, 3], -1.0)] {
@@ -870,10 +870,8 @@ mod tests {
                 owned.name()
             );
         }
-        // Built on CSF directly, flattened forms hash as the owned oracle.
-        let pair_c = c.flatten_rank("K", "KM").unwrap();
+        // Flattened on CSF directly, tuple ranks hash by the same formula.
         assert_eq!(pair_c.content_hash(), content_hash_from_leaves(&pair));
-        let triple_c = pair_c.flatten_rank("KM", "KMN").unwrap();
         assert_eq!(triple_c.content_hash(), content_hash_from_leaves(&triple));
     }
 

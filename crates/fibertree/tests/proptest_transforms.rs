@@ -6,38 +6,37 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{intersect_stream, union_stream};
-use teaal_fibertree::partition::{occupancy_boundaries, split_by_boundaries, SplitKind};
-use teaal_fibertree::{CompressedTensor, Fiber, FiberView, IntersectPolicy, Shape, Tensor};
+use teaal_fibertree::partition::SplitKind;
+use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy};
 
-fn arb_matrix() -> impl Strategy<Value = Tensor> {
+fn arb_matrix() -> impl Strategy<Value = CompressedTensor> {
     // Up to 40 entries in a 16x12 matrix.
     proptest::collection::btree_map((0u64..16, 0u64..12), 1.0f64..100.0, 0..40).prop_map(|m| {
         let entries: Vec<(Vec<u64>, f64)> =
             m.into_iter().map(|((r, c), v)| (vec![r, c], v)).collect();
-        Tensor::from_entries("A", &["M", "K"], &[16, 12], entries).expect("entries in shape")
+        CompressedTensor::from_entries("A", &["M", "K"], &[16, 12], entries)
+            .expect("entries in shape")
     })
 }
 
-fn arb_3tensor() -> impl Strategy<Value = Tensor> {
+fn arb_3tensor() -> impl Strategy<Value = CompressedTensor> {
     proptest::collection::btree_map((0u64..8, 0u64..8, 0u64..8), 1.0f64..100.0, 0..50).prop_map(
         |m| {
             let entries: Vec<(Vec<u64>, f64)> = m
                 .into_iter()
                 .map(|((a, b, c), v)| (vec![a, b, c], v))
                 .collect();
-            Tensor::from_entries("T", &["M", "K", "N"], &[8, 8, 8], entries)
+            CompressedTensor::from_entries("T", &["M", "K", "N"], &[8, 8, 8], entries)
                 .expect("entries in shape")
         },
     )
 }
 
-fn arb_fiber() -> impl Strategy<Value = Fiber> {
+/// A one-rank tensor: a single fiber of up to 50 coordinates in 0..200.
+fn arb_fiber() -> impl Strategy<Value = CompressedTensor> {
     proptest::collection::btree_set(0u64..200, 0..50).prop_map(|coords| {
-        Fiber::from_pairs(
-            Shape::Interval(200),
-            coords.into_iter().map(|c| (c, c as f64)),
-        )
-        .expect("sorted unique coords")
+        let entries = coords.into_iter().map(|c| (vec![c], c as f64)).collect();
+        CompressedTensor::from_entries("F", &["K"], &[200], entries).expect("in shape")
     })
 }
 
@@ -46,7 +45,7 @@ fn arb_fiber() -> impl Strategy<Value = Fiber> {
 /// ranks (suffix digit ≥ 1, e.g. `M1`, `MK1`) are grouping markers and
 /// contribute nothing; level-0 and flattened ranks carry the original
 /// coordinates, decomposed per root letter (`MK0` → `M`, `K`).
-fn content(t: &Tensor) -> BTreeMap<Vec<(char, u64)>, f64> {
+fn content(t: &CompressedTensor) -> BTreeMap<Vec<(char, u64)>, f64> {
     t.leaves()
         .into_iter()
         .map(|(path, v)| {
@@ -69,14 +68,23 @@ fn content(t: &Tensor) -> BTreeMap<Vec<(char, u64)>, f64> {
         .collect()
 }
 
-/// The compressed form of a one-rank fiber, which the co-iteration
-/// streams read.
-fn csf(f: &Fiber) -> CompressedTensor {
-    let entries = f
-        .iter()
-        .map(|e| (vec![e.coord.as_point().expect("points")], 1.0))
-        .collect();
-    CompressedTensor::from_entries("F", &["K"], &[f.shape().extent()], entries).expect("in shape")
+/// The coordinates of a one-rank tensor.
+fn coords(t: &CompressedTensor) -> BTreeSet<u64> {
+    t.entries().into_iter().map(|(p, _)| p[0]).collect()
+}
+
+/// Each top-rank partition's coordinate range (first and last lower
+/// coordinate) and occupancy.
+fn partitions(t: &CompressedTensor) -> Vec<(u64, u64, usize)> {
+    let root = t.root_fiber_view().expect("non-scalar");
+    let point = |c: Coord| c.as_point().expect("points");
+    (0..root.occupancy())
+        .map(|p| {
+            let part = root.payload_at(p).as_fiber().expect("partition fibers");
+            let n = part.occupancy();
+            (point(part.coord_at(0)), point(part.coord_at(n - 1)), n)
+        })
+        .collect()
 }
 
 fn view(t: &CompressedTensor) -> FiberView<'_> {
@@ -98,10 +106,17 @@ proptest! {
     fn flatten_preserves_content_and_inverts(t in arb_matrix()) {
         let flat = t.flatten_rank("M", "MK").expect("two ranks flatten");
         prop_assert_eq!(content(&t), content(&flat));
-        let back = flat
-            .unflatten_rank("MK", &["M", "K"], &[Shape::Interval(16), Shape::Interval(12)])
-            .expect("unflatten");
-        prop_assert_eq!(back, t);
+        // Splitting each pair coordinate back into its components gives
+        // the original entries.
+        let split: Vec<(Vec<u64>, f64)> = flat
+            .leaves()
+            .into_iter()
+            .map(|(path, v)| {
+                let parts = path[0].components().into_iter().map(|c| c.as_point().expect("points"));
+                (parts.collect(), v)
+            })
+            .collect();
+        prop_assert_eq!(split, t.entries());
     }
 
     #[test]
@@ -121,12 +136,9 @@ proptest! {
 
     #[test]
     fn occupancy_partitions_are_balanced(f in arb_fiber(), size in 1usize..16) {
-        let bounds = occupancy_boundaries(&f, size).expect("nonzero size");
-        let parts = split_by_boundaries(&f, &bounds);
-        let occs: Vec<usize> = parts
-            .iter()
-            .map(|e| e.payload.as_fiber().expect("partitions are fibers").occupancy())
-            .collect();
+        let p = f.partition_rank("K", SplitKind::UniformOccupancy(size), "K1", "K0")
+            .expect("nonzero size");
+        let occs: Vec<usize> = partitions(&p).into_iter().map(|(_, _, n)| n).collect();
         // Every partition except the last holds exactly `size` elements.
         for (i, occ) in occs.iter().enumerate() {
             if i + 1 < occs.len() {
@@ -135,7 +147,12 @@ proptest! {
                 prop_assert!(*occ <= size && *occ > 0);
             }
         }
-        prop_assert_eq!(occs.iter().sum::<usize>(), f.occupancy());
+        prop_assert_eq!(occs.iter().sum::<usize>(), f.nnz());
+        // A fiber led by its own boundaries splits the same way.
+        let bounds = f.occupancy_boundaries_by_path("K", size).expect("nonzero size");
+        let led = f.partition_rank("K", SplitKind::BoundariesByPath(bounds), "K1", "K0")
+            .expect("boundary split");
+        prop_assert_eq!(led, p);
     }
 
     #[test]
@@ -145,10 +162,9 @@ proptest! {
             .partition_rank("MK", SplitKind::UniformOccupancy(size), "MK1", "MK0")
             .expect("split");
         prop_assert_eq!(content(&t), content(&p));
-        if let Some(root) = p.root_fiber() {
-            let occs: Vec<usize> = root
-                .iter()
-                .map(|e| e.payload.as_fiber().expect("partition fibers").occupancy())
+        if let Some(root) = p.root_fiber_view() {
+            let occs: Vec<usize> = (0..root.occupancy())
+                .map(|i| root.payload_at(i).as_fiber().expect("partition fibers").occupancy())
                 .collect();
             for (i, occ) in occs.iter().enumerate() {
                 if i + 1 < occs.len() {
@@ -163,10 +179,7 @@ proptest! {
         a in arb_fiber(),
         b in arb_fiber(),
     ) {
-        let ca: BTreeSet<u64> =
-            a.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let cb: BTreeSet<u64> =
-            b.iter().map(|e| e.coord.as_point().expect("points")).collect();
+        let (ca, cb) = (coords(&a), coords(&b));
         let want: Vec<u64> = ca.intersection(&cb).copied().collect();
         for policy in [
             IntersectPolicy::TwoFinger,
@@ -174,8 +187,7 @@ proptest! {
             IntersectPolicy::LeaderFollower { leader: 1 },
             IntersectPolicy::SkipAhead,
         ] {
-            let (ta, tb) = (csf(&a), csf(&b));
-            let mut s = intersect_stream(&[view(&ta), view(&tb)], policy);
+            let mut s = intersect_stream(&[view(&a), view(&b)], policy);
             let got: Vec<u64> =
                 s.by_ref().map(|(c, _)| c.as_point().expect("points")).collect();
             prop_assert_eq!(&got, &want, "{:?}", policy);
@@ -185,13 +197,9 @@ proptest! {
 
     #[test]
     fn union_agrees_with_set_reference(a in arb_fiber(), b in arb_fiber()) {
-        let ca: BTreeSet<u64> =
-            a.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let cb: BTreeSet<u64> =
-            b.iter().map(|e| e.coord.as_point().expect("points")).collect();
+        let (ca, cb) = (coords(&a), coords(&b));
         let want: Vec<u64> = ca.union(&cb).copied().collect();
-        let (ta, tb) = (csf(&a), csf(&b));
-        let got: Vec<u64> = union_stream(&[view(&ta), view(&tb)])
+        let got: Vec<u64> = union_stream(&[view(&a), view(&b)])
             .map(|(c, _)| c.as_point().expect("points"))
             .collect();
         prop_assert_eq!(got, want);
@@ -203,15 +211,14 @@ proptest! {
         b in arb_fiber(),
         c in arb_fiber(),
     ) {
-        let (ta, tb, tc) = (csf(&a), csf(&b), csf(&c));
-        let coords = |views: &[FiberView<'_>]| -> Vec<u64> {
+        let matches = |views: &[FiberView<'_>]| -> Vec<u64> {
             intersect_stream(views, IntersectPolicy::TwoFinger)
                 .map(|(x, _)| x.as_point().expect("points"))
                 .collect()
         };
         prop_assert_eq!(
-            coords(&[view(&ta), view(&tb), view(&tc)]),
-            coords(&[view(&tc), view(&tb), view(&ta)])
+            matches(&[view(&a), view(&b), view(&c)]),
+            matches(&[view(&c), view(&b), view(&a)])
         );
     }
 
@@ -221,23 +228,28 @@ proptest! {
         follower in arb_fiber(),
         size in 1usize..10,
     ) {
-        prop_assume!(leader.occupancy() > 0);
-        let bounds = occupancy_boundaries(&leader, size).expect("nonzero");
-        let parts = split_by_boundaries(&follower, &bounds);
-        // Content-preservation: all follower elements survive.
-        let total: usize = parts
+        prop_assume!(leader.nnz() > 0);
+        let bounds = leader.occupancy_boundaries_by_path("K", size).expect("nonzero");
+        let starts: Vec<u64> = bounds[&vec![]]
             .iter()
-            .map(|e| e.payload.as_fiber().expect("fibers").occupancy())
-            .sum();
-        prop_assert_eq!(total, follower.occupancy());
-        // Partition coordinate ranges never overlap.
+            .map(|c| c.as_point().expect("points"))
+            .collect();
+        let p = follower
+            .partition_rank("K", SplitKind::BoundariesByPath(bounds), "K1", "K0")
+            .expect("boundary split");
+        let parts = partitions(&p);
+        // Content-preservation: all follower elements survive.
+        prop_assert_eq!(parts.iter().map(|&(_, _, n)| n).sum::<usize>(), follower.nnz());
+        // Each partition past a leading group lies inside one leader
+        // interval [starts[i], starts[i + 1]), so ranges never overlap.
         let mut last_max: Option<u64> = None;
-        for e in parts.iter() {
-            let f = e.payload.as_fiber().expect("fibers");
-            let lo = f.iter().next().expect("non-empty").coord.as_point().expect("pt");
-            let hi = f.iter().last().expect("non-empty").coord.as_point().expect("pt");
+        for &(lo, hi, _) in &parts {
             if let Some(lm) = last_max {
                 prop_assert!(lo > lm);
+            }
+            if lo >= starts[0] {
+                let i = starts.partition_point(|&s| s <= lo) - 1;
+                prop_assert!(starts.get(i + 1).map_or(true, |&next| hi < next));
             }
             last_max = Some(hi);
         }

@@ -41,11 +41,14 @@ use crate::error::SimError;
 use crate::model::Simulator;
 use crate::report::SimReport;
 
-/// How a whole-context byte budget splits across the bounded stages:
-/// transformed inputs dominate residency, so they get half; compiled
-/// plans and whole reports split the rest.
+/// How a whole-context byte budget splits across the stages: transformed
+/// inputs dominate residency, so they get half and whole reports a
+/// quarter; parsed specs and estimator statistics take small slices, and
+/// compiled plans get the rest.
 const TRANSFORM_SHARE_PCT: u64 = 50;
 const REPORT_SHARE_PCT: u64 = 25;
+const SPEC_SHARE_PCT: u64 = 5;
+const STATS_SHARE_PCT: u64 = 5;
 
 /// Shared caches for every stage of the evaluation pipeline.
 ///
@@ -61,7 +64,7 @@ const REPORT_SHARE_PCT: u64 = 25;
 /// content hash, an evicted artifact is rebuilt bit-identically on its
 /// next miss, so eviction never changes results.
 pub struct EvalContext {
-    /// `source_hash → ParsedSpec` (tiny; never bounded).
+    /// `source_hash → ParsedSpec`.
     specs: ByteLru<TeaalSpec>,
     /// `spec_hash → LoweredPlan`.
     plans: ByteLru<CompiledPlan>,
@@ -69,8 +72,7 @@ pub struct EvalContext {
     pub(crate) reports: ByteLru<SimReport>,
     /// `(tensor hash, transform chain) → PreparedInputs`.
     transforms: Arc<TransformCache>,
-    /// `tensor hash → TensorStats` for the analytical estimator (never
-    /// bounded).
+    /// `tensor hash → TensorStats` for the analytical estimator.
     stats: Arc<StatsCache>,
 }
 
@@ -114,26 +116,30 @@ impl EvalContext {
     }
 
     /// Bounds the context's resident cache bytes: half the budget goes
-    /// to transformed inputs, a quarter each to whole reports and
-    /// compiled plans. Shrinking below current residency evicts
-    /// immediately (LRU first); eviction counts surface per stage in
-    /// `--cache-stats`.
+    /// to transformed inputs, a quarter to whole reports, 5% each to
+    /// parsed specs and estimator statistics, and the rest to compiled
+    /// plans. Shrinking below current residency evicts immediately (LRU
+    /// first); eviction counts surface per stage in `--cache-stats`.
     pub fn set_max_cache_bytes(&self, max_bytes: u64) {
-        let transform_share = max_bytes / 100 * TRANSFORM_SHARE_PCT;
-        let report_share = max_bytes / 100 * REPORT_SHARE_PCT;
-        let plan_share = max_bytes
-            .saturating_sub(transform_share)
-            .saturating_sub(report_share);
-        self.transforms.set_capacity_bytes(transform_share);
-        self.reports.set_capacity_bytes(report_share);
+        let share = |pct: u64| max_bytes / 100 * pct;
+        let plan_share = max_bytes.saturating_sub(share(
+            TRANSFORM_SHARE_PCT + REPORT_SHARE_PCT + SPEC_SHARE_PCT + STATS_SHARE_PCT,
+        ));
+        self.transforms
+            .set_capacity_bytes(share(TRANSFORM_SHARE_PCT));
+        self.reports.set_capacity_bytes(share(REPORT_SHARE_PCT));
+        self.specs.set_capacity_bytes(share(SPEC_SHARE_PCT));
+        self.stats.set_capacity_bytes(share(STATS_SHARE_PCT));
         self.plans.set_capacity_bytes(plan_share);
     }
 
-    /// Artifacts evicted across all bounded stages so far (monotonic).
+    /// Artifacts evicted across all stages so far (monotonic).
     pub fn evictions(&self) -> u64 {
         self.transforms.snapshot().evictions
             + self.reports.snapshot().evictions
             + self.plans.snapshot().evictions
+            + self.specs.snapshot().evictions
+            + self.stats.snapshot().evictions
     }
 
     /// Parses specification source, cached by
@@ -174,6 +180,11 @@ impl EvalContext {
     /// As [`EvalContext::compiled`].
     pub fn simulator(self: &Arc<Self>, spec: &TeaalSpec) -> Result<Simulator, SimError> {
         Ok(Simulator::from_compiled(self.compiled(spec)?).with_context(Arc::clone(self)))
+    }
+
+    /// The parsed-spec cache.
+    pub fn specs(&self) -> &ByteLru<TeaalSpec> {
+        &self.specs
     }
 
     /// The shared transformed-input cache.

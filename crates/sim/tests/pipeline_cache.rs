@@ -120,6 +120,42 @@ fn report_cache_returns_the_same_arc_for_identical_requests() {
     }
 }
 
+/// Under a byte budget, the spec and statistics caches stay within their
+/// shares (5% of the budget each) however many distinct spec texts and
+/// tensors arrive, and `evictions()` counts what they drop.
+#[test]
+fn spec_and_stats_caches_stay_within_their_budget_shares() {
+    const BUDGET: u64 = 40_000;
+    const SHARE: u64 = BUDGET / 100 * 5;
+    let ctx = EvalContext::with_capacity(BUDGET);
+    let source = concat!(
+        "einsum:\n",
+        "  declaration:\n",
+        "    A: [K, M]\n",
+        "    B: [K, N]\n",
+        "    Z: [M, N]\n",
+        "  expressions:\n",
+        "    - Z[m, n] = A[k, m] * B[k, n]\n",
+    );
+    for i in 0..100 {
+        // A comment changes the source hash, so every text is a miss.
+        let spec = ctx.parse(&format!("# request {i}\n{source}")).unwrap();
+        assert_eq!(*spec, TeaalSpec::parse(source).unwrap());
+        assert!(ctx.specs().snapshot().bytes <= SHARE);
+    }
+    let specs = ctx.specs().snapshot();
+    assert_eq!(specs.misses, 100);
+    assert!(specs.evictions > 0 && specs.bytes > 0);
+    for seed in 0..100 {
+        let t = genmat::uniform("A", &["K", "M"], 16, 16, 20, seed);
+        ctx.stats().get_or_compute(&TensorData::Owned(t));
+        assert!(ctx.stats().snapshot().bytes <= SHARE);
+    }
+    let stats = ctx.stats().snapshot();
+    assert!(stats.evictions > 0 && stats.bytes > 0);
+    assert_eq!(ctx.evictions(), specs.evictions + stats.evictions);
+}
+
 #[test]
 fn compiled_plans_are_shared_across_simulators() {
     let ctx = EvalContext::new();
