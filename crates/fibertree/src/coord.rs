@@ -77,37 +77,6 @@ impl Coord {
             Coord::Tuple(cs) => cs.len(),
         }
     }
-
-    /// Concatenates two coordinates into a flattened tuple coordinate.
-    ///
-    /// Components of either side are spliced so that flattening is
-    /// associative: `flat(flat(a,b),c) == flat(a,flat(b,c))`.
-    pub fn flattened_with(&self, other: &Coord) -> Coord {
-        let mut cs = self.components();
-        cs.extend(other.components());
-        Coord::Tuple(cs)
-    }
-
-    /// Splits the first component off a tuple coordinate.
-    ///
-    /// Returns `(first, rest)` where `rest` is a point when only one
-    /// component remains. Returns `None` for point coordinates, which have
-    /// nothing to split.
-    pub fn split_first(&self) -> Option<(Coord, Coord)> {
-        match self {
-            Coord::Point(_) => None,
-            Coord::Tuple(cs) => {
-                let first = cs.first()?.clone();
-                let rest: Vec<Coord> = cs[1..].to_vec();
-                let rest = match rest.len() {
-                    0 => return None,
-                    1 => rest.into_iter().next().expect("len checked"),
-                    _ => Coord::Tuple(rest),
-                };
-                Some((first, rest))
-            }
-        }
-    }
 }
 
 impl From<u64> for Coord {
@@ -166,8 +135,9 @@ impl Shape {
         }
     }
 
-    /// Concatenates two shapes into a flattened tuple shape, splicing
-    /// components just like [`Coord::flattened_with`].
+    /// Concatenates two shapes into a flattened tuple shape. Components
+    /// of either side are spliced, so flattening is associative:
+    /// `flat(flat(a, b), c) == flat(a, flat(b, c))`.
     pub fn flattened_with(&self, other: &Shape) -> Shape {
         let mut cs = self.components();
         cs.extend(other.components());
@@ -243,32 +213,17 @@ mod tests {
     }
 
     #[test]
-    fn flattening_is_associative() {
-        let a = Coord::Point(1);
-        let b = Coord::Point(2);
-        let c = Coord::Point(3);
-        let left = a.flattened_with(&b).flattened_with(&c);
-        let right = a.flattened_with(&b.flattened_with(&c));
-        assert_eq!(left, right);
-        assert_eq!(left.arity(), 3);
-    }
-
-    #[test]
-    fn split_first_inverts_pair() {
-        let c = Coord::pair(4, 7);
-        let (first, rest) = c.split_first().expect("tuple splits");
-        assert_eq!(first, Coord::Point(4));
-        assert_eq!(rest, Coord::Point(7));
-        assert!(Coord::Point(3).split_first().is_none());
-    }
-
-    #[test]
     fn shape_extent_and_containment() {
         let s = Shape::Interval(4).flattened_with(&Shape::Interval(3));
         assert_eq!(s.extent(), 12);
         assert!(s.contains(&Coord::pair(3, 2)));
         assert!(!s.contains(&Coord::pair(4, 0)));
         assert!(!s.contains(&Coord::Point(1)));
+        let i = |n| Shape::Interval(n);
+        assert_eq!(
+            s.flattened_with(&i(2)),
+            i(4).flattened_with(&i(3).flattened_with(&i(2)))
+        );
     }
 
     #[test]

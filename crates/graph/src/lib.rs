@@ -223,22 +223,6 @@ pub fn run_with_limits(
 
         let r = report.outputs.get("R").map_or(0, TensorData::nnz);
         let modified = report.outputs.get("M").map_or(0, TensorData::nnz);
-        let updates: Vec<(u64, f64)> = match design {
-            GraphDesign::Graphicionado => {
-                let p1 = report.outputs.get("P1").expect("cascade produces P1");
-                p1.entries()
-                    .into_iter()
-                    .map(|(p, val)| (p[0], val))
-                    .collect()
-            }
-            _ => {
-                let pw = report.outputs.get("PW").expect("cascade produces PW");
-                pw.entries()
-                    .into_iter()
-                    .map(|(p, val)| (p[0], val))
-                    .collect()
-            }
-        };
 
         let apply_ops = match design {
             // Graphicionado applies to every vertex, every iteration.
@@ -246,17 +230,13 @@ pub fn run_with_limits(
             // GraphDynS applies at bitmap-chunk granularity: every vertex
             // of every chunk that received a message.
             GraphDesign::GraphDynS => {
-                let touched_chunks = report
-                    .outputs
-                    .get("R")
-                    .map(|r| {
-                        let mut chunks: Vec<u64> =
-                            r.entries().iter().map(|(p, _)| p[0] / chunk).collect();
-                        chunks.sort_unstable();
-                        chunks.dedup();
-                        chunks.len() as u64
-                    })
-                    .unwrap_or(0);
+                // `R` lists vertices ascending, so a touched chunk's
+                // vertices are adjacent: count the leaves that open one.
+                let mut last = None;
+                let touched_chunks = report.outputs.get("R").map_or(0, |r| {
+                    let opens = |&(d, _): &(u64, f64)| last.replace(d / chunk) != Some(d / chunk);
+                    vector_leaves(r).filter(opens).count() as u64
+                });
                 (touched_chunks * chunk).min(v)
             }
             // The proposal applies only to vertices actually modified.
@@ -274,15 +254,15 @@ pub fn run_with_limits(
         });
 
         // Commit property updates and build the next frontier.
-        for &(vertex, value) in &updates {
+        let updates = match design {
+            GraphDesign::Graphicionado => "P1",
+            _ => "PW",
+        };
+        for (vertex, value) in vector_leaves(&report.outputs[updates]) {
             properties[vertex as usize] = value;
         }
-        let a1 = report.outputs.get("A1").expect("cascade produces A1");
-        active = a1
-            .entries()
-            .into_iter()
-            .map(|(p, val)| (p[0], val))
-            .collect();
+        active.clear();
+        active.extend(vector_leaves(&report.outputs["A1"]));
     }
 
     let distances = properties
@@ -296,27 +276,41 @@ pub fn run_with_limits(
 /// distance), bypassing the implicit-zero dropping of
 /// `CompressedTensor::from_entries`: it streams straight into the CSF
 /// storage the engine walks, so a superstep copies nothing at the
-/// simulator's boundary. Entries carry distinct coordinates.
+/// simulator's boundary. Entries carry distinct coordinates in ascending
+/// order, as the property vector and every superstep's `A1` list them;
+/// the builder rejects any other order.
 fn build_vector(
     name: &str,
     rank: &str,
     extent: u64,
     entries: impl Iterator<Item = (u64, f64)>,
 ) -> Result<TensorData, SimError> {
-    let mut sorted: Vec<(u64, f64)> = entries.collect();
-    sorted.sort_unstable_by_key(|(c, _)| *c);
     let mut b =
         CompressedBuilder::new(name, vec![rank.to_string()], vec![Shape::Interval(extent)])?;
-    for (c, val) in sorted {
+    for (c, val) in entries {
         b.push_point(&[c], val)?;
     }
     Ok(TensorData::Compressed(b.finish()))
 }
 
+/// The nonzero `(coordinate, value)` leaves of a 1-rank superstep
+/// output in coordinate order, as `entries()` lists them, read through
+/// the root fiber without allocating.
+fn vector_leaves(t: &TensorData) -> impl Iterator<Item = (u64, f64)> + '_ {
+    let TensorData::Compressed(c) = t else {
+        panic!("superstep outputs are compressed");
+    };
+    let root = c.root_fiber_view().expect("a 1-rank output");
+    (0..root.occupancy()).filter_map(move |p| {
+        let value = root.payload_at(p).as_val().expect("1-rank leaves");
+        let coord = root.coord_key_at(p).as_point().expect("point coordinates");
+        (value != 0.0).then_some((coord, value))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teaal_fibertree::Tensor;
     use teaal_workloads::graphs::{reference_bfs, reference_sssp};
 
     fn small_graph(weighted: bool) -> Graph {
@@ -471,18 +465,7 @@ mod tests {
     #[test]
     fn unreachable_vertices_stay_infinite() {
         // Vertex 3 has no incoming edges.
-        let adjacency = Tensor::from_entries(
-            "G",
-            &["D", "S"],
-            &[4, 4],
-            vec![(vec![1, 0], 1.0), (vec![2, 1], 1.0)],
-        )
-        .unwrap();
-        let g = Graph {
-            adjacency,
-            vertices: 4,
-            edges: 2,
-        };
+        let g = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let run = run(GraphDesign::Proposal, Algorithm::Bfs, &g, 0).unwrap();
         assert_eq!(run.distances[0], 0.0);
         assert_eq!(run.distances[1], 1.0);

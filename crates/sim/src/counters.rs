@@ -17,6 +17,8 @@ use std::collections::BTreeMap;
 
 use teaal_fibertree::{FiberView, MergeRecord, PayloadView};
 
+use crate::table::KeyTable;
+
 /// End-of-list marker for [`Lru`]'s recency links and its line index.
 const NIL: usize = usize::MAX;
 
@@ -526,43 +528,83 @@ impl OutputChannel {
 }
 
 /// Per-space-id compute counting, for load-imbalance-aware timing.
-#[derive(Clone, Debug, Default)]
+///
+/// Space ids are dense slots of a `KeyTable`, each with one
+/// `(muls, adds)` pair, so a charge is an array add and every statistic
+/// is one linear scan. The first id sets the key width (the plan's
+/// number of space ranks); a plan with none charges one empty key.
+#[derive(Clone, Debug)]
 pub struct ComputeCounter {
-    /// Multiplies per space id.
-    pub muls: BTreeMap<Vec<u64>, u64>,
-    /// Additions (reductions) per space id.
-    pub adds: BTreeMap<Vec<u64>, u64>,
+    spaces: KeyTable,
+    /// Multiplies and additions per slot of `spaces`.
+    ops: Vec<(u64, u64)>,
+}
+
+impl Default for ComputeCounter {
+    fn default() -> Self {
+        ComputeCounter {
+            spaces: KeyTable::new(0),
+            ops: Vec::new(),
+        }
+    }
 }
 
 impl ComputeCounter {
+    /// The slot of space id `space`, added with no counts if new.
+    pub(crate) fn slot(&mut self, space: &[u64]) -> usize {
+        if self.ops.is_empty() {
+            self.spaces = KeyTable::new(space.len());
+        }
+        let (slot, fresh) = self.spaces.slot(space);
+        if fresh {
+            self.ops.push((0, 0));
+        }
+        slot
+    }
+
+    /// Charges multiplies and additions to `slot`.
+    #[inline]
+    pub(crate) fn charge(&mut self, slot: usize, muls: u64, adds: u64) {
+        let (m, a) = &mut self.ops[slot];
+        *m += muls;
+        *a += adds;
+    }
+
+    /// Adds a shard's counts space id by space id. The shard's top-rank
+    /// positions restart at zero, so `top_offset` (the positions earlier
+    /// shards consumed; zero when the top rank is not a space rank)
+    /// shifts each id's leading component into the sequential numbering.
+    pub(crate) fn absorb_shard(&mut self, shard: ComputeCounter, top_offset: u64) {
+        let mut key = Vec::new();
+        for (s, &(m, a)) in shard.ops.iter().enumerate() {
+            key.clear();
+            key.extend_from_slice(shard.spaces.key(s));
+            if let Some(c0) = key.first_mut() {
+                *c0 += top_offset;
+            }
+            let slot = self.slot(&key);
+            self.charge(slot, m, a);
+        }
+    }
+
     /// Total multiplies.
     pub fn total_muls(&self) -> u64 {
-        self.muls.values().sum()
+        self.ops.iter().map(|&(m, _)| m).sum()
     }
 
     /// Total additions.
     pub fn total_adds(&self) -> u64 {
-        self.adds.values().sum()
+        self.ops.iter().map(|&(_, a)| a).sum()
     }
 
     /// The busiest PE's operation count (mul + add per space id).
     pub fn max_per_pe(&self) -> u64 {
-        let mut per: BTreeMap<&Vec<u64>, u64> = BTreeMap::new();
-        for (k, v) in &self.muls {
-            *per.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &self.adds {
-            *per.entry(k).or_insert(0) += v;
-        }
-        per.values().copied().max().unwrap_or(0)
+        self.ops.iter().map(|&(m, a)| m + a).max().unwrap_or(0)
     }
 
-    /// Number of distinct space ids observed.
+    /// Number of distinct space ids charged at least one operation.
     pub fn spaces(&self) -> usize {
-        let mut keys: Vec<&Vec<u64>> = self.muls.keys().chain(self.adds.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        keys.len()
+        self.ops.iter().filter(|&&(m, a)| m + a > 0).count()
     }
 }
 
@@ -614,8 +656,9 @@ impl Instruments {
     /// channel's merge semantics are first-wins. Per-rank counters merge
     /// additively and preserve entry creation (a rank visited zero times
     /// in a shard still materializes its entry, as in the sequential
-    /// run).
-    pub(crate) fn absorb_shard(&mut self, shard: Instruments) {
+    /// run). `space_offset` renumbers the shard's space ids (see
+    /// [`ComputeCounter::absorb_shard`]).
+    pub(crate) fn absorb_shard(&mut self, shard: Instruments, space_offset: u64) {
         for (name, ch) in shard.tensors {
             self.tensors
                 .get_mut(&name)
@@ -629,12 +672,7 @@ impl Instruments {
         for (r, n) in shard.loop_visits {
             *self.loop_visits.entry(r).or_insert(0) += n;
         }
-        for (k, n) in shard.compute.muls {
-            *self.compute.muls.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in shard.compute.adds {
-            *self.compute.adds.entry(k).or_insert(0) += n;
-        }
+        self.compute.absorb_shard(shard.compute, space_offset);
         debug_assert!(shard.merges.is_empty(), "shards do not run online merges");
     }
 
@@ -755,6 +793,8 @@ impl EstimatedCounts {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     const LEAF: PayloadView<'static> = PayloadView::Val(1.0);
@@ -911,13 +951,47 @@ mod tests {
     #[test]
     fn compute_counter_tracks_imbalance() {
         let mut c = ComputeCounter::default();
-        *c.muls.entry(vec![0]).or_insert(0) += 10;
-        *c.muls.entry(vec![1]).or_insert(0) += 2;
-        *c.adds.entry(vec![1]).or_insert(0) += 3;
+        let pe0 = c.slot(&[0]);
+        c.charge(pe0, 10, 0);
+        let pe1 = c.slot(&[1]);
+        c.charge(pe1, 2, 0);
+        assert_eq!(c.slot(&[1]), pe1);
+        c.charge(pe1, 0, 3);
         assert_eq!(c.total_muls(), 12);
         assert_eq!(c.total_adds(), 3);
         assert_eq!(c.max_per_pe(), 10);
         assert_eq!(c.spaces(), 2);
+    }
+
+    /// The per-space-id counts as ordered maps: an id has a `muls`
+    /// (`adds`) entry once a nonzero multiply (addition) count reached it.
+    #[derive(Default)]
+    struct MapCounter {
+        muls: BTreeMap<Vec<u64>, u64>,
+        adds: BTreeMap<Vec<u64>, u64>,
+    }
+
+    impl MapCounter {
+        fn charge(&mut self, space: &[u64], muls: u64, adds: u64) {
+            for (counts, n) in [(&mut self.muls, muls), (&mut self.adds, adds)] {
+                if n > 0 {
+                    *counts.entry(space.to_vec()).or_insert(0) += n;
+                }
+            }
+        }
+
+        fn max_per_pe(&self) -> u64 {
+            let mut per: BTreeMap<&Vec<u64>, u64> = BTreeMap::new();
+            for (k, v) in self.muls.iter().chain(&self.adds) {
+                *per.entry(k).or_insert(0) += v;
+            }
+            per.values().copied().max().unwrap_or(0)
+        }
+
+        fn spaces(&self) -> usize {
+            let keys: BTreeSet<&Vec<u64>> = self.muls.keys().chain(self.adds.keys()).collect();
+            keys.len()
+        }
     }
 
     /// The channel semantics before touches were keyed by position, over
@@ -1054,8 +1128,63 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// One compute charge: a space id's words, multiplies, additions.
+    type Charge = ((u64, u64, u64), u64, u64);
+
+    fn arb_charges() -> impl Strategy<Value = Vec<Charge>> {
+        proptest::collection::vec(((0u64..6, 0u64..3, 0u64..3), 0u64..4, 0u64..4), 0..40)
+    }
+
+    fn space_of(width: usize, words: (u64, u64, u64)) -> Vec<u64> {
+        [words.0, words.1, words.2][..width].to_vec()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense counter counts what per-space-id maps count: charges
+        /// in the parent, shards absorbed with and without a top-rank
+        /// offset, and the shard-overlap fix-up's single addition.
+        #[test]
+        fn dense_compute_counter_matches_the_map_oracle(
+            width in 0usize..4,
+            parent in arb_charges(),
+            shards in proptest::collection::vec((arb_charges(), 0u64..8), 0..4),
+            overlap in proptest::collection::vec((0u64..6, 0u64..3, 0u64..3), 0..6),
+        ) {
+            let mut counter = ComputeCounter::default();
+            let mut oracle = MapCounter::default();
+            for &(words, m, a) in &parent {
+                let space = space_of(width, words);
+                let slot = counter.slot(&space);
+                counter.charge(slot, m, a);
+                oracle.charge(&space, m, a);
+            }
+            for (charges, offset) in &shards {
+                let mut shard = ComputeCounter::default();
+                for &(words, m, a) in charges {
+                    let space = space_of(width, words);
+                    let slot = shard.slot(&space);
+                    shard.charge(slot, m, a);
+                    let mut shifted = space.clone();
+                    if let Some(c0) = shifted.first_mut() {
+                        *c0 += offset;
+                    }
+                    oracle.charge(&shifted, m, a);
+                }
+                counter.absorb_shard(shard, *offset);
+            }
+            for &words in &overlap {
+                let space = space_of(width, words);
+                let slot = counter.slot(&space);
+                counter.charge(slot, 0, 1);
+                oracle.charge(&space, 0, 1);
+            }
+            prop_assert_eq!(counter.total_muls(), oracle.muls.values().sum::<u64>());
+            prop_assert_eq!(counter.total_adds(), oracle.adds.values().sum::<u64>());
+            prop_assert_eq!(counter.max_per_pe(), oracle.max_per_pe());
+            prop_assert_eq!(counter.spaces(), oracle.spaces());
+        }
 
         /// Position-indexed channels count exactly what the map-keyed
         /// semantics count: fill bits, buffer reads, element fills, and

@@ -28,11 +28,13 @@
 //! names its element by `(level, CSF position)`
 //! ([`FiberView::csf_position`]), and each channel keeps its per-element
 //! state (buffet epoch stamps, cache line ids) in per-level arrays indexed
-//! by position. The current space id is resolved to a walk-local dense
-//! slot at most once per visit of the innermost space level (by the first
-//! leaf that charges compute), and multiplies and additions add into
-//! per-slot arrays. The arrays fold into the public [`Instruments`] once
-//! at the end of the walk (and once per shard, before the shard merge).
+//! by position. The current space id is resolved to a dense slot of the
+//! instruments' [`ComputeCounter`] at most once per visit of the
+//! innermost space level (by the first leaf that charges compute), and
+//! multiplies and additions add into that slot's pair. The remaining
+//! walk-local arrays (reads, visits, comparisons) fold into the public
+//! [`Instruments`] once at the end of the walk (and once per shard,
+//! before the shard merge).
 //!
 //! Per-key output state lives with the key. A non-concordant walk
 //! accumulates into an `OutTable`: coordinates in one flat arena, the
@@ -68,7 +70,7 @@ use crate::error::SimError;
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
 use crate::par;
-use crate::table::{KeyTable, OutTable};
+use crate::table::OutTable;
 
 /// Boundary lists published by occupancy-partition leaders, keyed by
 /// `(rank, leader tensor)`.
@@ -151,8 +153,8 @@ struct State<'t> {
     /// Bound loop variables as `(root id, value)`, innermost last.
     binds: Vec<(usize, u64)>,
     space: Vec<u64>,
-    /// `space`'s slot in [`Walk::spaces`], once a leaf charged compute
-    /// at it; cleared whenever a space level moves.
+    /// `space`'s slot in [`Instruments::compute`], once a leaf charged
+    /// compute at it; cleared whenever a space level moves.
     space_slot: Option<usize>,
     /// The output key of the current leaf, rebuilt in place.
     key: Vec<u64>,
@@ -386,7 +388,8 @@ impl WalkPlan {
 }
 
 /// The walk's view of one execution's [`Instruments`]: channels by dense
-/// index, plus the dense counters [`Walk::fold`] writes back.
+/// index, the compute counter the leaves charge, plus the dense counters
+/// [`Walk::fold`] writes back.
 struct Walk<'i> {
     chans: Vec<&'i mut TensorChannel>,
     output: &'i mut OutputChannel,
@@ -401,11 +404,6 @@ struct Walk<'i> {
     visits: Vec<Option<u64>>,
     /// Intersection-unit comparisons per level, `None` until charged.
     comparisons: Vec<Option<u64>>,
-    /// Space ids seen by this walk, as dense slots...
-    spaces: KeyTable,
-    /// ...and the multiplies and additions charged at each slot.
-    muls: Vec<u64>,
-    adds: Vec<u64>,
 }
 
 impl<'i> Walk<'i> {
@@ -427,20 +425,7 @@ impl<'i> Walk<'i> {
             reads: vec![0; names.reads.len()],
             visits: vec![None; names.levels.len()],
             comparisons: vec![None; names.levels.len()],
-            spaces: KeyTable::new(names.levels.iter().filter(|l| l.is_space).count()),
-            muls: Vec::new(),
-            adds: Vec::new(),
         }
-    }
-
-    /// The dense slot of space id `space`.
-    fn space_slot(&mut self, space: &[u64]) -> usize {
-        let (slot, fresh) = self.spaces.slot(space);
-        if fresh {
-            self.muls.push(0);
-            self.adds.push(0);
-        }
-        slot
     }
 
     /// Folds the dense counters into the public instruments.
@@ -459,16 +444,6 @@ impl<'i> Walk<'i> {
             }
             if let Some(c) = c {
                 *self.intersect_by_rank.entry(lp.name.clone()).or_insert(0) += c;
-            }
-        }
-        // Only charged slots: a space id whose visits reached no
-        // multiply (addition) has no `muls` (`adds`) entry.
-        for (slot, (&m, &a)) in self.muls.iter().zip(&self.adds).enumerate() {
-            let space = self.spaces.key(slot);
-            for (counts, n) in [(&mut self.compute.muls, m), (&mut self.compute.adds, a)] {
-                if n > 0 {
-                    *counts.entry(space.to_vec()).or_insert(0) += n;
-                }
             }
         }
     }
@@ -938,7 +913,7 @@ impl<'p> Engine<'p> {
         let mut seen_keys: BTreeSet<Vec<u64>> = BTreeSet::new();
         let mut top_offset = 0u64;
         for res in worker_out {
-            let (out, first_space, mut si) = res.unwrap_or_else(|message| {
+            let (out, first_space, si) = res.unwrap_or_else(|message| {
                 Err(SimError::WorkerPanic {
                     site: "shard".into(),
                     message,
@@ -947,12 +922,9 @@ impl<'p> Engine<'p> {
             // Space ids carry the top rank's position index, which
             // restarts at zero in every shard: shift by the positions
             // consumed so far.
-            if top_is_space && top_offset > 0 {
-                si.compute.muls = shift_space_keys(si.compute.muls, top_offset);
-                si.compute.adds = shift_space_keys(si.compute.adds, top_offset);
-            }
+            let space_offset = if top_is_space { top_offset } else { 0 };
             let shard_visits = si.loop_visits.get(&top.name).copied().unwrap_or(0);
-            instruments.absorb_shard(si);
+            instruments.absorb_shard(si, space_offset);
             match out {
                 OutAcc::Stream { builder, pending } => {
                     let t = self.finish_stream(builder, pending)?;
@@ -982,12 +954,11 @@ impl<'p> Engine<'p> {
             // happened.
             for (k, mut space) in first_space {
                 if seen_keys.contains(&k) {
-                    if top_is_space && top_offset > 0 {
-                        if let Some(c0) = space.first_mut() {
-                            *c0 += top_offset;
-                        }
+                    if let Some(c0) = space.first_mut() {
+                        *c0 += space_offset;
                     }
-                    *instruments.compute.adds.entry(space).or_insert(0) += 1;
+                    let slot = instruments.compute.slot(&space);
+                    instruments.compute.charge(slot, 0, 1);
                 } else {
                     seen_keys.insert(k);
                 }
@@ -1212,20 +1183,6 @@ fn drain<'k>(
         }
     }
     Ok(builder.finish())
-}
-
-/// Shifts the leading (top space rank) component of every space id by
-/// `offset`: shard-local top positions restart at zero, and the merge
-/// renumbers them into the sequential run's global position space.
-fn shift_space_keys(m: BTreeMap<Vec<u64>, u64>, offset: u64) -> BTreeMap<Vec<u64>, u64> {
-    m.into_iter()
-        .map(|(mut k, v)| {
-            if let Some(c0) = k.first_mut() {
-                *c0 += offset;
-            }
-            (k, v)
-        })
-        .collect()
 }
 
 /// Replays a transformed view's recorded side effects into this
@@ -1683,9 +1640,8 @@ impl<'e, 'p> Exec<'e, 'p> {
         }
 
         if muls + adds > 0 {
-            let slot = *space_slot.get_or_insert_with(|| walk.space_slot(space));
-            walk.muls[slot] += muls;
-            walk.adds[slot] += adds;
+            let slot = *space_slot.get_or_insert_with(|| walk.compute.slot(space));
+            walk.compute.charge(slot, muls, adds);
         }
         Ok(())
     }

@@ -1,5 +1,5 @@
-//! Walk-local exact-key tables: the nest walk's output accumulator and
-//! its space-id slots.
+//! Exact-key tables: the nest walk's output accumulator and the compute
+//! counter's space-id slots.
 //!
 //! A [`KeyTable`] maps fixed-width `u64` keys to dense slot ids in
 //! insertion order. Keys live back to back in one flat arena (`width`
@@ -21,6 +21,7 @@ use std::hash::BuildHasher;
 const EMPTY: u32 = u32::MAX;
 
 /// An insertion-ordered set of fixed-width `u64` keys with dense slots.
+#[derive(Clone, Debug)]
 pub(crate) struct KeyTable {
     /// Words per key (zero for scalar outputs: one empty key).
     width: usize,
