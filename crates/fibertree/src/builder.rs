@@ -288,9 +288,9 @@ impl CompressedBuilder {
                 hash_memo: OnceLock::new(),
             };
         }
-        // A rank below an empty parent has no fibers at all (mirroring
-        // the owned tree, where only the root fiber exists in an empty
-        // tensor), so its segment list stays `[0]`.
+        // A rank below an empty parent has no fibers at all (as in
+        // `Tensor::rank_stats`, where only the root fiber exists in an
+        // empty tensor), so its segment list stays `[0]`.
         for d in 0..n {
             let parents = if d == 0 {
                 1

@@ -1,11 +1,10 @@
 //! Compressed (CSF-style) fibertree storage: per-rank flat coordinate and
 //! segment arrays plus a leaf value arena.
 //!
-//! The owned [`Tensor`] stores each fiber as its own
-//! `Vec<Element>` with boxed recursive payloads — flexible (it supports
-//! tuple coordinates and in-place mutation) but pointer-chasing and
-//! allocation-heavy at scale. [`CompressedTensor`] is the read-optimized
-//! complement: the classic *compressed sparse fiber* layout (Smith &
+//! The owned [`Tensor`] is one sorted entry list — easy to write into
+//! point by point, but it answers "which elements does this fiber hold"
+//! only by scanning runs of shared prefixes. [`CompressedTensor`] is the
+//! read-optimized form: the classic *compressed sparse fiber* layout (Smith &
 //! Karypis; the per-rank `C` format of the paper's format specification,
 //! §4.2) where rank `d` is two flat arrays
 //!
@@ -41,15 +40,13 @@
 //! path never leaves the compressed representation.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::builder::CompressedBuilder;
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
-use crate::fiber::{Fiber, Payload};
-use crate::tensor::Tensor;
+use crate::tensor::{coo_intake, Tensor};
 use crate::view::{CoordKey, PointRun, TupleKey};
 
 /// One level's flat coordinate array, narrowed to `u32` when the rank
@@ -273,10 +270,10 @@ impl Level {
 ///
 /// Content-equivalent to an owned [`Tensor`] with the same entries: the
 /// same rank ids, shapes, and `(point, value)` leaves, stored as flat
-/// per-rank arrays instead of a recursive tree. Build one directly from
+/// per-rank arrays instead of one entry list. Build one directly from
 /// COO entries ([`CompressedTensor::from_entries`]), from a sorted stream
 /// ([`CompressedBuilder`]), or from an
-/// existing tree ([`CompressedTensor::from_tensor`]).
+/// owned tensor ([`CompressedTensor::from_tensor`]).
 ///
 /// # Examples
 ///
@@ -318,7 +315,7 @@ impl PartialEq for CompressedTensor {
 
 impl CompressedTensor {
     /// Builds a compressed tensor directly from `(point, value)` COO
-    /// entries, without materializing an owned tree.
+    /// entries, without materializing an owned tensor.
     ///
     /// Semantics match [`Tensor::from_entries`]: entries are sorted,
     /// duplicate points are summed, and zero values are dropped.
@@ -334,113 +331,53 @@ impl CompressedTensor {
         entries: Vec<(Vec<u64>, f64)>,
     ) -> Result<Self, FibertreeError> {
         assert_eq!(rank_ids.len(), shape.len(), "one shape per rank");
-        let n = rank_ids.len();
-        let rank_shapes: Vec<Shape> = shape.iter().map(|&s| Shape::Interval(s)).collect();
-        let mut dedup: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
-        for (point, v) in entries {
-            if point.len() != n {
-                return Err(FibertreeError::ArityMismatch {
-                    expected: n,
-                    got: point.len(),
-                });
-            }
-            for (d, &c) in point.iter().enumerate() {
-                if c >= shape[d] {
-                    return Err(FibertreeError::OutOfShape {
-                        coord: Coord::Point(c),
-                        shape: rank_shapes[d].clone(),
-                    });
-                }
-            }
-            *dedup.entry(point).or_insert(0.0) += v;
-        }
         let mut b = CompressedBuilder::new(
             name,
             rank_ids.iter().map(|s| s.to_string()).collect(),
-            rank_shapes,
+            shape.iter().map(|&s| Shape::Interval(s)).collect(),
         )?;
-        for (point, v) in dedup {
-            if n > 0 && v == 0.0 {
-                continue;
-            }
-            b.push_point(&point, v)?;
+        for (point, v) in coo_intake(shape, entries)? {
+            b.push_raw(&point, v)?;
         }
         Ok(b.finish())
     }
 
-    /// Compresses an owned tensor, preserving every stored leaf
-    /// (including explicit zeros). Flattened ranks of any depth keep one
-    /// coordinate store per tuple component.
+    /// Compresses an owned tensor in one sorted pass, preserving every
+    /// stored leaf (including explicit zeros). Flattened ranks of any
+    /// depth keep one coordinate store per tuple component.
     ///
     /// # Errors
     ///
     /// Returns [`FibertreeError::NotCompressible`] if a rank shape is a
-    /// tuple with nested tuple components (flattening never builds one).
+    /// tuple with nested tuple components (flattening never builds one),
+    /// and [`FibertreeError::OutOfShape`] for a leaf that
+    /// [`Tensor::set`] wrote outside its rank's shape.
     pub fn from_tensor(t: &Tensor) -> Result<Self, FibertreeError> {
         let mut b =
             CompressedBuilder::new(t.name(), t.rank_ids().to_vec(), t.rank_shapes().to_vec())?;
-        if t.order() == 0 {
-            if let Some(v) = t.get(&[]) {
-                b.push(&[], v)?;
-            }
-            return Ok(b.finish());
-        }
-        fn walk(
-            f: &Fiber,
-            path: &mut Vec<Coord>,
-            b: &mut CompressedBuilder,
-        ) -> Result<(), FibertreeError> {
-            for e in f.iter() {
-                path.push(e.coord.clone());
-                match &e.payload {
-                    Payload::Val(v) => b.push(path, *v)?,
-                    Payload::Fiber(child) => walk(child, path, b)?,
-                }
-                path.pop();
-            }
-            Ok(())
-        }
-        if let Some(root) = t.root_fiber() {
-            let mut path = Vec::new();
-            walk(root, &mut path, &mut b)?;
+        for (path, v) in t.iter() {
+            b.push(path, v)?;
         }
         Ok(b.finish())
     }
 
-    /// Decompresses into an owned fibertree. Lossless: the result
-    /// compares equal to the tensor this was built from (or that
+    /// Decompresses into an owned tensor. Lossless: the result compares
+    /// equal to the tensor this was built from (or that
     /// [`Tensor::from_entries`] builds from the same entries).
     ///
     /// Every call is counted by [`crate::telemetry::decompress_count`] —
     /// the simulator's compressed fast path asserts it stays at zero.
     pub fn to_tensor(&self) -> Tensor {
         crate::telemetry::note_decompress();
-        if self.order() == 0 {
-            return Tensor::scalar(&self.name, self.values[0]);
-        }
-        let root = self.build_fiber(0, 0, self.levels[0].coords.len());
-        Tensor::from_parts(
+        let mut coords = Vec::with_capacity(self.values.len() * self.order());
+        self.for_each_leaf(|path, _| coords.extend_from_slice(path));
+        Tensor::from_sorted(
             &self.name,
             self.rank_ids.clone(),
             self.rank_shapes.clone(),
-            Payload::Fiber(root),
+            coords,
+            self.values.clone(),
         )
-    }
-
-    fn build_fiber(&self, level: usize, start: usize, end: usize) -> Fiber {
-        let mut f = Fiber::new(self.rank_shapes[level].clone());
-        let leaf = level + 1 == self.order();
-        for p in start..end {
-            let payload = if leaf {
-                Payload::Val(self.values[p])
-            } else {
-                let (cs, ce) = self.child_range(level, p);
-                Payload::Fiber(self.build_fiber(level + 1, cs, ce))
-            };
-            f.append(self.levels[level].coord(p), payload)
-                .expect("compressed coordinates are sorted and in shape");
-        }
-        f
     }
 
     /// The tensor's name.
@@ -535,39 +472,44 @@ impl CompressedTensor {
     }
 
     /// Enumerates `(path, value)` for every nonzero leaf in lexicographic
-    /// order, one coordinate per rank (pairs on flattened ranks) —
+    /// order, one coordinate per rank (tuples on flattened ranks) —
     /// matches [`Tensor::leaves`].
     pub fn leaves(&self) -> Vec<(Vec<Coord>, f64)> {
         let mut out = Vec::with_capacity(self.values.len());
-        if self.order() == 0 {
-            if self.values[0] != 0.0 {
-                out.push((Vec::new(), self.values[0]));
+        self.for_each_leaf(|path, v| {
+            if v != 0.0 {
+                out.push((path.to_vec(), v));
             }
-            return out;
-        }
-        let mut path = vec![Coord::Point(0); self.order()];
-        self.collect_leaves(0, 0, self.levels[0].coords.len(), &mut path, &mut out);
+        });
         out
     }
 
-    fn collect_leaves(
+    /// Calls `f(path, value)` for every stored leaf in lexicographic
+    /// order, explicit zeros included (a scalar's path is empty).
+    fn for_each_leaf(&self, mut f: impl FnMut(&[Coord], f64)) {
+        if self.order() == 0 {
+            return f(&[], self.values[0]);
+        }
+        let mut path = vec![Coord::Point(0); self.order()];
+        self.visit_leaves(0, 0, self.levels[0].coords.len(), &mut path, &mut f);
+    }
+
+    fn visit_leaves(
         &self,
         level: usize,
         start: usize,
         end: usize,
-        path: &mut Vec<Coord>,
-        out: &mut Vec<(Vec<Coord>, f64)>,
+        path: &mut [Coord],
+        f: &mut impl FnMut(&[Coord], f64),
     ) {
         let leaf = level + 1 == self.order();
         for p in start..end {
             path[level] = self.levels[level].coord(p);
             if leaf {
-                if self.values[p] != 0.0 {
-                    out.push((path.clone(), self.values[p]));
-                }
+                f(path, self.values[p]);
             } else {
                 let (cs, ce) = self.child_range(level, p);
-                self.collect_leaves(level + 1, cs, ce, path, out);
+                self.visit_leaves(level + 1, cs, ce, path, f);
             }
         }
     }

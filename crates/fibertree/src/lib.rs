@@ -20,17 +20,19 @@
 //!   extent fits; one coordinate array per tuple component on flattened
 //!   ranks) plus one leaf value arena, built in one pass from COO
 //!   entries ([`CompressedTensor::from_entries`]), streamed through a
-//!   [`CompressedBuilder`], or converted from an owned tree
-//!   ([`CompressedTensor::from_tensor`]). Iteration touches contiguous
-//!   memory and cloning is a flat copy, so multi-million-entry inputs
-//!   (graph adjacencies, SuiteSparse-scale matrices) co-iterate without
-//!   pointer-chasing. Everything that evaluates or transforms a tensor
-//!   reads it in this form.
-//! - [`Tensor`] — the *owned* fibertree, the writable builder: every
-//!   fiber is its own allocation and payloads nest recursively, so it
-//!   supports in-place writes ([`Tensor::set`],
-//!   [`fiber::Fiber::get_or_insert_with`]). Use it to build small
-//!   tensors in place, then compress them.
+//!   [`CompressedBuilder`], or converted from an owned tensor in one
+//!   sorted pass ([`CompressedTensor::from_tensor`]). Iteration touches
+//!   contiguous memory and cloning is a flat copy, so multi-million-entry
+//!   inputs (graph adjacencies, SuiteSparse-scale matrices) co-iterate
+//!   without pointer-chasing. Everything that evaluates or transforms a
+//!   tensor reads it in this form.
+//! - [`Tensor`] — the *owned* tensor, the writable builder: one flat
+//!   list of `(path, value)` entries kept in lexicographic order, so
+//!   [`Tensor::set`] appends in O(1) in row-major order and inserts by
+//!   binary search otherwise. The fibertree is read off that list (a
+//!   fiber is a run of entries sharing a coordinate prefix); there is no
+//!   second, recursive storage. Use it to build small tensors in place,
+//!   then compress them.
 //!
 //! The content-preserving transforms are CSF-only:
 //! [`CompressedTensor::swizzle`] is a key-permutation re-sort (no tree
@@ -49,7 +51,7 @@
 //! either representation: the simulator compresses an owned input once,
 //! at its API boundary, before any cursor reads it. Property tests pin
 //! the cursors and co-iteration streams against oracles built from the
-//! owned tree's elements.
+//! owned tensor's entries.
 //!
 //! ## Quick tour
 //!
@@ -107,7 +109,6 @@ pub mod cache;
 pub mod compressed;
 pub mod coord;
 pub mod error;
-pub mod fiber;
 pub mod flatten;
 pub mod hash;
 pub mod iterate;
@@ -124,7 +125,6 @@ pub use cache::{BoundaryRecord, ByteLru, MergeRecord, TransformCache, Transforme
 pub use compressed::CompressedTensor;
 pub use coord::{Coord, Shape};
 pub use error::FibertreeError;
-pub use fiber::{Element, Fiber, Payload};
 pub use hash::Fnv1a;
 pub use iterate::{CoIterStats, IntersectPolicy};
 pub use semiring::Semiring;

@@ -3,10 +3,10 @@
 //! A [`TensorStats`] summarizes the shape of a fibertree without keeping
 //! any of its data: per-rank extents, fiber counts, occupancies, distinct
 //! coordinate counts, and a log2-bucketed fiber-length histogram. The
-//! summary is computed in one depth-first walk, over [`FiberView`] cursors
-//! for compressed tensors and over the tree itself for owned ones, and is
-//! the input the simulator's `estimate` module uses to predict co-iteration
-//! work and traffic without touching values.
+//! summary is computed in one depth-first walk over [`FiberView`] cursors
+//! (an owned tensor is compressed first), and is the input the
+//! simulator's `estimate` module uses to predict co-iteration work and
+//! traffic without touching values.
 //!
 //! Statistics are cheap relative to simulation but still O(nnz), so a
 //! [`StatsCache`] memoizes them by [`CompressedTensor::content_hash`]:
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use crate::cache::ByteLru;
 use crate::compressed::CompressedTensor;
 use crate::coord::Coord;
-use crate::fiber::{Fiber, Payload};
+use crate::error::FibertreeError;
 use crate::view::{FiberView, PayloadView, TensorData};
 
 /// Summary statistics for one storage rank (one fibertree level).
@@ -101,41 +101,16 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes statistics for a tensor in one depth-first pass, over its
-    /// own tree for an owned tensor (uncached; see [`StatsCache`]).
-    pub fn compute(data: &TensorData) -> TensorStats {
-        match data {
-            TensorData::Compressed(c) => c.statistics(),
-            TensorData::Owned(t) => {
-                Self::compute_parts(t.name(), t.rank_ids(), t.rank_shapes(), t.nnz(), |levels| {
-                    if let Some(root) = t.root_fiber() {
-                        walk_owned(root, 0, levels);
-                    }
-                })
-            }
-        }
-    }
-
-    fn compute_parts(
-        name: &str,
-        rank_ids: &[String],
-        shapes: &[crate::coord::Shape],
-        nnz: usize,
-        walk: impl FnOnce(&mut [LevelAcc]),
-    ) -> TensorStats {
-        let mut levels: Vec<LevelAcc> = rank_ids
-            .iter()
-            .zip(shapes)
-            .map(|(r, s)| LevelAcc::new(r, s.extent()))
-            .collect();
-        walk(&mut levels);
-        TensorStats {
-            name: name.to_string(),
-            nnz: nnz as u64,
-            ranks: levels.into_iter().map(LevelAcc::finish).collect(),
-            marginal_caps: Vec::new(),
-            pattern_subset_of: Vec::new(),
-        }
+    /// Computes statistics for a tensor in one depth-first pass over its
+    /// CSF form (uncached; see [`StatsCache`]). An owned tensor is
+    /// compressed first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CompressedTensor::from_tensor`] error of an owned
+    /// tensor with no CSF form.
+    pub fn compute(data: &TensorData) -> Result<TensorStats, FibertreeError> {
+        Ok(data.compressed()?.statistics())
     }
 
     /// Builds synthetic statistics from modeled per-level counts, for
@@ -260,32 +235,26 @@ fn walk(fiber: FiberView<'_>, level: usize, levels: &mut [LevelAcc]) {
     }
 }
 
-/// [`walk`] over an owned tree.
-fn walk_owned(fiber: &Fiber, level: usize, levels: &mut [LevelAcc]) {
-    levels[level].observe_fiber(fiber.occupancy() as u64);
-    for e in fiber.iter() {
-        levels[level].coords.insert(e.coord.clone());
-        if let Payload::Fiber(child) = &e.payload {
-            walk_owned(child, level + 1, levels);
-        }
-    }
-}
-
 impl CompressedTensor {
     /// Computes [`TensorStats`] for this tensor (one depth-first pass over
     /// the CSF arrays, no decompression). See also [`StatsCache`].
     pub fn statistics(&self) -> TensorStats {
-        TensorStats::compute_parts(
-            self.name(),
-            self.rank_ids(),
-            self.rank_shapes(),
-            self.nnz(),
-            |levels| {
-                if let Some(root) = self.root_fiber_view() {
-                    walk(root, 0, levels);
-                }
-            },
-        )
+        let mut levels: Vec<LevelAcc> = self
+            .rank_ids()
+            .iter()
+            .zip(self.rank_shapes())
+            .map(|(r, s)| LevelAcc::new(r, s.extent()))
+            .collect();
+        if let Some(root) = self.root_fiber_view() {
+            walk(root, 0, &mut levels);
+        }
+        TensorStats {
+            name: self.name().to_string(),
+            nnz: self.nnz() as u64,
+            ranks: levels.into_iter().map(LevelAcc::finish).collect(),
+            marginal_caps: Vec::new(),
+            pattern_subset_of: Vec::new(),
+        }
     }
 }
 
@@ -297,27 +266,21 @@ pub type StatsCache = ByteLru<TensorStats>;
 impl ByteLru<TensorStats> {
     /// Returns the cached statistics for `data`, computing and storing
     /// them on first sight of its content. An owned tensor is compressed
-    /// first and keyed and summarized as CSF; one with no CSF form is
-    /// summarized from its tree without caching.
-    pub fn get_or_compute(&self, data: &TensorData) -> Arc<TensorStats> {
-        let compressed;
-        let csf = match data {
-            TensorData::Compressed(c) => c,
-            TensorData::Owned(t) => match CompressedTensor::from_tensor(t) {
-                Ok(c) => {
-                    compressed = c;
-                    &compressed
-                }
-                Err(_) => return Arc::new(TensorStats::compute(data)),
-            },
-        };
+    /// first and keyed and summarized as CSF.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CompressedTensor::from_tensor`] error of an owned
+    /// tensor with no CSF form.
+    pub fn get_or_compute(&self, data: &TensorData) -> Result<Arc<TensorStats>, FibertreeError> {
+        let csf = data.compressed()?;
         let Ok(stats) = self.get_or_try_insert_with(csf.content_hash(), || {
             let stats = csf.statistics();
             // A rough size for the counters.
             let bytes = 64 * (1 + stats.ranks.len() as u64);
             Ok::<_, Infallible>((stats, bytes))
         });
-        stats
+        Ok(stats)
     }
 }
 
@@ -341,7 +304,7 @@ mod tests {
 
     #[test]
     fn per_rank_counts_match_structure() {
-        let stats = TensorStats::compute(&sample());
+        let stats = TensorStats::compute(&sample()).unwrap();
         assert_eq!(stats.nnz, 6);
         assert_eq!(stats.ranks.len(), 2);
         let k = &stats.ranks[0];
@@ -359,7 +322,7 @@ mod tests {
 
     #[test]
     fn prefix_elements_bracket_the_tree() {
-        let stats = TensorStats::compute(&sample());
+        let stats = TensorStats::compute(&sample()).unwrap();
         assert_eq!(stats.prefix_elements(0), 1);
         assert_eq!(stats.prefix_elements(1), 3);
         assert_eq!(stats.prefix_elements(2), 6);
@@ -372,24 +335,24 @@ mod tests {
             unreachable!("the sample is owned")
         };
         let ct = crate::compressed::CompressedTensor::from_tensor(t).expect("compressible");
-        let owned = TensorStats::compute(&data);
+        let owned = TensorStats::compute(&data).unwrap();
         assert_eq!(ct.statistics(), owned);
-        assert_eq!(TensorStats::compute(&TensorData::Compressed(ct)), owned);
+        assert_eq!(TensorStats::compute(&TensorData::Compressed(ct)), Ok(owned));
     }
 
     #[test]
     fn cache_memoizes_by_content() {
         let cache = StatsCache::new();
         let data = sample();
-        let a = cache.get_or_compute(&data);
-        let b = cache.get_or_compute(&data);
+        let a = cache.get_or_compute(&data).unwrap();
+        let b = cache.get_or_compute(&data).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         // The CSF twin of an owned tensor shares its entry.
         let TensorData::Owned(t) = &data else {
             unreachable!("the sample is owned")
         };
         let csf = TensorData::Compressed(CompressedTensor::from_tensor(t).unwrap());
-        assert!(Arc::ptr_eq(&a, &cache.get_or_compute(&csf)));
+        assert!(Arc::ptr_eq(&a, &cache.get_or_compute(&csf).unwrap()));
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.snapshot().hits, cache.snapshot().misses), (2, 1));
     }
@@ -405,12 +368,30 @@ mod tests {
                 .build()
                 .expect("valid entries"),
         );
-        let first = cache.get_or_compute(&sample());
-        let second = cache.get_or_compute(&other);
-        assert_eq!(*first, TensorStats::compute(&sample()));
-        assert_eq!(*second, TensorStats::compute(&other));
+        let first = cache.get_or_compute(&sample()).unwrap();
+        let second = cache.get_or_compute(&other).unwrap();
+        assert_eq!(Ok(&*first), TensorStats::compute(&sample()).as_ref());
+        assert_eq!(Ok(&*second), TensorStats::compute(&other).as_ref());
         assert_ne!(first, second);
         assert_eq!(cache.len(), 2);
+    }
+
+    /// `Tensor::set` does not check shapes, so an owned input can hold a
+    /// leaf with no CSF form: its statistics are an error, not a panic,
+    /// and nothing is cached.
+    #[test]
+    fn uncompressible_owned_input_is_an_error() {
+        let mut t = crate::Tensor::empty("A", &["K"], &[4]);
+        t.set(&[9], 1.0);
+        let data = TensorData::Owned(t);
+        let err = FibertreeError::OutOfShape {
+            coord: Coord::Point(9),
+            shape: crate::Shape::Interval(4),
+        };
+        assert_eq!(TensorStats::compute(&data), Err(err.clone()));
+        let cache = StatsCache::new();
+        assert_eq!(cache.get_or_compute(&data).err(), Some(err));
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

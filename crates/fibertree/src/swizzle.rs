@@ -41,7 +41,7 @@ impl CompressedTensor {
     /// Runs entirely on the flat arrays: one pass gathers each leaf's
     /// coordinate path with the permutation applied, a sort re-orders the
     /// keys, and a [`CompressedBuilder`] appends the sorted stream — no
-    /// owned tree is ever materialized.
+    /// owned tensor is ever materialized.
     ///
     /// Pure transposes that pull one rank to the front while keeping the
     /// rest in order (CSR→CSC and its higher-rank analogues — every

@@ -9,10 +9,12 @@
 //! are the builder and the test oracle; an evaluation compresses them
 //! once, at its boundary, before any cursor reads them.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::compressed::{CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
+use crate::error::FibertreeError;
 use crate::hash::Fnv1a;
 use crate::tensor::Tensor;
 
@@ -462,12 +464,12 @@ fn for_each_leaf<'a>(
 
 /// A tensor handed to an evaluation, in either representation.
 ///
-/// This is an input type only: nothing reads an owned tree through a
+/// This is an input type only: nothing reads an owned tensor through a
 /// cursor. The simulator compresses an owned input once, at its API
 /// boundary, and every output it builds is compressed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorData {
-    /// An owned fibertree.
+    /// An owned tensor.
     Owned(Tensor),
     /// Compressed (CSF) storage.
     Compressed(CompressedTensor),
@@ -578,6 +580,20 @@ impl TensorData {
     pub fn is_compressed(&self) -> bool {
         matches!(self, TensorData::Compressed(_))
     }
+
+    /// The tensor as CSF: borrowed when compressed, converted by
+    /// [`CompressedTensor::from_tensor`] when owned.
+    ///
+    /// # Errors
+    ///
+    /// Returns the conversion's error for an owned tensor with no CSF
+    /// form.
+    pub fn compressed(&self) -> Result<Cow<'_, CompressedTensor>, FibertreeError> {
+        match self {
+            TensorData::Owned(t) => CompressedTensor::from_tensor(t).map(Cow::Owned),
+            TensorData::Compressed(c) => Ok(Cow::Borrowed(c)),
+        }
+    }
 }
 
 impl std::fmt::Display for TensorData {
@@ -604,7 +620,6 @@ impl From<CompressedTensor> for TensorData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fiber::{Fiber, Payload};
     use crate::tensor::{fig1_matrix_a, TensorBuilder};
 
     fn fig1() -> (Tensor, CompressedTensor) {
@@ -613,38 +628,30 @@ mod tests {
         (t, c)
     }
 
-    /// Every `(coord, payload)` of a compressed fiber, checked element by
-    /// element against the owned fiber it was built from.
-    fn assert_matches_owned(view: FiberView<'_>, owned: &Fiber) {
-        assert_eq!(view.occupancy(), owned.occupancy());
-        assert_eq!(view.shape(), *owned.shape());
-        for (pos, e) in owned.elements().iter().enumerate() {
-            assert_eq!(view.coord_at(pos), e.coord);
-            match (view.payload_at(pos), &e.payload) {
-                (PayloadView::Val(v), Payload::Val(w)) => assert_eq!(v, *w),
-                (PayloadView::Fiber(f), Payload::Fiber(g)) => assert_matches_owned(f, g),
-                (got, want) => panic!("payload kinds differ: {got:?} vs {want:?}"),
+    /// Every `(path, value)` the cursors reach below `view`, in walk
+    /// order.
+    fn view_leaves(view: FiberView<'_>, path: &mut Vec<Coord>, out: &mut Vec<(Vec<Coord>, f64)>) {
+        for pos in 0..view.occupancy() {
+            path.push(view.coord_at(pos));
+            match view.payload_at(pos) {
+                PayloadView::Val(v) => out.push((path.clone(), v)),
+                PayloadView::Fiber(f) => view_leaves(f, path, out),
             }
+            path.pop();
         }
     }
 
     #[test]
     fn views_agree_across_representations() {
         let (t, c) = fig1();
-        assert_matches_owned(c.root_fiber_view().unwrap(), t.root_fiber().unwrap());
-        let iterated: Vec<Coord> = c
-            .root_fiber_view()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k)
-            .collect();
-        let want: Vec<Coord> = t
-            .root_fiber()
-            .unwrap()
-            .iter()
-            .map(|e| e.coord.clone())
-            .collect();
-        assert_eq!(iterated, want);
+        let root = c.root_fiber_view().unwrap();
+        assert_eq!(root.shape(), t.rank_shapes()[0]);
+        let mut walked = Vec::new();
+        view_leaves(root, &mut Vec::new(), &mut walked);
+        let stored: Vec<(Vec<Coord>, f64)> = t.iter().map(|(p, v)| (p.to_vec(), v)).collect();
+        assert_eq!(walked, stored);
+        let iterated: Vec<Coord> = root.iter().map(|(k, _)| k).collect();
+        assert_eq!(iterated, [Coord::Point(0), Coord::Point(2)]);
     }
 
     #[test]
@@ -736,7 +743,7 @@ mod tests {
             .unwrap()
             .flatten_rank("AB", "ABC")
             .unwrap();
-        // Tuple ranks round-trip through the owned tree.
+        // Tuple ranks round-trip through the owned tensor.
         assert_eq!(CompressedTensor::from_tensor(&c.to_tensor()).unwrap(), c);
         let root = c.root_fiber_view().unwrap();
         let triple =
@@ -770,8 +777,8 @@ mod tests {
         let (t, c) = fig1();
         let root = c.root_fiber_view().unwrap();
         assert_eq!(root.leaf_count(), t.nnz());
-        for (pos, e) in t.root_fiber().unwrap().elements().iter().enumerate() {
-            let want = e.payload.as_fiber().unwrap().leaf_count();
+        for (pos, (m, _)) in root.iter().enumerate() {
+            let want = t.iter().filter(|(p, _)| p[0] == m).count();
             assert_eq!(root.payload_at(pos).as_fiber().unwrap().leaf_count(), want);
         }
     }
@@ -875,7 +882,7 @@ mod tests {
         assert_eq!(triple_c.content_hash(), content_hash_from_leaves(&triple));
     }
 
-    /// Compressing an owned tree and building from its entries hash alike,
+    /// Compressing an owned tensor and building from its entries hash alike,
     /// and hashing is deterministic across calls.
     #[test]
     fn content_hash_is_representation_independent() {

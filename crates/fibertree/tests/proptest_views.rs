@@ -26,7 +26,7 @@ fn arb_coo3() -> impl Strategy<Value = Vec<(Vec<u64>, f64)>> {
 }
 
 /// A sparse coordinate set for one fiber, as a 1-rank tensor built twice
-/// (same content, independent constructions): the owned tree is the
+/// (same content, independent constructions): the owned tensor is the
 /// oracle's source, the compressed one is what the streams read.
 fn arb_vector_pair() -> impl Strategy<Value = (Tensor, CompressedTensor)> {
     proptest::collection::btree_set(0u64..200, 0..50).prop_map(|coords| {

@@ -195,7 +195,7 @@ pub fn run_with_limits(
     // storage order (so the engine's offline swizzle is the identity) and
     // *borrowed* by every superstep — the engine iterates it through
     // cursors, so a multi-million-edge graph is never cloned or rebuilt.
-    // Per-superstep outputs stream into CSF arrays, never owned trees.
+    // Per-superstep outputs stream into CSF arrays, never owned tensors.
     let g = TensorData::Compressed(graph.compressed_source_major("G", ["S", "V"], weighted));
 
     let mut properties = vec![UNDISCOVERED; v as usize];
@@ -391,7 +391,7 @@ mod tests {
     fn supersteps_never_decompress_the_adjacency() {
         // The driver borrows one compressed adjacency across every
         // superstep and assembles outputs as CSF; nothing on that path
-        // may round-trip through an owned tree. The counter is
+        // may round-trip through an owned tensor. The counter is
         // process-wide and monotonic, so this holds even with
         // the other tests running concurrently — none of them may
         // decompress either.

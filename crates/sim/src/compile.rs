@@ -157,21 +157,28 @@ impl CompiledPlan {
         format!("{:?}", self.plans).len() as u64
     }
 
-    /// Whether `component` is an explicitly-managed (buffet-class)
-    /// buffer that data can be pinned in.
-    pub(crate) fn is_pinnable_buffet(
-        &self,
-        binding: &teaal_core::spec::EinsumBinding,
-        component: &str,
-    ) -> bool {
-        is_pinnable_buffet(&self.spec, binding, component)
-    }
-
     fn index_of(&self, plan: &EinsumPlan) -> Option<usize> {
         self.plans
             .iter()
             .position(|p| p.equation.name() == plan.equation.name())
     }
+}
+
+/// Whether `tensor` is *pinned* on chip under `binding`: bound
+/// exclusively to explicitly-managed (buffet-class) storage with no
+/// eviction policy (e.g. Graphicionado's temp property array in eDRAM),
+/// so it never generates DRAM traffic. Buffets with `evict-on` stream
+/// from DRAM, and caches miss to DRAM, so both stay DRAM-backed.
+pub(crate) fn is_pinned(
+    spec: &TeaalSpec,
+    binding: &teaal_core::spec::EinsumBinding,
+    tensor: &str,
+) -> bool {
+    let storage = binding.storage_for(tensor);
+    !storage.is_empty()
+        && storage
+            .iter()
+            .all(|s| s.evict_on.is_none() && is_pinnable_buffet(spec, binding, &s.component))
 }
 
 fn is_pinnable_buffet(
@@ -254,16 +261,7 @@ fn build_instruments(
         if on_chip.contains(&tp.tensor) {
             cfg.dram_backed = false;
         }
-        // A tensor bound exclusively to explicitly-managed on-chip
-        // storage with no eviction policy is *pinned* there (e.g.
-        // Graphicionado's temp property array in eDRAM): it never
-        // generates DRAM traffic. Buffets with `evict-on` stream from
-        // DRAM, and caches miss to DRAM, so both stay DRAM-backed.
-        if !storage.is_empty()
-            && storage
-                .iter()
-                .all(|s| s.evict_on.is_none() && is_pinnable_buffet(spec, &binding, &s.component))
-        {
+        if is_pinned(spec, &binding, &tp.tensor) {
             cfg.dram_backed = false;
         }
         for s in &storage {

@@ -55,7 +55,8 @@ use crate::report::SimReport;
 /// # Errors
 ///
 /// Returns [`SimError::MissingTensor`] / [`SimError::MissingExtent`] under
-/// the same conditions as an engine run.
+/// the same conditions as an engine run, and [`SimError::Fibertree`] for
+/// an owned input with no CSF form.
 pub fn estimate_data(
     sim: &Simulator,
     inputs: &[&TensorData],
@@ -63,7 +64,7 @@ pub fn estimate_data(
 ) -> Result<SimReport, SimError> {
     let mut stats = BTreeMap::new();
     for t in inputs {
-        stats.insert(t.name().to_string(), cache.get_or_compute(t));
+        stats.insert(t.name().to_string(), cache.get_or_compute(t)?);
     }
     estimate_with_stats(sim, &stats)
 }
@@ -553,10 +554,7 @@ fn estimate_einsum(
     let instruments = sim.build_instruments(plan);
     let policy = sim.intersect_policy(plan);
     let accesses = plan.equation.rhs.accesses();
-    let (union_mode, take_mode) = match &plan.equation.rhs {
-        Rhs::SumOfProducts(terms) => (terms.len() > 1, false),
-        Rhs::Take { .. } => (false, true),
-    };
+    let union_mode = matches!(&plan.equation.rhs, Rhs::SumOfProducts(terms) if terms.len() > 1);
 
     let leader_chunks = leader_chunk_counts(plan, env);
 
@@ -838,7 +836,6 @@ fn estimate_einsum(
             }
         }
     };
-    let _ = take_mode;
 
     // Distinct outputs via the uniform model over the target ranks.
     let target = &plan.output.target_order;
@@ -875,17 +872,10 @@ fn estimate_einsum(
         }
     }
 
-    // Output footprint (exactly collect_stats' gating; the footprint
-    // itself is the format formula over estimated per-level counts).
-    let binding = sim.spec().binding.for_einsum(&name);
-    let own_storage = binding.storage_for(&name);
-    let output_pinned = !own_storage.is_empty()
-        && own_storage
-            .iter()
-            .all(|s| s.evict_on.is_none() && sim.is_pinnable_buffet(&binding, &s.component));
+    // Output footprint: the engine's output-write gate, with the format
+    // formula over estimated per-level counts.
     let out_prefix = uniform_prefix(target, extents, d_out);
-    if !(sim.on_chip_set().contains(&name) || output_pinned) {
-        let out_fmt = sim.spec().format.config_or_default(&name, None, target);
+    if let Some(out_fmt) = sim.output_write_format(plan) {
         counts.output_write_bits = footprint_bits(&out_fmt, target, extents, &out_prefix);
     }
 

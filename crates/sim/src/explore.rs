@@ -360,7 +360,7 @@ fn search_token(config: &ExploreConfig) -> Option<CancelToken> {
 }
 
 /// The search inputs, compressed once: every candidate of a search borrows
-/// them instead of compressing owned trees per run.
+/// them instead of compressing owned tensors per run.
 fn compressed_inputs(inputs: &[Tensor]) -> Result<Vec<TensorData>, SimError> {
     inputs
         .iter()

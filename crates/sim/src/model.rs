@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use teaal_core::ir::{EinsumBlock, EinsumPlan};
-use teaal_core::spec::{ComponentClass, ComputeOp, TeaalSpec};
+use teaal_core::spec::{ComponentClass, ComputeOp, TeaalSpec, TensorFormat};
 use teaal_core::TeaalSpec as Spec;
 use teaal_fibertree::{CompressedTensor, IntersectPolicy, Tensor, TensorData};
 
@@ -96,29 +96,22 @@ pub fn default_threads() -> usize {
 }
 
 /// Compresses an owned tensor into the CSF storage every evaluation
-/// reads: the evaluation path's one owned→CSF conversion. The
-/// [`Simulator`] entry points call it once per owned input per call;
-/// callers that evaluate one dataset many times (`teaal batch` and
-/// `serve`, the mapper search) call it once up front.
+/// reads ([`CompressedTensor::from_tensor`], the one owned→CSF
+/// conversion). The [`Simulator`] entry points convert each owned input
+/// once per call; callers that evaluate one dataset many times (`teaal
+/// batch` and `serve`, the mapper search) call this once up front.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Fibertree`] when a rank shape has no compressed
-/// form.
+/// Returns [`SimError::Fibertree`] when a rank shape or a leaf has no
+/// compressed form.
 pub fn compress(t: &Tensor) -> Result<CompressedTensor, SimError> {
     Ok(CompressedTensor::from_tensor(t)?)
 }
 
-/// The inputs as CSF: compressed inputs borrowed, owned ones
-/// [`compress`]ed.
+/// The inputs as CSF: compressed inputs borrowed, owned ones converted.
 fn csf_inputs<'a>(inputs: &[&'a TensorData]) -> Result<Vec<Cow<'a, CompressedTensor>>, SimError> {
-    inputs
-        .iter()
-        .map(|t| match t {
-            TensorData::Compressed(c) => Ok(Cow::Borrowed(c)),
-            TensorData::Owned(t) => compress(t).map(Cow::Owned),
-        })
-        .collect()
+    inputs.iter().map(|t| Ok(t.compressed()?)).collect()
 }
 
 impl Simulator {
@@ -236,24 +229,28 @@ impl Simulator {
         &self.compiled
     }
 
-    /// Intermediates kept on-chip by fusion (no DRAM traffic).
-    pub(crate) fn on_chip_set(&self) -> &std::collections::BTreeSet<String> {
-        self.compiled.on_chip()
+    /// The format an Einsum's output is written back to DRAM in, or
+    /// `None` when it never leaves the chip: an intermediate kept on chip
+    /// by fusion, or an output [pinned](crate::compile::is_pinned) in
+    /// buffets. The one output-write gate of both the engine's statistics
+    /// and the estimator.
+    pub(crate) fn output_write_format(&self, plan: &EinsumPlan) -> Option<TensorFormat> {
+        let spec = self.spec();
+        let name = plan.equation.name();
+        let binding = spec.binding.for_einsum(name);
+        if self.compiled.on_chip().contains(name) || crate::compile::is_pinned(spec, &binding, name)
+        {
+            return None;
+        }
+        Some(
+            spec.format
+                .config_or_default(name, None, &plan.output.target_order),
+        )
     }
 
     /// The declared extent overrides.
     pub(crate) fn extent_overrides(&self) -> &BTreeMap<String, u64> {
         &self.extent_overrides
-    }
-
-    /// Whether `component` is an explicitly-managed (buffet-class) buffer
-    /// that data can be pinned in.
-    pub(crate) fn is_pinnable_buffet(
-        &self,
-        binding: &teaal_core::spec::EinsumBinding,
-        component: &str,
-    ) -> bool {
-        self.compiled.is_pinnable_buffet(binding, component)
     }
 
     /// Resolves the intersection policy for an Einsum (precomputed at
@@ -537,25 +534,13 @@ impl Simulator {
         instruments: &Instruments,
         output: &CompressedTensor,
     ) -> EinsumStats {
-        let spec = self.compiled.spec();
-        let name = plan.equation.name().to_string();
-        let declared = plan.output.target_order.clone();
-        let out_fmt = spec.format.config_or_default(&name, None, &declared);
-        let binding = spec.binding.for_einsum(&name);
-        let own_storage = binding.storage_for(&name);
-        let output_pinned = !own_storage.is_empty()
-            && own_storage
-                .iter()
-                .all(|s| s.evict_on.is_none() && self.is_pinnable_buffet(&binding, &s.component));
-        let output_write_bytes = if self.on_chip_set().contains(&name) || output_pinned {
-            0
-        } else {
-            out_fmt.footprint_from_parts(
+        let output_write_bytes = self.output_write_format(plan).map_or(0, |fmt| {
+            fmt.footprint_from_parts(
                 output.rank_ids(),
                 output.rank_shapes(),
                 &output.rank_stats(),
             )
-        };
+        });
 
         let mut traffic = Vec::new();
         for tp in &plan.tensor_plans {
@@ -570,7 +555,7 @@ impl Simulator {
         }
 
         EinsumStats {
-            einsum: name,
+            einsum: plan.equation.name().to_string(),
             traffic,
             output_write_bytes,
             output_partial_bytes: (instruments.output.drain_bits + instruments.output.refill_bits)

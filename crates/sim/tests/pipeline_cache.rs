@@ -148,7 +148,7 @@ fn spec_and_stats_caches_stay_within_their_budget_shares() {
     assert!(specs.evictions > 0 && specs.bytes > 0);
     for seed in 0..100 {
         let t = genmat::uniform("A", &["K", "M"], 16, 16, 20, seed);
-        ctx.stats().get_or_compute(&TensorData::Owned(t));
+        ctx.stats().get_or_compute(&TensorData::Owned(t)).unwrap();
         assert!(ctx.stats().snapshot().bytes <= SHARE);
     }
     let stats = ctx.stats().snapshot();

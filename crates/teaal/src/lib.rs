@@ -73,8 +73,8 @@ pub mod prelude {
     pub use teaal_accel::{GraphDesign, SpmspmAccel};
     pub use teaal_core::{SpecError, TeaalSpec};
     pub use teaal_fibertree::{
-        CompressedBuilder, CompressedTensor, Coord, Fiber, FiberView, Payload, PayloadView,
-        Semiring, Shape, Tensor, TensorBuilder, TensorData,
+        CompressedBuilder, CompressedTensor, Coord, FiberView, PayloadView, Semiring, Shape,
+        Tensor, TensorBuilder, TensorData,
     };
     pub use teaal_sim::{OpTable, SimError, SimReport, Simulator};
 }

@@ -184,7 +184,7 @@ pub struct RequestOverrides {
 }
 
 /// Compresses a loaded dataset once through the simulator's boundary
-/// conversion ([`teaal_sim::compress`]), consuming the owned trees: the
+/// conversion ([`teaal_sim::compress`]), consuming the owned tensors: the
 /// shared dataset of `teaal batch` and `teaal serve` is held in CSF
 /// only, and every request borrows it.
 ///

@@ -62,20 +62,15 @@ impl CpuBaseline {
 /// layouts: `Σ_k occ(A_k) · occ(B_k)` (the size of the intermediate
 /// partial-product space).
 pub fn spmspm_multiplies(a: &Tensor, b: &Tensor) -> u64 {
-    let (Some(fa), Some(fb)) = (a.root_fiber(), b.root_fiber()) else {
-        return 0;
-    };
+    let rows_b = crate::genmat::root_occupancies(b);
     let mut total = 0u64;
     let mut j = 0usize;
-    let be = fb.elements();
-    for ea in fa.iter() {
-        while j < be.len() && be[j].coord < ea.coord {
+    for (k, occ_a) in crate::genmat::root_occupancies(a) {
+        while j < rows_b.len() && rows_b[j].0 < k {
             j += 1;
         }
-        if j < be.len() && be[j].coord == ea.coord {
-            let ca = ea.payload.as_fiber().map_or(1, |f| f.occupancy()) as u64;
-            let cb = be[j].payload.as_fiber().map_or(1, |f| f.occupancy()) as u64;
-            total += ca * cb;
+        if j < rows_b.len() && rows_b[j].0 == k {
+            total += occ_a as u64 * rows_b[j].1 as u64;
         }
     }
     total

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teaal_fibertree::{CompressedTensor, Tensor};
+use teaal_fibertree::{CompressedTensor, Coord, Tensor};
 
 fn uniform_entries(rows: u64, cols: u64, nnz: usize, seed: u64) -> Vec<(Vec<u64>, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -168,17 +168,10 @@ pub struct MatrixStats {
 pub fn stats(t: &Tensor) -> MatrixStats {
     let rows = t.rank_shapes()[0].extent();
     let cols = t.rank_shapes()[1].extent();
-    let mut max_row = 0usize;
-    let mut fibers = 0usize;
     let nnz = t.nnz();
-    if let Some(root) = t.root_fiber() {
-        for e in root.iter() {
-            if let Some(f) = e.payload.as_fiber() {
-                max_row = max_row.max(f.occupancy());
-                fibers += 1;
-            }
-        }
-    }
+    let occupancies = root_occupancies(t);
+    let max_row = occupancies.iter().map(|&(_, occ)| occ).max().unwrap_or(0);
+    let fibers = occupancies.len();
     MatrixStats {
         rows,
         cols,
@@ -190,6 +183,26 @@ pub fn stats(t: &Tensor) -> MatrixStats {
             0.0
         },
     }
+}
+
+/// `(coordinate, occupancy)` for each element of the root fiber, in
+/// coordinate order: the number of distinct rank-1 coordinates stored
+/// beneath it (explicit zeros included), or `1` for a vector's leaves.
+/// Empty for a scalar.
+pub(crate) fn root_occupancies(t: &Tensor) -> Vec<(&Coord, usize)> {
+    let mut out: Vec<(&Coord, usize)> = Vec::new();
+    let mut prev: &[Coord] = &[];
+    for (path, _) in t.iter() {
+        let Some(top) = path.first() else {
+            break;
+        };
+        match out.last_mut() {
+            Some((c, occ)) if *c == top => *occ += usize::from(prev.get(1) != path.get(1)),
+            _ => out.push((top, 1)),
+        }
+        prev = path;
+    }
+    out
 }
 
 #[cfg(test)]

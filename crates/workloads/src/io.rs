@@ -78,7 +78,7 @@ pub fn read_tensor(reader: impl BufRead, default_name: &str) -> Result<Tensor, T
 }
 
 /// Reads a tensor from the whitespace-separated format straight into
-/// compressed (CSF) storage, never materializing an owned tree — the
+/// compressed (CSF) storage, never materializing an owned tensor — the
 /// large-workload ingest path.
 ///
 /// # Errors
